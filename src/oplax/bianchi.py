@@ -25,7 +25,7 @@ from .oscillator import (
     inv_sqrt_2p0,
     p0,
 )
-from .report import Check, VerificationReport, flag_check
+from .report import Check, VerificationReport, first_nonzero_check, flag_check
 from .scalars import ScalarPoly, parse_scalar, symbol
 from .weyl import AM, AP, CLASSICAL, P, Q, QUANTUM, OperatorExpr, parse_operator
 
@@ -133,7 +133,7 @@ def _table_entries(mode: str) -> dict:
     p_plus = (gen_p + p0()) * inv_2p0()          # (p + p0) / (2 p0)
     p_minus_flip = (p0() - gen_p) * inv_2p0()    # (p - p0) / (-2 p0)
     wq_over_2p0 = w * gen_q * inv_2p0()
-    over_p0 = ScalarPoly.monomial(2, {"s": -2})
+    over_p0 = 2 * inv_2p0()
     p_over_p0 = gen_p * over_p0
     wq_over_p0 = w * gen_q * over_p0
     ap_s = gen_ap * inv_sqrt_2p0()               # A+ / sqrt(2 p0)
@@ -280,23 +280,15 @@ def family_structure_op(params: FamilyParams) -> MultiOp:
 
 # -- consistency report ---------------------------------------------------------
 
-def _first_residual(diff: MultiOp):
-    for key, value in diff.sorted_entries():
-        return key, value
-    return None, OperatorExpr.zero(diff.mode)
-
-
 def multiop_check(check_id: str, ref: str, got: MultiOp, want: MultiOp,
                   detail: str, finish=None) -> Check:
     diff = got - want
     if finish is not None:
         diff = diff.map_entries(finish)
-    key, residual = _first_residual(diff)
-    if key is not None:
-        i, j, k = key
-        detail = f"{detail}; first differing entry ({i + 1},{j + 1})->{k + 1}"
-    return flag_check(check_id, ref, key is None, detail,
-                      residual=residual.render() if key is not None else "0")
+    return first_nonzero_check(check_id, ref, (
+        (f"first differing entry ({i + 1},{j + 1})->{k + 1}", value)
+        for (i, j, k), value in diff.sorted_entries()
+    ), detail)
 
 
 def check_tables_consistency(hbar_zero: bool = False) -> VerificationReport:
@@ -368,12 +360,32 @@ def _op_to_strings(mu: MultiOp) -> dict:
     }
 
 
-def _op_from_strings(data: dict, mode: str) -> MultiOp:
-    entries = {
-        (i, j, k): parse_operator(data[key], mode)
-        for key, (i, j, k) in zip(_ENTRY_KEYS, STRUCTURE_COLUMNS)
-    }
-    return antisymmetric_binary(3, mode, entries)
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _expect(value, kind, what: str):
+    """``value`` when it is a ``kind``, else ValueError naming what is wrong."""
+    if not isinstance(value, kind):
+        raise ValueError(f"table document: {what} is not {_KINDS[kind]}")
+    return value
+
+
+def _field(data: dict, key: str, where: str, kind=dict):
+    if key not in data:
+        raise ValueError(f"table document: {where} has no {key!r}")
+    return _expect(data[key], kind, f"{where} {key!r}")
+
+
+def _ops_from_strings(doc: dict, part: str, mode: str) -> dict:
+    ops = {}
+    for name, data in _field(doc, part, "the document").items():
+        where = f"{part} table {name!r}"
+        _expect(data, dict, where)
+        ops[name] = antisymmetric_binary(3, mode, {
+            (i, j, k): parse_operator(_field(data, key, where, str), mode)
+            for key, (i, j, k) in zip(_ENTRY_KEYS, STRUCTURE_COLUMNS)
+        })
+    return ops
 
 
 def export_tables() -> str:
@@ -402,19 +414,24 @@ class BianchiTables:
 
 
 def import_tables(text: str) -> BianchiTables:
-    """Inverse of export_tables; round-trips bit-exactly."""
-    doc = json.loads(text)
+    """Inverse of export_tables; round-trips bit-exactly.
+
+    Malformed JSON, a missing or mistyped field and malformed expression text
+    all raise ValueError.
+    """
+    doc = _expect(json.loads(text), dict, "the document")
     rows = []
-    for name, data in doc["classification"].items():
+    for name, data in _field(doc, "classification", "the document").items():
+        where = f"classification row {name!r}"
+        mu = _field(_expect(data, dict, where), "mu", where)
         rows.append(BianchiRow(
             name=name,
-            alpha=parse_scalar(data["alpha"]),
-            n=tuple(parse_scalar(v) for v in data["n"]),
-            mu0=tuple(parse_scalar(data["mu"][key]) for key in _ENTRY_KEYS),
+            alpha=parse_scalar(_field(data, "alpha", where, str)),
+            n=tuple(parse_scalar(_expect(v, str, f"{where} 'n' entry"))
+                    for v in _field(data, "n", where, list)),
+            mu0=tuple(parse_scalar(_field(mu, key, f"{where} 'mu'", str))
+                      for key in _ENTRY_KEYS),
             note=data.get("note", ""),
         ))
-    dynamical = {name: _op_from_strings(data, CLASSICAL)
-                 for name, data in doc["dynamical"].items()}
-    quantum = {name: _op_from_strings(data, QUANTUM)
-               for name, data in doc["quantum"].items()}
-    return BianchiTables(tuple(rows), dynamical, quantum)
+    return BianchiTables(tuple(rows), _ops_from_strings(doc, "dynamical", CLASSICAL),
+                         _ops_from_strings(doc, "quantum", QUANTUM))

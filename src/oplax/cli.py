@@ -17,51 +17,31 @@ from . import bianchi, jacobi, oscillator
 from .report import VerificationReport
 from .weyl import render_factored
 
-VERIFY_SUITES = (
-    "all", "matrix-lax", "operadic-lax", "tables",
-    "jacobi-classical", "jacobi-quantum", "theorem-9-1",
-)
 
-
-def _suite_matrix_lax(hbar_zero: bool) -> VerificationReport:
-    return oscillator.verify_matrix_lax()
-
-
-def _suite_operadic_lax(hbar_zero: bool, type_name=None) -> VerificationReport:
+def _operadic_lax(hbar_zero: bool, type_name) -> VerificationReport:
     report = VerificationReport()
     for name, mu in bianchi.dynamical_table().items():
-        if type_name is not None and name != type_name:
-            continue
-        report.extend(oscillator.verify_operadic_lax(mu, label=name))
+        if type_name in (None, name):
+            report.extend(oscillator.verify_operadic_lax(mu, label=name))
     return report
 
 
-def _suite_tables(hbar_zero: bool) -> VerificationReport:
-    return bianchi.check_tables_consistency(hbar_zero=hbar_zero)
-
-
-def _suite_jacobi_classical(hbar_zero: bool) -> VerificationReport:
-    return jacobi.verify_classical_lie_rows()
-
-
-def _suite_jacobi_quantum(hbar_zero: bool) -> VerificationReport:
-    return jacobi.verify_quantum_lie_types(hbar_zero=hbar_zero)
-
-
-def _suite_theorem(hbar_zero: bool) -> VerificationReport:
+def _theorem(hbar_zero: bool, type_name) -> VerificationReport:
     report = jacobi.verify_closed_form(hbar_zero=hbar_zero)
     report.extend(jacobi.verify_closed_form_specializations(hbar_zero=hbar_zero))
     return report
 
 
-_SUITE_ORDER = (
-    ("matrix-lax", _suite_matrix_lax),
-    ("operadic-lax", _suite_operadic_lax),
-    ("tables", _suite_tables),
-    ("jacobi-classical", _suite_jacobi_classical),
-    ("jacobi-quantum", _suite_jacobi_quantum),
-    ("theorem-9-1", _suite_theorem),
-)
+#: suite name -> fn(hbar_zero, type_name), in the order ``verify all`` runs
+#: them; each check is looked up in its module at call time
+SUITES = {
+    "matrix-lax": lambda hbar_zero, _: oscillator.verify_matrix_lax(),
+    "operadic-lax": _operadic_lax,
+    "tables": lambda hbar_zero, _: bianchi.check_tables_consistency(hbar_zero),
+    "jacobi-classical": lambda hbar_zero, _: jacobi.verify_classical_lie_rows(),
+    "jacobi-quantum": lambda hbar_zero, _: jacobi.verify_quantum_lie_types(hbar_zero),
+    "theorem-9-1": _theorem,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("suite", choices=VERIFY_SUITES)
+    verify.add_argument("suite", choices=("all", *SUITES))
     verify.add_argument("--type", dest="type_name", choices=bianchi.TYPE_NAMES,
                         help="restrict the operadic-lax suite to one type")
     verify.add_argument("--format", dest="fmt", choices=("text", "json"),
@@ -113,13 +93,9 @@ def _run_verify(args) -> int:
         return 2
     hbar_zero = args.hbar == "0"
     report = VerificationReport()
-    for name, suite in _SUITE_ORDER:
-        if args.suite not in ("all", name):
-            continue
-        if name == "operadic-lax":
-            report.extend(_suite_operadic_lax(hbar_zero, args.type_name))
-        else:
-            report.extend(suite(hbar_zero))
+    for name, suite in SUITES.items():
+        if args.suite in ("all", name):
+            report.extend(suite(hbar_zero, args.type_name))
     rendered = report.render_json() if args.fmt == "json" else report.render_text()
     sys.stdout.write(rendered)
     return 0 if report.all_passed else 1

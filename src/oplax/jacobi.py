@@ -23,7 +23,8 @@ from .bianchi import (
     quantum_table,
 )
 from .operad import MultiOp
-from .report import VerificationReport, flag_check, residual_check
+from .oscillator import inv_2p0, inv_sqrt_2p0, p0
+from .report import VerificationReport, first_nonzero_check, flag_check, residual_check
 from .scalars import ScalarPoly, symbol
 from .weyl import AM, AP, P, Q, QUANTUM, OperatorExpr, commutator
 
@@ -138,16 +139,14 @@ def closed_form_jacobi(x: Vec3, y: Vec3, z: Vec3,
     gen_ap = OperatorExpr.generator(QUANTUM, AP)
     gen_am = OperatorExpr.generator(QUANTUM, AM)
     w = symbol("w")
-    p0 = ScalarPoly.monomial(Fraction(1, 2), {"s": 2})
-    inv_sqrt_2p0_cubed = ScalarPoly.monomial(2, {"s": -3})
-    inv_p0 = ScalarPoly.monomial(2, {"s": -2})
+    inv_p0 = 2 * inv_2p0()
 
     delta = det3(x, y, z)
     obstruction_plus = (params.beta * w * gen_q * gen_am
-                        + params.gamma * (gen_p - p0) * gen_ap)
+                        + params.gamma * (gen_p - p0()) * gen_ap)
     obstruction_minus = (params.beta * w * gen_q * gen_ap
-                         - params.gamma * (gen_p + p0) * gen_am)
-    front = -(params.a * delta * inv_sqrt_2p0_cubed)
+                         - params.gamma * (gen_p + p0()) * gen_am)
+    front = -(params.a * delta * inv_p0 * inv_sqrt_2p0())
     return JacobiTriple(
         front * obstruction_plus,
         front * obstruction_minus,
@@ -196,14 +195,12 @@ def verify_closed_form_specializations(hbar_zero: bool = False) -> VerificationR
         diff = computed - closed
         if hbar_zero:
             diff = diff.subst_params({"hbar": 0})
-        first = next((c for c in diff if not c.is_zero), None)
-        report.add(flag_check(
+        report.add(first_nonzero_check(
             f"theorem-9-1.special.{name}",
             "closed form specialized to a table row",
-            first is None,
+            ((None, c) for c in diff),
             f"type {name}: Jacobi operator of the stored quantum table vs "
             "closed form at its parameters",
-            residual=first.render() if first is not None else "0",
         ))
     return report
 
@@ -221,13 +218,11 @@ def verify_quantum_lie_types(hbar_zero: bool = False) -> VerificationReport:
         result = jacobi_op(x, y, z, table[name])
         if hbar_zero:
             result = result.subst_params({"hbar": 0})
-        first = next((c for c in result if not c.is_zero), None)
-        report.add(flag_check(
+        report.add(first_nonzero_check(
             f"jacobi-quantum.{name}",
             "quantum Jacobi identity",
-            first is None,
+            ((None, c) for c in result),
             f"type {name}: Jacobi operator with symbolic vectors",
-            residual=first.render() if first is not None else "0",
         ))
     return report
 
@@ -239,12 +234,10 @@ def verify_classical_lie_rows() -> VerificationReport:
     report = VerificationReport()
     for row in classification_rows():
         result = jacobi_op(x, y, z, initial_structure_op(row))
-        first = next((c for c in result if not c.is_zero), None)
-        report.add(flag_check(
+        report.add(first_nonzero_check(
             f"jacobi-classical.{row.name}",
             "classical Jacobi identity",
-            first is None,
+            ((None, c) for c in result),
             f"type {row.name}: Jacobi operator of the initial constants",
-            residual=first.render() if first is not None else "0",
         ))
     return report

@@ -11,7 +11,7 @@ All sign conventions run on the reduced degree (degree minus one).
 
 from __future__ import annotations
 
-from .weyl import OperatorExpr
+from .weyl import OperatorExpr, _add_term
 
 
 class MultiOp:
@@ -38,13 +38,7 @@ class MultiOp:
                     raise ValueError(f"entry key {key} out of range for dim {dim}")
                 if value.mode != mode:
                     raise ValueError("entry mode does not match operation mode")
-                if not value.is_zero:
-                    existing = acc.get(key)
-                    value = value if existing is None else existing + value
-                    if value.is_zero:
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = value
+                _add_term(acc, key, value)
         self.entries = acc
 
     @classmethod
@@ -85,12 +79,7 @@ class MultiOp:
             raise ValueError("cannot add operations of different shape")
         acc = dict(self.entries)
         for key, value in other.entries.items():
-            total = acc.get(key)
-            total = value if total is None else total + value
-            if total.is_zero:
-                acc.pop(key, None)
-            else:
-                acc[key] = total
+            _add_term(acc, key, value)
         return MultiOp._make(self.dim, self.degree, self.mode, acc)
 
     def __neg__(self) -> "MultiOp":
@@ -152,14 +141,7 @@ def partial_compose(f: MultiOp, pos: int, g: MultiOp) -> MultiOp:
         for g_inputs, gval in g_by_out.get(inputs[pos], ()):
             new_key = inputs[:pos] + g_inputs + inputs[pos + 1:] + (out,)
             term = fval * gval
-            if negate:
-                term = -term
-            total = acc.get(new_key)
-            total = term if total is None else total + term
-            if total.is_zero:
-                acc.pop(new_key, None)
-            else:
-                acc[new_key] = total
+            _add_term(acc, new_key, -term if negate else term)
     return MultiOp._make(f.dim, f.degree + g.reduced_degree, f.mode, acc)
 
 

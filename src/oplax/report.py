@@ -49,6 +49,21 @@ def flag_check(check_id: str, ref: str, ok: bool, detail: str = "",
     )
 
 
+def first_nonzero_check(check_id: str, ref: str, residuals, detail: str = "") -> Check:
+    """Flag check that passes when every residual is zero.
+
+    ``residuals`` yields ``(label, residual)`` pairs in order.  The check
+    fails on the first nonzero residual, shows its rendering, and appends its
+    label, when there is one, to the detail.
+    """
+    for label, residual in residuals:
+        if not residual.is_zero:
+            if label:
+                detail = f"{detail}; {label}"
+            return flag_check(check_id, ref, False, detail, residual=residual.render())
+    return flag_check(check_id, ref, True, detail, residual="0")
+
+
 class VerificationReport:
     """Ordered collection of checks with a pass/fail summary."""
 

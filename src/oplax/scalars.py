@@ -324,16 +324,7 @@ class ScalarPoly:
         return sorted(self.terms.items(), key=lambda item: item[0])
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp, coeff in self.sorted_terms():
-            neg, body = render_term(coeff, exp)
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
+        return render_sum(render_term(coeff, exp) for exp, coeff in self.sorted_terms())
 
     def __str__(self):
         return self.render()
@@ -376,161 +367,152 @@ def render_term(coeff: GaussRat, exp: tuple, word: str = "") -> tuple:
     return neg, f"{scalar} * {word}"
 
 
-# -- parsing ----------------------------------------------------------------
+def render_sum(signed_bodies) -> str:
+    """Join (starts_negative, body) pairs into a signed sum; empty is "0"."""
+    parts = []
+    for neg, body in signed_bodies:
+        sign = (" - " if neg else " + ") if parts else ("-" if neg else "")
+        parts.append(sign + body)
+    return "".join(parts) or "0"
 
-_SCALAR_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>hbar|beta|gamma|[xyz][123]|[wsabi])"
-    r"|(?P<op>[()^*+-]))"
+
+# -- parsing ----------------------------------------------------------------
+#
+# One grammar reads every canonical rendering, scalar or operator:
+#
+#   text   := (sign | term)*                    sign := "+" | "-"
+#   term   := factor ("*"? factor)*
+#   factor := number | symbol ("^" "-"? integer)? | "i" | "(" gauss ")" | word
+#   gauss  := sign* part (sign+ part)*          part := (number | "i") ("*" "i")?
+#
+# Whitespace may separate any two tokens.  A sign after a factor closes the
+# term; the signs before a term multiply, while inside parentheses the last
+# one counts.  Words are spellings the caller names (the operator
+# generators); scalar text has none.
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+(?:/\d+)?)"
+    r"|(?P<sym>hbar|beta|gamma|[xyz][123]|[wsab])"
+    r"(?:\s*\^\s*(?P<neg>-)?\s*(?P<exp>\d+(?:/\d+)?))?"
+    r"|(?P<op>[i()*+-]))?"
 )
 
 
-def _tokenize_scalar(text: str):
+def _rational(literal: str, text: str) -> Fraction:
+    try:
+        return Fraction(literal)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _tokenize(text: str, words) -> list:
+    """(kind, value) pairs: ("num", GaussRat) for a number or ``i``,
+    ("sym", (index, exponent)), ("word", index into words), or (character,
+    None) for ``( ) * + -``."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _SCALAR_TOKEN.match(text, pos)
-        if match is None:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"unexpected character {text[pos]!r} in {text!r}")
-        pos = match.end()
-        if match.lastgroup == "num":
-            tokens.append(("num", Fraction(match.group("num"))))
-        elif match.lastgroup == "name":
-            tokens.append(("name", match.group("name")))
-        else:
-            tokens.append(("op", match.group("op")))
-    return tokens
-
-
-class _TokenStream:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def next(self):
-        token = self.peek()
-        self.pos += 1
-        return token
-
-    def expect_op(self, op):
-        kind, value = self.next()
-        if kind != "op" or value != op:
-            raise ValueError(f"expected {op!r}, found {value!r}")
-
-
-def _parse_signed_int(stream: _TokenStream) -> int:
-    sign = 1
-    kind, value = stream.peek()
-    if kind == "op" and value == "-":
-        stream.next()
-        sign = -1
-    kind, value = stream.next()
-    if kind != "num" or value.denominator != 1:
-        raise ValueError("exponent must be an integer")
-    return sign * int(value)
-
-
-def _parse_gauss_in_parens(stream: _TokenStream) -> GaussRat:
-    total = GR_ZERO
-    sign = 1
+    pos, end = 0, len(text)
     while True:
-        kind, value = stream.peek()
-        if kind == "op" and value in "+-":
-            stream.next()
-            sign = 1 if value == "+" else -1
-            continue
-        if kind == "num":
-            stream.next()
-            part = GaussRat(value)
-            kind2, value2 = stream.peek()
-            if kind2 == "op" and value2 == "*":
-                stream.next()
-                kind3, value3 = stream.next()
-                if (kind3, value3) != ("name", "i"):
-                    raise ValueError("expected i after * inside parentheses")
-                part = part * GR_I
-        elif (kind, value) == ("name", "i"):
-            stream.next()
-            part = GR_I
+        match = _TOKEN.match(text, pos)
+        pos = match.end()
+        num, sym, neg, exp, op = match.groups()
+        if num:
+            tokens.append(("num", GaussRat(_rational(num, text))))
+        elif sym:
+            power = 1
+            if exp:
+                power = _rational(exp, text)
+                if power.denominator != 1:
+                    raise ValueError(f"exponent must be an integer in {text!r}")
+                power = -int(power) if neg else int(power)
+            tokens.append(("sym", (SYMBOL_INDEX[sym], power)))
+        elif op:
+            tokens.append(("num", GR_I) if op == "i" else (op, None))
+        elif pos == end:
+            return tokens
         else:
-            raise ValueError("malformed parenthesized coefficient")
-        total = total + (part if sign == 1 else -part)
-        sign = 1
-        kind, value = stream.peek()
-        if kind == "op" and value == ")":
-            stream.next()
-            return total
-        if not (kind == "op" and value in "+-"):
-            raise ValueError("malformed parenthesized coefficient")
+            word = next((k for k, name in enumerate(words)
+                         if text.startswith(name, pos)), None)
+            if word is None:
+                raise ValueError(f"unexpected character {text[pos]!r} in {text!r}")
+            tokens.append(("word", word))
+            pos += len(words[word])
 
 
-def _parse_scalar_factor(stream: _TokenStream):
-    """One multiplicative factor; returns (GaussRat, powers dict) or None."""
-    kind, value = stream.peek()
-    if kind == "num":
-        stream.next()
-        return GaussRat(value), {}
-    if kind == "name":
-        stream.next()
-        if value == "i":
-            return GR_I, {}
-        exp = 1
-        kind2, value2 = stream.peek()
-        if kind2 == "op" and value2 == "^":
-            stream.next()
-            exp = _parse_signed_int(stream)
-        return GR_ONE, {value: exp}
-    if kind == "op" and value == "(":
-        stream.next()
-        return _parse_gauss_in_parens(stream), {}
-    return None
+def _parse_gauss(tokens: list, pos: int, text: str) -> tuple:
+    """The Gaussian rational between a "(" and its ")"; returns it and the
+    position after the ")"."""
+    total, sign, want_part = GR_ZERO, 1, True
+    while pos < len(tokens):
+        kind, value = tokens[pos]
+        pos += 1
+        if kind == "+" or kind == "-":
+            sign, want_part = (1 if kind == "+" else -1), True
+            continue
+        if want_part and kind == "num":
+            part = value
+            if tokens[pos:pos + 2] == [("*", None), ("num", GR_I)]:
+                part, pos = value * GR_I, pos + 2
+        elif not want_part and kind == ")":
+            return total, pos
+        else:
+            break
+        total = total + part if sign == 1 else total - part
+        sign, want_part = 1, False
+    raise ValueError(f"malformed parenthesized coefficient in {text!r}")
+
+
+def _term(coeff: GaussRat, exp: list, sign: int) -> ScalarPoly:
+    exp = tuple(exp)
+    _check_exponents(exp)
+    if sign < 0:
+        coeff = -coeff
+    return ScalarPoly._make({exp: coeff} if coeff else {})
+
+
+def parse_terms(text: str, words=()) -> list:
+    """The (word, coefficient) terms of ``text`` in the grammar above.
+
+    ``words`` lists the word spellings, none a prefix of another; a term's
+    word is the tuple of their indices in reading order.  Malformed text
+    raises ValueError.
+    """
+    tokens = _tokenize(text, words)
+    terms = []
+    sign, coeff = 1, None          # coeff is None until a term opens
+    pos = 0
+    while pos < len(tokens):
+        kind, value = tokens[pos]
+        pos += 1
+        if kind == "*":
+            continue
+        if kind == "+" or kind == "-":
+            if coeff is not None:
+                terms.append((tuple(word), _term(coeff, exp, sign)))
+                sign, coeff = 1, None
+            if kind == "-":
+                sign = -sign
+            continue
+        if coeff is None:
+            coeff, exp, word = GR_ONE, [0] * NSYMBOLS, []
+        if kind == "num":
+            coeff = coeff * value
+        elif kind == "sym":
+            exp[value[0]] += value[1]
+        elif kind == "word":
+            word.append(value)
+        elif kind == "(":
+            value, pos = _parse_gauss(tokens, pos, text)
+            coeff = coeff * value
+        else:
+            raise ValueError(f"unmatched ')' in {text!r}")
+    if coeff is not None:
+        terms.append((tuple(word), _term(coeff, exp, sign)))
+    return terms
 
 
 def parse_scalar(text: str) -> ScalarPoly:
     """Parse the canonical scalar rendering back into a ScalarPoly."""
-    stream = _TokenStream(_tokenize_scalar(text))
-    result = ScalarPoly.zero()
-    sign = 1
-    expect_term = True
-    while True:
-        kind, value = stream.peek()
-        if kind is None:
-            break
-        if kind == "op" and value in "+-" and not expect_term:
-            stream.next()
-            sign = 1 if value == "+" else -1
-            expect_term = True
-            continue
-        if kind == "op" and value == "-" and expect_term:
-            stream.next()
-            sign = -sign
-            continue
-        coeff = GR_ONE
-        powers: dict = {}
-        saw_factor = False
-        while True:
-            kind, value = stream.peek()
-            if kind == "op" and value == "*":
-                stream.next()
-                continue
-            factor = _parse_scalar_factor(stream)
-            if factor is None:
-                break
-            saw_factor = True
-            fcoeff, fpowers = factor
-            coeff = coeff * fcoeff
-            for name, e in fpowers.items():
-                powers[name] = powers.get(name, 0) + e
-        if not saw_factor:
-            raise ValueError(f"empty term in {text!r}")
-        term = ScalarPoly.monomial(coeff * sign, powers)
-        result = result + term
-        sign = 1
-        expect_term = False
-    if expect_term and not result.is_zero:
-        raise ValueError(f"dangling sign in {text!r}")
-    return result
+    total = ScalarPoly.zero()
+    for _, coeff in parse_terms(text):
+        total = total + coeff
+    return total

@@ -16,15 +16,10 @@ exactly when their term maps coincide.  Values are immutable once built.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
+from math import gcd
 
-from .scalars import (
-    GaussRat,
-    ScalarPoly,
-    parse_scalar,
-    render_term,
-)
+from .scalars import GaussRat, ScalarPoly, parse_terms, render_sum, render_term
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -45,13 +40,14 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def _add_term(acc: dict, word: tuple, coeff: ScalarPoly) -> None:
-    total = acc.get(word)
-    total = coeff if total is None else total + coeff
+def _add_term(acc: dict, key, value) -> None:
+    """Add value into acc[key], dropping the entry when the sum is zero."""
+    total = acc.get(key)
+    total = value if total is None else total + value
     if total.is_zero:
-        acc.pop(word, None)
+        acc.pop(key, None)
     else:
-        acc[word] = total
+        acc[key] = total
 
 
 def _normalize_into(acc: dict, word: tuple, coeff: ScalarPoly, mode: str) -> None:
@@ -249,18 +245,9 @@ class OperatorExpr:
         return flat
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
         names = GENERATOR_NAMES[self.mode]
-        parts = []
-        for word, exp, coeff in self.flat_terms():
-            word_str = " ".join(names[g] for g in word)
-            neg, body = render_term(coeff, exp, word_str)
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
+        return render_sum(render_term(coeff, exp, " ".join(names[g] for g in word))
+                          for word, exp, coeff in self.flat_terms())
 
     def __str__(self):
         return self.render()
@@ -290,8 +277,8 @@ def render_factored(expr: OperatorExpr) -> str:
     num_gcd = Fraction(0)
     for c in coeffs:
         num_gcd = Fraction(
-            _gcd(num_gcd.numerator * c.re.denominator,
-                 c.re.numerator * num_gcd.denominator),
+            gcd(num_gcd.numerator * c.re.denominator,
+                c.re.numerator * num_gcd.denominator),
             num_gcd.denominator * c.re.denominator,
         )
     exps = [exp for _, exp, _ in flat]
@@ -318,86 +305,13 @@ def render_factored(expr: OperatorExpr) -> str:
     return f"{prefix} * {inner}"
 
 
-def _gcd(x: int, y: int) -> int:
-    x, y = abs(x), abs(y)
-    while y:
-        x, y = y, x % y
-    return x
-
-
 # -- parsing ------------------------------------------------------------------
-
-_GEN_TOKEN = re.compile(r"\s*(?P<gen>Ah\+|Ah-|A\+|A-|qh|ph|[qp])")
-
 
 def parse_operator(text: str, mode: str) -> OperatorExpr:
     """Parse the canonical operator rendering back into an OperatorExpr.
 
-    Handles exactly the grammar produced by ``OperatorExpr.render``: terms
-    separated by signs, scalar factors optionally joined by ``*``, generator
-    names space-separated in word order.
+    The scalar grammar of ``scalars.parse_terms`` with the mode's generator
+    names as words; their positions in GENERATOR_NAMES are the generators.
     """
     _check_mode(mode)
-    gen_of = {name: gen for gen, name in zip(GENERATORS, GENERATOR_NAMES[mode])}
-    raw_terms = []
-    pos = 0
-    sign = 1
-    word: list = []
-    scalar_factors: list = []
-    saw_factor = False
-
-    def flush_term():
-        nonlocal sign, word, scalar_factors, saw_factor
-        if not saw_factor:
-            raise ValueError(f"empty term in {text!r}")
-        coeff = parse_scalar("*".join(scalar_factors)) if scalar_factors \
-            else ScalarPoly.const(1)
-        raw_terms.append((tuple(word), coeff * sign))
-        sign = 1
-        word = []
-        scalar_factors = []
-        saw_factor = False
-
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace() or ch == "*":
-            pos += 1
-            continue
-        gen_match = _GEN_TOKEN.match(text, pos)
-        if gen_match and gen_match.group("gen") in gen_of:
-            word.append(gen_of[gen_match.group("gen")])
-            saw_factor = True
-            pos = gen_match.end()
-            continue
-        if ch in "+-":
-            if saw_factor:
-                flush_term()
-            sign *= 1 if ch == "+" else -1
-            pos += 1
-            continue
-        if ch == "(":
-            end = text.index(")", pos) + 1
-            scalar_factors.append(text[pos:end])
-            saw_factor = True
-            pos = end
-            continue
-        scalar_match = re.match(r"\d+(?:/\d+)?|hbar|beta|gamma|[xyz][123]|[wsabi]",
-                                text[pos:])
-        if scalar_match is None:
-            raise ValueError(f"unexpected character {ch!r} in {text!r}")
-        factor = scalar_match.group(0)
-        pos += scalar_match.end()
-        if pos < n and text[pos] == "^":
-            exp_match = re.match(r"-?\d+", text[pos + 1:])
-            if exp_match is None:
-                raise ValueError(f"malformed exponent in {text!r}")
-            factor += "^" + exp_match.group(0)
-            pos += 1 + exp_match.end()
-        scalar_factors.append(factor)
-        saw_factor = True
-    if saw_factor:
-        flush_term()
-    elif word or scalar_factors:
-        raise ValueError(f"dangling term in {text!r}")
-    return OperatorExpr(mode, raw_terms)
+    return OperatorExpr(mode, parse_terms(text, GENERATOR_NAMES[mode]))

@@ -203,3 +203,24 @@ def test_import_detects_mutation():
     mutated = import_tables(json.dumps(doc))
     assert mutated.dynamical["II"] != dynamical_table()["II"]
     assert mutated.quantum == quantum_table()
+
+
+def _without(path):
+    doc = json.loads(export_tables())
+    *parents, last = path
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    del holder[last]
+    return doc
+
+
+@pytest.mark.parametrize("doc, named", [
+    (_without(["classification"]), "the document has no 'classification'"),
+    (_without(["classification", "II", "mu"]), "classification row 'II' has no 'mu'"),
+    (_without(["dynamical", "VI_a", "23^1"]), r"dynamical table 'VI_a' has no '23\^1'"),
+    ([], "the document is not an object"),
+])
+def test_import_rejects_malformed_documents(doc, named):
+    with pytest.raises(ValueError, match=named):
+        import_tables(json.dumps(doc))

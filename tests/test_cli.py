@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -133,3 +134,18 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.count("[PASS]") == 11
+
+
+#: sha256 of ``oplax verify all --format json`` stdout; any byte change in the
+#: report (a check id, a rendering, the order) changes it
+VERIFY_ALL_JSON_SHA256 = "13367951390e22cb42b2229c849016135883b6891102dadf71d7ce5bcc176843"
+
+
+def test_verify_all_json_is_byte_identical():
+    proc = subprocess.run(
+        [sys.executable, "-m", "oplax", "verify", "all", "--format", "json"],
+        capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["summary"] == {"total": 373, "passed": 373, "failed": 0}
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_JSON_SHA256

@@ -1,0 +1,80 @@
+"""The one expression grammar behind parse_scalar and parse_operator."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from oplax.scalars import GaussRat, ScalarPoly, parse_scalar, parse_terms, symbol
+from oplax.weyl import AP, CLASSICAL, P, Q, QUANTUM, OperatorExpr, parse_operator
+
+X1 = symbol("x1")
+S = symbol("s")
+
+#: pieces of the grammar, valid and not, that random texts are built from
+PIECES = ("0", "1", "2", "12", "1/2", "3/0", "/", "^", "^-", "-", "+", "*", "(", ")",
+          " ", "i", "s", "w", "hbar", "beta", "x1", "x", "a", "b", "z3",
+          "q", "p", "A+", "A-", "qh", "ph", "Ah+", "Ah-", "A", "h", "e")
+CHARACTERS = "0123456789/^*+-() \tiswhbaretgmxyzqpA"
+
+texts = st.one_of(
+    st.lists(st.sampled_from(PIECES), max_size=10).map("".join),
+    st.text(alphabet=CHARACTERS, max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts)
+@example("2/0")
+@example("(1/0*i)")
+@example("((1)")
+@example("x1^")
+def test_parsers_return_or_raise_value_error(text):
+    for parse in (parse_scalar,
+                  lambda t: parse_operator(t, CLASSICAL),
+                  lambda t: parse_operator(t, QUANTUM)):
+        try:
+            parse(text)
+        except ValueError:
+            pass
+
+
+@pytest.mark.parametrize("text, value", [
+    ("", ScalarPoly.zero()),
+    ("-", ScalarPoly.zero()),
+    # a leading "+" and a trailing sign were always accepted by parse_operator
+    ("+ x1", X1),
+    ("x1 -", X1),
+    ("x1 - - s", X1 + S),
+    ("2 x1 * 3", 6 * X1),
+    ("x1 ^ - 2 * x1 ^ 3", X1),
+    ("s^4/2", S * S),
+    ("s^-1", ScalarPoly.monomial(1, {"s": -1})),
+    ("(1 - - i)", ScalarPoly.const(GaussRat(1, -1))),
+    ("(-+2*i) x1", ScalarPoly.monomial(GaussRat(0, 2), {"x1": 1})),
+    ("1/2*i*hbar", ScalarPoly.monomial(GaussRat(0, Fraction(1, 2)), {"hbar": 1})),
+])
+def test_scalar_forms(text, value):
+    assert parse_scalar(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "x1^-1", "x1^1/2", "(x1)", "()", "(1", "1)", "(i*2)", "2^3", "i^2", "e", "A+",
+])
+def test_scalar_rejects(text):
+    with pytest.raises(ValueError):
+        parse_scalar(text)
+
+
+def test_operator_terms_use_the_mode_names():
+    assert parse_terms("2 w * ph qh - Ah+", ("qh", "ph", "Ah+", "Ah-")) == [
+        ((P, Q), ScalarPoly.monomial(2, {"w": 1})),
+        ((AP,), ScalarPoly.const(-1)),
+    ]
+    # quantum words are normal-ordered: ph qh = qh ph - i*hbar
+    hbar = ScalarPoly.monomial(GaussRat(0, -1), {"hbar": 1})
+    assert parse_operator("ph qh", QUANTUM) == OperatorExpr(QUANTUM, [((Q, P), 1), ((), hbar)])
+    assert parse_operator("p q", CLASSICAL) == OperatorExpr(CLASSICAL, [((Q, P), 1)])
+    for text, mode in (("qh", CLASSICAL), ("q", QUANTUM), ("ph^2", QUANTUM), ("(qh)", QUANTUM)):
+        with pytest.raises(ValueError):
+            parse_operator(text, mode)

@@ -127,3 +127,6 @@ def test_render_is_deterministic_and_sorted():
     mixed = ScalarPoly.monomial(GaussRat(1, 2), {"a": 1})
     assert mixed.render() == "(1+2*i)*a"
     assert parse_scalar(mixed.render()) == mixed
+    for bad in ("2/0", "x1^1/0", "(1/0*i)"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_scalar(bad)

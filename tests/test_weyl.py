@@ -164,6 +164,10 @@ def test_classical_render_names():
     expr = w * cexpr(Q) - ScalarPoly.monomial(1, {"s": -1}) * cexpr(AP, AM)
     assert expr.render() == "w * q - s^-1 * A+ A-"
     assert parse_operator(expr.render(), CLASSICAL) == expr
+    for text, mode in (("(1/0*i)", QUANTUM), ("1/0 * ph", CLASSICAL),
+                       ("1/0 * p", CLASSICAL), ("s^2/0 * qh", QUANTUM)):
+        with pytest.raises(ValueError):
+            parse_operator(text, mode)
 
 
 def test_factored_rendering():
