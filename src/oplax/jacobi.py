@@ -22,11 +22,11 @@ from .bianchi import (
     initial_structure_op,
     quantum_table,
 )
-from .operad import MultiOp
+from .operad import MultiOp, partial_compose
 from .oscillator import inv_2p0, inv_sqrt_2p0, p0
 from .report import VerificationReport, first_nonzero_check, flag_check, residual_check
 from .scalars import ScalarPoly, symbol
-from .weyl import AM, AP, P, Q, QUANTUM, OperatorExpr, commutator
+from .weyl import AM, AP, P, Q, QUANTUM, OperatorExpr, _add_term, commutator
 
 Vec3 = tuple  # three ScalarPoly components
 
@@ -115,14 +115,26 @@ class JacobiTriple:
 
 
 def jacobi_op(x: Vec3, y: Vec3, z: Vec3, mu: MultiOp) -> JacobiTriple:
-    """Cyclic sum [x,[y,z]] + [y,[z,x]] + [z,[x,y]] for the given bracket."""
+    """Cyclic sum [x,[y,z]] + [y,[z,x]] + [z,[x,y]] for the given bracket.
+
+    The composite T = mu o_1 mu has entry (a,b,c,k) = -sum_i mu[(a,i)->k] *
+    mu[(b,c)->i], so the sum is -sum S[(a,b,c)->k] x^a y^b z^c with the cyclic
+    symmetrisation S[abc] = T[abc] + T[bca] + T[cab].  S carries no vector
+    components, so a Lie bracket cancels before they enter.
+    """
     _require_binary3(mu)
-    total = [OperatorExpr.zero(mu.mode) for _ in range(3)]
-    for outer, first, second in ((x, y, z), (y, z, x), (z, x, y)):
-        inner = _contract(mu, first, _lift(mu, second))
-        nested = _contract(mu, outer, inner)
-        total = [t + n for t, n in zip(total, nested)]
-    return JacobiTriple(*total)
+    sym: dict = {}
+    for (a, b, c, k), entry in partial_compose(mu, 1, mu).entries.items():
+        for key in ((a, b, c, k), (c, a, b, k), (b, c, a, k)):
+            _add_term(sym, key, entry)
+    total = ({}, {}, {})
+    for (a, b, c, k), entry in sym.items():
+        weight = -(x[a] * y[b] * z[c])
+        if weight.is_zero:
+            continue
+        for word, coeff in entry.terms.items():
+            _add_term(total[k], word, coeff * weight)
+    return JacobiTriple(*(OperatorExpr._make(mu.mode, t) for t in total))
 
 
 def closed_form_jacobi(x: Vec3, y: Vec3, z: Vec3,

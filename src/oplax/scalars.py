@@ -43,7 +43,7 @@ class GaussRat:
             return value
         if isinstance(value, (int, Fraction)):
             return GaussRat(value)
-        raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+        raise TypeError(f"cannot interpret {type(value).__name__} as a Gaussian rational")
 
     def __add__(self, other):
         try:
@@ -186,7 +186,7 @@ class ScalarPoly:
             return value
         if isinstance(value, (int, Fraction, GaussRat)):
             return ScalarPoly.const(value)
-        raise TypeError(f"cannot interpret {value!r} as a scalar polynomial")
+        raise TypeError(f"cannot interpret {type(value).__name__} as a scalar polynomial")
 
     # -- ring operations ---------------------------------------------------
 
@@ -380,15 +380,15 @@ def render_sum(signed_bodies) -> str:
 #
 # One grammar reads every canonical rendering, scalar or operator:
 #
-#   text   := (sign | term)*                    sign := "+" | "-"
+#   text   := ((sign | term)* term)?            sign := "+" | "-"
 #   term   := factor ("*"? factor)*
 #   factor := number | symbol ("^" "-"? integer)? | "i" | "(" gauss ")" | word
 #   gauss  := sign* part (sign+ part)*          part := (number | "i") ("*" "i")?
 #
 # Whitespace may separate any two tokens.  A sign after a factor closes the
-# term; the signs before a term multiply, while inside parentheses the last
-# one counts.  Words are spellings the caller names (the operator
-# generators); scalar text has none.
+# term and must open another, so no sign ends the text; the signs before a
+# term multiply, while inside parentheses the last one counts.  Words are
+# spellings the caller names (the operator generators); scalar text has none.
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)"
@@ -507,6 +507,9 @@ def parse_terms(text: str, words=()) -> list:
             raise ValueError(f"unmatched ')' in {text!r}")
     if coeff is not None:
         terms.append((tuple(word), _term(coeff, exp, sign)))
+    elif any(kind == "+" or kind == "-" for kind, _ in tokens):
+        # no term opened after the last sign
+        raise ValueError(f"trailing sign in {text!r}")
     return terms
 
 

@@ -122,7 +122,8 @@ class OperatorExpr:
             return value
         if isinstance(value, (int, Fraction, GaussRat, ScalarPoly)):
             return OperatorExpr.scalar(self.mode, value)
-        raise TypeError(f"cannot interpret {value!r} as an operator expression")
+        raise TypeError(f"cannot interpret {type(value).__name__} as an operator "
+                        "expression")
 
     # -- algebra -----------------------------------------------------------
 

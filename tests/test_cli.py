@@ -149,3 +149,20 @@ def test_verify_all_json_is_byte_identical():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["summary"] == {"total": 373, "passed": 373, "failed": 0}
     assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_JSON_SHA256
+
+
+#: sha256 of every `compute jacobi --symbolic` output, over the types, both
+#: formats and both hbar settings, concatenated in that loop order
+COMPUTE_JACOBI_SHA256 = "02f7b72745331c5963e26521b35cde8e564b7e9278505bc2f9ceaf61e17b71b2"
+
+
+def test_compute_jacobi_is_byte_identical(capsys):
+    text = ""
+    for name in bianchi.TYPE_NAMES:
+        for fmt in ("text", "json"):
+            for hbar in ("symbolic", "0"):
+                code, out, _ = run_cli(capsys, "compute", "jacobi", "--type", name,
+                                       "--symbolic", "--format", fmt, "--hbar", hbar)
+                assert code == 0
+                text += out
+    assert hashlib.sha256(text.encode()).hexdigest() == COMPUTE_JACOBI_SHA256

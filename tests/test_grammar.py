@@ -41,10 +41,10 @@ def test_parsers_return_or_raise_value_error(text):
 
 @pytest.mark.parametrize("text, value", [
     ("", ScalarPoly.zero()),
-    ("-", ScalarPoly.zero()),
-    # a leading "+" and a trailing sign were always accepted by parse_operator
+    ("- - x1", X1),
+    # a leading "+" was always accepted by parse_operator
     ("+ x1", X1),
-    ("x1 -", X1),
+    ("x1 + - s", X1 - S),
     ("x1 - - s", X1 + S),
     ("2 x1 * 3", 6 * X1),
     ("x1 ^ - 2 * x1 ^ 3", X1),
@@ -60,6 +60,8 @@ def test_scalar_forms(text, value):
 
 @pytest.mark.parametrize("text", [
     "x1^-1", "x1^1/2", "(x1)", "()", "(1", "1)", "(i*2)", "2^3", "i^2", "e", "A+",
+    # a sign may not end the text
+    "-", "x1 -",
 ])
 def test_scalar_rejects(text):
     with pytest.raises(ValueError):
@@ -75,6 +77,7 @@ def test_operator_terms_use_the_mode_names():
     hbar = ScalarPoly.monomial(GaussRat(0, -1), {"hbar": 1})
     assert parse_operator("ph qh", QUANTUM) == OperatorExpr(QUANTUM, [((Q, P), 1), ((), hbar)])
     assert parse_operator("p q", CLASSICAL) == OperatorExpr(CLASSICAL, [((Q, P), 1)])
-    for text, mode in (("qh", CLASSICAL), ("q", QUANTUM), ("ph^2", QUANTUM), ("(qh)", QUANTUM)):
+    for text, mode in (("qh", CLASSICAL), ("q", QUANTUM), ("ph^2", QUANTUM), ("(qh)", QUANTUM),
+                       ("qh -", QUANTUM)):
         with pytest.raises(ValueError):
             parse_operator(text, mode)

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oplax import bianchi
 from oplax.jacobi import (
+    _contract,
     basis_vec,
     closed_form_jacobi,
     det3,
@@ -61,6 +63,41 @@ def test_vector_bracket_in_the_family():
     assert b1 == a * OperatorExpr.generator(QUANTUM, AM) * inv_sqrt_2p0()
     assert b2 == -(a * OperatorExpr.generator(QUANTUM, AP) * inv_sqrt_2p0())
     assert b3 == OperatorExpr.scalar(QUANTUM, symbol("b"))
+
+
+def nested_jacobi(x, y, z, mu):
+    """The textbook route: three nested vector brackets, summed."""
+    total = [OperatorExpr.zero(mu.mode)] * 3
+    for outer, first, second in ((x, y, z), (y, z, x), (z, x, y)):
+        nested = _contract(mu, outer, vector_bracket(first, second, mu))
+        total = [t + n for t, n in zip(total, nested)]
+    return tuple(total)
+
+
+def _every_structure_op():
+    quantum = bianchi.quantum_table()
+    yield from ((f"quantum {name}", quantum[name]) for name in bianchi.TYPE_NAMES)
+    for row in bianchi.classification_rows():
+        yield f"classical {row.name}", bianchi.initial_structure_op(row)
+    yield "family", bianchi.family_structure_op(bianchi.FamilyParams.symbolic())
+
+
+@pytest.mark.parametrize("mu", [pytest.param(mu, id=label)
+                                for label, mu in _every_structure_op()])
+def test_jacobi_op_equals_the_nested_bracket_sum(mu):
+    assert tuple(jacobi_op(X, Y, Z, mu)) == nested_jacobi(X, Y, Z, mu)
+
+
+small_vecs = st.lists(st.one_of(st.just(0), st.fractions(-2, 2, max_denominator=3)),
+                      min_size=3, max_size=3).map(rational_vec)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(bianchi.TYPE_NAMES), small_vecs, small_vecs, small_vecs)
+@example("VI_a", rational_vec([0, 0, 0]), rational_vec([1, 0, 0]), rational_vec([0, 1, 0]))
+def test_jacobi_op_equals_the_nested_bracket_sum_on_rational_vectors(name, x, y, z):
+    mu = bianchi.quantum_table()[name]
+    assert tuple(jacobi_op(x, y, z, mu)) == nested_jacobi(x, y, z, mu)
 
 
 def test_jacobi_op_vanishes_for_type_ix():

@@ -86,6 +86,21 @@ def test_mode_mismatch_rejected():
         qexpr(P) + cexpr(Q)
 
 
+def test_mixed_operations_do_not_render_the_operator(monkeypatch):
+    # ScalarPoly * OperatorExpr first fails in ScalarPoly._coerce; the
+    # operator's reflected method then takes over, and nothing is rendered
+    def refuse(self):
+        raise AssertionError("rendered an operand")
+
+    monkeypatch.setattr(OperatorExpr, "render", refuse)
+    product = symbol("w") * OperatorExpr.generator(QUANTUM, Q)
+    assert product.terms == {(Q,): symbol("w")}
+    difference = ScalarPoly.const(2) - qexpr(P)
+    assert difference.terms == {(): ScalarPoly.const(2), (P,): ScalarPoly.const(-1)}
+    with pytest.raises(TypeError, match="OperatorExpr"):
+        GaussRat._coerce(qexpr(P))
+
+
 words = st.lists(st.sampled_from((Q, P, AP, AM)), max_size=8).map(tuple)
 
 
