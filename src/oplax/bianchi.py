@@ -12,7 +12,7 @@ data, entry by entry.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .operad import MultiOp, antisymmetric_binary
 from .oscillator import (
@@ -34,8 +34,7 @@ _ONE = ScalarPoly.const(1)
 _A = symbol("a")
 
 
-@dataclass(frozen=True)
-class BianchiRow:
+class BianchiRow(namedtuple("BianchiRow", "name alpha n mu0 note", defaults=("",))):
     """One classification row: its parameters and initial structure constants.
 
     ``mu0`` lists the nine independent constants in STRUCTURE_COLUMNS order.
@@ -43,13 +42,10 @@ class BianchiRow:
     [e1,e2] = -alpha e2 + n3 e3, [e2,e3] = n1 e1, [e3,e1] = n2 e2 + alpha e3.
     """
 
-    name: str
-    alpha: ScalarPoly
-    n: tuple
-    mu0: tuple
-    note: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.n) != 3 or len(self.mu0) != 9:
             raise ValueError("expected three n-values and nine constants")
         n1, n2, n3 = self.n
@@ -61,6 +57,7 @@ class BianchiRow:
                     f"row {self.name}: constant ({i},{j})->{k} is {got.render()}, "
                     f"structure equations require {want.render()}"
                 )
+        return self
 
 
 def _row(name, alpha, n, entries, note=""):
@@ -219,14 +216,10 @@ def quantize(mu: MultiOp) -> MultiOp:
 
 # -- the four-parameter family --------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(namedtuple("FamilyParams", "beta gamma a b")):
     """Parameters (beta, gamma, a, b) selecting a member of the family."""
 
-    beta: ScalarPoly
-    gamma: ScalarPoly
-    a: ScalarPoly
-    b: ScalarPoly
+    __slots__ = ()
 
     @classmethod
     def of(cls, beta, gamma, a, b) -> "FamilyParams":
@@ -406,11 +399,7 @@ def export_tables() -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class BianchiTables:
-    rows: tuple
-    dynamical: dict
-    quantum: dict
+BianchiTables = namedtuple("BianchiTables", "rows dynamical quantum")
 
 
 def import_tables(text: str) -> BianchiTables:

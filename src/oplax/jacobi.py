@@ -10,7 +10,7 @@ ordering convention fixes every product below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .bianchi import (
@@ -88,16 +88,10 @@ def vector_bracket(x: Vec3, y: Vec3, mu: MultiOp) -> tuple:
     return _contract(mu, x, _lift(mu, y))
 
 
-@dataclass(frozen=True)
-class JacobiTriple:
+class JacobiTriple(namedtuple("JacobiTriple", "j1 j2 j3")):
     """The three components of the Jacobi operator (all higher ones vanish)."""
 
-    j1: OperatorExpr
-    j2: OperatorExpr
-    j3: OperatorExpr
-
-    def __iter__(self):
-        return iter((self.j1, self.j2, self.j3))
+    __slots__ = ()
 
     def __sub__(self, other: "JacobiTriple") -> "JacobiTriple":
         return JacobiTriple(self.j1 - other.j1, self.j2 - other.j2,

@@ -11,7 +11,7 @@ implements (the two ideal-preservation identities below pin this down).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .operad import MultiOp, antisymmetric_binary, bracket
@@ -87,10 +87,7 @@ def ddt(expr: OperatorExpr) -> OperatorExpr:
 Matrix = tuple  # 3x3 nested tuples of OperatorExpr
 
 
-@dataclass(frozen=True)
-class LaxPair:
-    l_matrix: Matrix
-    m_matrix: Matrix
+LaxPair = namedtuple("LaxPair", "l_matrix m_matrix")
 
 
 def lax_pair() -> LaxPair:

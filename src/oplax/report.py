@@ -8,16 +8,14 @@ JSON layout never depends on runtime state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Check:
-    id: str
-    paper_ref: str
-    status: str
-    residual: str | None
-    detail: str
+class Check(namedtuple("Check", "id paper_ref status residual detail")):
+    """One check: its id, paper reference, status, residual text (or None)
+    and detail."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

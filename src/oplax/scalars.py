@@ -28,22 +28,32 @@ S_INDEX = SYMBOL_INDEX["s"]
 _ZERO_EXP = (0,) * NSYMBOLS
 
 
+def _exact(value):
+    """``value`` as an exact rational in canonical form: an ``int`` when it is
+    integral, a ``Fraction`` only when its denominator is not 1."""
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):
+        return int(value)
+    raise TypeError(f"cannot interpret {type(value).__name__} as a Gaussian rational")
+
+
 class GaussRat:
-    """Gaussian rational ``re + im*i`` with exact rational parts."""
+    """Gaussian rational ``re + im*i`` with exact rational parts.
+
+    Each part is kept canonical by ``_exact``, so arithmetic on the integral
+    coefficients that dominate the paper runs on ``int``, with no gcd.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        self.re = re if type(re) is int else _exact(re)
+        self.im = im if type(im) is int else _exact(im)
 
     @staticmethod
     def _coerce(value) -> "GaussRat":
-        if isinstance(value, GaussRat):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussRat(value)
-        raise TypeError(f"cannot interpret {type(value).__name__} as a Gaussian rational")
+        return value if isinstance(value, GaussRat) else GaussRat(value)
 
     def __add__(self, other):
         try:
@@ -69,7 +79,7 @@ class GaussRat:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        if self.im == 0 and other.im == 0:
+        if not self.im and not other.im:
             return GaussRat(self.re * other.re)
         return GaussRat(
             self.re * other.re - self.im * other.im,
@@ -79,7 +89,8 @@ class GaussRat:
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussRat":
-        norm = self.re * self.re + self.im * self.im
+        # a Fraction norm, so that int / int never gives a float
+        norm = Fraction(self.re * self.re + self.im * self.im)
         if norm == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
         return GaussRat(self.re / norm, -self.im / norm)

@@ -136,6 +136,17 @@ def test_module_entry_point_runs():
     assert proc.stdout.count("[PASS]") == 11
 
 
+def test_cli_import_skips_dataclasses_and_inspect():
+    # dataclasses imports inspect, ast, dis and tokenize: about 11 ms of start-up
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import oplax.cli, sys; "
+         "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 #: sha256 of ``oplax verify all --format json`` stdout; any byte change in the
 #: report (a check id, a rendering, the order) changes it
 VERIFY_ALL_JSON_SHA256 = "13367951390e22cb42b2229c849016135883b6891102dadf71d7ce5bcc176843"

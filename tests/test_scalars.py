@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oplax.scalars import GaussRat, ScalarPoly, parse_scalar, symbol
 
@@ -22,6 +22,69 @@ def test_gaussrat_inverse():
     assert g * g.inverse() == GaussRat(1)
     with pytest.raises(ZeroDivisionError):
         GaussRat(0).inverse()
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/2"])
+def test_gaussrat_rejects_floats_and_strings(bad):
+    message = f"cannot interpret {type(bad).__name__} as a Gaussian rational"
+    with pytest.raises(TypeError, match=message):
+        GaussRat(bad)
+    with pytest.raises(TypeError, match=message):
+        GaussRat(1, bad)
+
+
+def assert_canonical(g):
+    """Each part is an int exactly when its denominator is 1, else a Fraction."""
+    for part in (g.re, g.im):
+        assert type(part) in (int, Fraction), part
+        assert (type(part) is int) == (Fraction(part).denominator == 1), part
+
+
+def ref_render(re, im):
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return {1: "i", -1: "-i"}.get(im, f"{im}*i")
+    mag = "i" if abs(im) == 1 else f"{abs(im)}*i"
+    return f"({re}{'+' if im > 0 else '-'}{mag})"
+
+
+exact_parts = st.one_of(st.integers(-3, 3),
+                        st.fractions(min_value=-3, max_value=3, max_denominator=4))
+exact_pairs = st.tuples(exact_parts, exact_parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_pairs, exact_pairs)
+@example((Fraction(1, 2), 0), (Fraction(1, 2), 0))
+@example((Fraction(2, 3), 0), (Fraction(3, 2), 0))
+@example((0, Fraction(1, 2)), (Fraction(-1, 3), Fraction(1, 2)))
+def test_gaussrat_matches_a_fraction_pair_reference(x, y):
+    """Every operation agrees with plain (Fraction, Fraction) arithmetic and
+    returns parts in canonical form, also when a fraction sums or multiplies
+    to an integer."""
+    (x0, x1), (y0, y1) = (map(Fraction, x), map(Fraction, y))
+    gx, gy = GaussRat(*x), GaussRat(*y)
+    cases = [
+        (gx, (x0, x1)),
+        (gx + gy, (x0 + y0, x1 + y1)),
+        (gx - gy, (x0 - y0, x1 - y1)),
+        (gx * gy, (x0 * y0 - x1 * y1, x0 * y1 + x1 * y0)),
+        (-gx, (-x0, -x1)),
+        (gx * y0 + y0, (x0 * y0 + y0, x1 * y0)),
+    ]
+    if y0 or y1:
+        norm = y0 * y0 + y1 * y1
+        cases.append((gy.inverse(), (y0 / norm, -y1 / norm)))
+    for got, (re, im) in cases:
+        assert_canonical(got)
+        assert (got.re, got.im) == (re, im)
+        assert got == GaussRat(re, im)
+        assert hash(got) == hash(GaussRat(re, im)) == hash((re, im))
+        assert bool(got) == bool(re or im)
+        assert got.is_negative() == (re < 0 if im == 0 else im < 0 and re == 0)
+        assert got.render() == ref_render(re, im)
+    assert (gx == gy) == ((x0, x1) == (y0, y1))
 
 
 def test_laurent_cancellation():
