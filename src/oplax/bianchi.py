@@ -408,7 +408,10 @@ def import_tables(text: str) -> BianchiTables:
     Malformed JSON, a missing or mistyped field and malformed expression text
     all raise ValueError.
     """
-    doc = _expect(json.loads(text), dict, "the document")
+    try:
+        doc = _expect(json.loads(text), dict, "the document")
+    except RecursionError:
+        raise ValueError("table document: nested too deeply") from None
     rows = []
     for name, data in _field(doc, "classification", "the document").items():
         where = f"classification row {name!r}"
@@ -420,7 +423,7 @@ def import_tables(text: str) -> BianchiTables:
                     for v in _field(data, "n", where, list)),
             mu0=tuple(parse_scalar(_field(mu, key, f"{where} 'mu'", str))
                       for key in _ENTRY_KEYS),
-            note=data.get("note", ""),
+            note=_expect(data.get("note", ""), str, f"{where} 'note'"),
         ))
     return BianchiTables(tuple(rows), _ops_from_strings(doc, "dynamical", CLASSICAL),
                          _ops_from_strings(doc, "quantum", QUANTUM))

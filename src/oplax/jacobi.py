@@ -11,7 +11,6 @@ ordering convention fixes every product below.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .bianchi import (
     FAMILY_TYPE_NAMES,
@@ -25,8 +24,8 @@ from .bianchi import (
 from .operad import MultiOp, partial_compose
 from .oscillator import inv_2p0, inv_sqrt_2p0, p0
 from .report import VerificationReport, first_nonzero_check, flag_check, residual_check
-from .scalars import ScalarPoly, symbol
-from .weyl import AM, AP, P, Q, QUANTUM, OperatorExpr, _add_term, commutator
+from .scalars import GaussRat, ScalarPoly, add_term, symbol
+from .weyl import AM, AP, P, Q, QUANTUM, OperatorExpr, commutator
 
 Vec3 = tuple  # three ScalarPoly components
 
@@ -44,7 +43,7 @@ def symbolic_vec(prefix: str) -> Vec3:
 
 
 def rational_vec(values) -> Vec3:
-    values = tuple(ScalarPoly._coerce(Fraction(v)) for v in values)
+    values = tuple(ScalarPoly.const(GaussRat(v)) for v in values)
     if len(values) != 3:
         raise ValueError("expected three components")
     return values
@@ -120,14 +119,14 @@ def jacobi_op(x: Vec3, y: Vec3, z: Vec3, mu: MultiOp) -> JacobiTriple:
     sym: dict = {}
     for (a, b, c, k), entry in partial_compose(mu, 1, mu).entries.items():
         for key in ((a, b, c, k), (c, a, b, k), (b, c, a, k)):
-            _add_term(sym, key, entry)
+            add_term(sym, key, entry)
     total = ({}, {}, {})
     for (a, b, c, k), entry in sym.items():
         weight = -(x[a] * y[b] * z[c])
         if weight.is_zero:
             continue
         for word, coeff in entry.terms.items():
-            _add_term(total[k], word, coeff * weight)
+            add_term(total[k], word, coeff * weight)
     return JacobiTriple(*(OperatorExpr._make(mu.mode, t) for t in total))
 
 

@@ -11,7 +11,8 @@ All sign conventions run on the reduced degree (degree minus one).
 
 from __future__ import annotations
 
-from .weyl import OperatorExpr, _add_term
+from .scalars import add_term
+from .weyl import OperatorExpr
 
 
 class MultiOp:
@@ -38,7 +39,7 @@ class MultiOp:
                     raise ValueError(f"entry key {key} out of range for dim {dim}")
                 if value.mode != mode:
                     raise ValueError("entry mode does not match operation mode")
-                _add_term(acc, key, value)
+                add_term(acc, key, value)
         self.entries = acc
 
     @classmethod
@@ -79,7 +80,7 @@ class MultiOp:
             raise ValueError("cannot add operations of different shape")
         acc = dict(self.entries)
         for key, value in other.entries.items():
-            _add_term(acc, key, value)
+            add_term(acc, key, value)
         return MultiOp._make(self.dim, self.degree, self.mode, acc)
 
     def __neg__(self) -> "MultiOp":
@@ -102,8 +103,7 @@ class MultiOp:
         for key, value in self.entries.items():
             image = fn(value)
             mode = image.mode
-            if not image.is_zero:
-                acc[key] = image
+            add_term(acc, key, image)
         return MultiOp._make(self.dim, self.degree, mode, acc)
 
     def is_antisymmetric(self) -> bool:
@@ -141,7 +141,7 @@ def partial_compose(f: MultiOp, pos: int, g: MultiOp) -> MultiOp:
         for g_inputs, gval in g_by_out.get(inputs[pos], ()):
             new_key = inputs[:pos] + g_inputs + inputs[pos + 1:] + (out,)
             term = fval * gval
-            _add_term(acc, new_key, -term if negate else term)
+            add_term(acc, new_key, -term if negate else term)
     return MultiOp._make(f.dim, f.degree + g.reduced_degree, f.mode, acc)
 
 

@@ -103,7 +103,8 @@ class GaussRat:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as its real part, as == compares it to one
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
@@ -139,6 +140,78 @@ GR_ONE = GaussRat(1)
 GR_I = GaussRat(0, 1)
 
 
+def add_term(acc: dict, key, value) -> None:
+    """Add ``value`` into ``acc[key]``, dropping the key when the sum is zero.
+
+    The one accumulate kernel behind every sparse sum; it tests the sum by
+    truthiness, so it serves GaussRat, ScalarPoly and OperatorExpr values.
+    """
+    total = acc.get(key)
+    if total is not None:
+        value = total + value
+    if value:
+        acc[key] = value
+    else:
+        acc.pop(key, None)
+
+
+class SparseSum:
+    """A sum stored as ``terms``, a dict of nonzero values: the additive group
+    and the equality shared by ScalarPoly and OperatorExpr.
+
+    Subclasses supply ``_coerce(value)``, which returns an operand of their own
+    kind or raises TypeError (ValueError for an operand that can never be
+    combined), and ``_like(terms)``, which wraps canonical terms.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented
+        acc = dict(self.terms)
+        for key, value in other.terms.items():
+            add_term(acc, key, value)
+        return self._like(acc)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({key: -value for key, value in self.terms.items()})
+
+    def __sub__(self, other):
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented
+        return other + (-self)
+
+    def __eq__(self, other):
+        try:
+            other = self._coerce(other)
+        except (TypeError, ValueError):
+            return NotImplemented
+        return self.terms == other.terms
+
+    __hash__ = None
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
 def _check_exponents(exp: tuple) -> None:
     if len(exp) != NSYMBOLS:
         raise ValueError(f"exponent vector must have length {NSYMBOLS}")
@@ -147,7 +220,7 @@ def _check_exponents(exp: tuple) -> None:
             raise ValueError(f"negative exponent of {SYMBOLS[idx]} is not allowed")
 
 
-class ScalarPoly:
+class ScalarPoly(SparseSum):
     """Sparse Laurent-in-``s`` polynomial with Gaussian-rational coefficients."""
 
     __slots__ = ("terms",)
@@ -158,9 +231,7 @@ class ScalarPoly:
             for exp, coeff in dict(terms).items():
                 exp = tuple(exp)
                 _check_exponents(exp)
-                coeff = GaussRat._coerce(coeff)
-                if coeff:
-                    acc[exp] = coeff
+                add_term(acc, exp, GaussRat._coerce(coeff))
         self.terms = acc
 
     @classmethod
@@ -169,6 +240,8 @@ class ScalarPoly:
         poly = cls.__new__(cls)
         poly.terms = terms
         return poly
+
+    _like = _make
 
     # -- constructors ------------------------------------------------------
 
@@ -201,39 +274,6 @@ class ScalarPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        acc = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            total = acc.get(exp, GR_ZERO) + coeff
-            if total:
-                acc[exp] = total
-            else:
-                acc.pop(exp, None)
-        return ScalarPoly._make(acc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ScalarPoly._make({exp: -c for exp, c in self.terms.items()})
-
-    def __sub__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         try:
             other = self._coerce(other)
@@ -249,11 +289,7 @@ class ScalarPoly:
                     exp = e2
                 else:
                     exp = tuple(a + b for a, b in zip(e1, e2))
-                total = acc.get(exp, GR_ZERO) + c1 * c2
-                if total:
-                    acc[exp] = total
-                else:
-                    acc.pop(exp, None)
+                add_term(acc, exp, c1 * c2)
         return ScalarPoly._make(acc)
 
     __rmul__ = __mul__
@@ -280,22 +316,6 @@ class ScalarPoly:
         inv_exp = tuple(-e for e in exp)
         _check_exponents(inv_exp)
         return ScalarPoly._make({inv_exp: coeff.inverse()})
-
-    def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def has_symbol(self, name: str) -> bool:
         idx = SYMBOL_INDEX[name]
@@ -404,16 +424,9 @@ def render_sum(signed_bodies) -> str:
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)"
     r"|(?P<sym>hbar|beta|gamma|[xyz][123]|[wsab])"
-    r"(?:\s*\^\s*(?P<neg>-)?\s*(?P<exp>\d+(?:/\d+)?))?"
+    r"(?:\s*\^\s*(?P<neg>-)?\s*(?P<exp>\d+))?"
     r"|(?P<op>[i()*+-]))?"
 )
-
-
-def _rational(literal: str, text: str) -> Fraction:
-    try:
-        return Fraction(literal)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _tokenize(text: str, words) -> list:
@@ -427,14 +440,12 @@ def _tokenize(text: str, words) -> list:
         pos = match.end()
         num, sym, neg, exp, op = match.groups()
         if num:
-            tokens.append(("num", GaussRat(_rational(num, text))))
+            try:
+                tokens.append(("num", GaussRat(Fraction(num))))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {text!r}") from None
         elif sym:
-            power = 1
-            if exp:
-                power = _rational(exp, text)
-                if power.denominator != 1:
-                    raise ValueError(f"exponent must be an integer in {text!r}")
-                power = -int(power) if neg else int(power)
+            power = -int(exp) if neg else int(exp or 1)
             tokens.append(("sym", (SYMBOL_INDEX[sym], power)))
         elif op:
             tokens.append(("num", GR_I) if op == "i" else (op, None))

@@ -19,7 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .scalars import GaussRat, ScalarPoly, parse_terms, render_sum, render_term
+from .scalars import (GaussRat, ScalarPoly, SparseSum, add_term, parse_terms, render_sum,
+                      render_term)
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -40,21 +41,11 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def _add_term(acc: dict, key, value) -> None:
-    """Add value into acc[key], dropping the entry when the sum is zero."""
-    total = acc.get(key)
-    total = value if total is None else total + value
-    if total.is_zero:
-        acc.pop(key, None)
-    else:
-        acc[key] = total
-
-
 def _normalize_into(acc: dict, word: tuple, coeff: ScalarPoly, mode: str) -> None:
-    if coeff.is_zero:
+    if not coeff:
         return
     if mode == CLASSICAL:
-        _add_term(acc, tuple(sorted(word)), coeff)
+        add_term(acc, tuple(sorted(word)), coeff)
         return
     stack = [(word, coeff)]
     while stack:
@@ -65,14 +56,14 @@ def _normalize_into(acc: dict, word: tuple, coeff: ScalarPoly, mode: str) -> Non
                 swap_at = j
                 break
         if swap_at is None:
-            _add_term(acc, w, c)
+            add_term(acc, w, c)
         else:
             head, tail = w[:swap_at], w[swap_at + 2:]
             stack.append((head + (Q, P) + tail, c))
             stack.append((head + tail, c * _MINUS_I_HBAR))
 
 
-class OperatorExpr:
+class OperatorExpr(SparseSum):
     """Linear combination of normal-form words with ScalarPoly coefficients."""
 
     __slots__ = ("mode", "terms")
@@ -94,6 +85,9 @@ class OperatorExpr:
         expr.mode = mode
         expr.terms = terms
         return expr
+
+    def _like(self, terms: dict) -> "OperatorExpr":
+        return OperatorExpr._make(self.mode, terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -127,35 +121,6 @@ class OperatorExpr:
 
     # -- algebra -----------------------------------------------------------
 
-    def __add__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        acc = dict(self.terms)
-        for word, coeff in other.terms.items():
-            _add_term(acc, word, coeff)
-        return OperatorExpr._make(self.mode, acc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return OperatorExpr._make(self.mode, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         try:
             other = self._coerce(other)
@@ -175,22 +140,6 @@ class OperatorExpr:
         # scalars commute, so coercion order is irrelevant here
         return other * self
 
-    def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def has_symbol(self, name: str) -> bool:
         return any(coeff.has_symbol(name) for coeff in self.terms.values())
 
@@ -200,7 +149,7 @@ class OperatorExpr:
         """Substitute commuting symbols inside every coefficient."""
         acc: dict = {}
         for word, coeff in self.terms.items():
-            _add_term(acc, word, coeff.subst(bindings))
+            add_term(acc, word, coeff.subst(bindings))
         return OperatorExpr._make(self.mode, acc)
 
     def subst_generators(self, images: dict) -> "OperatorExpr":

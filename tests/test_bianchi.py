@@ -215,12 +215,27 @@ def _without(path):
     return doc
 
 
+def _with_note(name, note):
+    doc = json.loads(export_tables())
+    doc["classification"][name]["note"] = note
+    return doc
+
+
 @pytest.mark.parametrize("doc, named", [
     (_without(["classification"]), "the document has no 'classification'"),
     (_without(["classification", "II", "mu"]), "classification row 'II' has no 'mu'"),
     (_without(["dynamical", "VI_a", "23^1"]), r"dynamical table 'VI_a' has no '23\^1'"),
     ([], "the document is not an object"),
+    # raw texts: nesting deeper than the JSON decoder's recursion limit
+    pytest.param("[" * 100000, "nested too deeply", id="deep-list"),
+    pytest.param('{"classification": ' * 50000, "nested too deeply", id="deep-object"),
+    (_with_note("II", [1, 2]), "classification row 'II' 'note' is not a string"),
 ])
 def test_import_rejects_malformed_documents(doc, named):
     with pytest.raises(ValueError, match=named):
-        import_tables(json.dumps(doc))
+        import_tables(doc if isinstance(doc, str) else json.dumps(doc))
+
+
+def test_import_defaults_a_missing_note_to_empty():
+    rows = import_tables(json.dumps(_without(["classification", "VI_a", "note"]))).rows
+    assert next(row for row in rows if row.name == "VI_a").note == ""

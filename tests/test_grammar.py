@@ -48,7 +48,8 @@ def test_parsers_return_or_raise_value_error(text):
     ("x1 - - s", X1 + S),
     ("2 x1 * 3", 6 * X1),
     ("x1 ^ - 2 * x1 ^ 3", X1),
-    ("s^4/2", S * S),
+    # the digits after "^" are the exponent; a fraction after it is a coefficient
+    ("s^4 1/2", ScalarPoly.monomial(Fraction(1, 2), {"s": 4})),
     ("s^-1", ScalarPoly.monomial(1, {"s": -1})),
     ("(1 - - i)", ScalarPoly.const(GaussRat(1, -1))),
     ("(-+2*i) x1", ScalarPoly.monomial(GaussRat(0, 2), {"x1": 1})),
@@ -60,6 +61,8 @@ def test_scalar_forms(text, value):
 
 @pytest.mark.parametrize("text", [
     "x1^-1", "x1^1/2", "(x1)", "()", "(1", "1)", "(i*2)", "2^3", "i^2", "e", "A+",
+    # an exponent is a run of digits
+    "x1^2/1", "s^4/2",
     # a sign may not end the text
     "-", "x1 -",
 ])

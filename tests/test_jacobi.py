@@ -202,6 +202,16 @@ def test_verify_classical_rows():
     assert report.total == 11
 
 
+def test_rational_vec_takes_exact_rationals_only():
+    assert rational_vec([Fraction(1, 10), 0, -2]) == (
+        ScalarPoly.const(Fraction(1, 10)), ScalarPoly.zero(), ScalarPoly.const(-2))
+    # a float would silently become its binary fraction 3602879701896397/2^55
+    with pytest.raises(TypeError, match="cannot interpret float"):
+        rational_vec([0.1, 0, 0])
+    with pytest.raises(ValueError):
+        rational_vec([1, 2])
+
+
 def test_shape_validation():
     from oplax.operad import MultiOp
 
