@@ -81,6 +81,9 @@ def _parse_vector(text: str, flag: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"{flag} expects three comma-separated rationals")
+    if "e" in text.lower():
+        # Fraction("1e999999999") would build 10**999999999 before failing
+        raise ValueError(f"{flag}: exponent notation is not accepted")
     try:
         return jacobi.rational_vec(Fraction(part.strip()) for part in parts)
     except (ValueError, ZeroDivisionError) as exc:
@@ -124,14 +127,19 @@ def _run_compute(args) -> int:
     result = jacobi.jacobi_op(*vectors, mu)
     if args.hbar == "0":
         result = result.subst_params({"hbar": 0})
-    if args.fmt == "json":
-        import json
+    try:
+        if args.fmt == "json":
+            import json
 
-        doc = {f"J{i}": c.render() for i, c in enumerate(result, start=1)}
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-    else:
-        for i, component in enumerate(result, start=1):
-            sys.stdout.write(f"J{i} = {render_factored(component)}\n")
+            doc = {f"J{i}": c.render() for i, c in enumerate(result, start=1)}
+            rendered = json.dumps(doc, indent=2) + "\n"
+        else:
+            rendered = "".join(f"J{i} = {render_factored(component)}\n"
+                               for i, component in enumerate(result, start=1))
+    except ValueError as exc:  # a coefficient past the int-to-str digit limit
+        print(f"result too large to print: {exc}", file=sys.stderr)
+        return 2
+    sys.stdout.write(rendered)
     return 0
 
 

@@ -22,7 +22,7 @@ from .bianchi import (
     quantum_table,
 )
 from .operad import MultiOp, partial_compose
-from .oscillator import inv_2p0, inv_sqrt_2p0, p0
+from .oscillator import det3, inv_2p0, inv_sqrt_2p0, p0
 from .report import VerificationReport, first_nonzero_check, flag_check, residual_check
 from .scalars import GaussRat, ScalarPoly, add_term, symbol
 from .weyl import AM, AP, P, Q, QUANTUM, OperatorExpr, commutator
@@ -47,15 +47,6 @@ def rational_vec(values) -> Vec3:
     if len(values) != 3:
         raise ValueError("expected three components")
     return values
-
-
-def det3(x: Vec3, y: Vec3, z: Vec3) -> ScalarPoly:
-    """Determinant of the component matrix, fully expanded."""
-    return (
-        x[0] * y[1] * z[2] - x[0] * y[2] * z[1]
-        + x[1] * y[2] * z[0] - x[1] * y[0] * z[2]
-        + x[2] * y[0] * z[1] - x[2] * y[1] * z[0]
-    )
 
 
 def _require_binary3(mu: MultiOp) -> None:

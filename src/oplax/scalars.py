@@ -228,7 +228,8 @@ class ScalarPoly(SparseSum):
     def __init__(self, terms=None):
         acc: dict = {}
         if terms:
-            for exp, coeff in dict(terms).items():
+            items = terms.items() if isinstance(terms, dict) else terms
+            for exp, coeff in items:
                 exp = tuple(exp)
                 _check_exponents(exp)
                 add_term(acc, exp, GaussRat._coerce(coeff))

@@ -68,6 +68,16 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "compute", "jacobi", "--type", "V",
                            "--x", "1,2", "--y", "0,1,0", "--z", "0,0,1")
     assert code == 2 and "--x" in err
+    # exponent notation is refused before Fraction can build a huge power of 10
+    code, out, err = run_cli(capsys, "compute", "jacobi", "--type", "V",
+                             "--x", "1e5000,0,0", "--y", "0,1,0", "--z", "0,0,1")
+    assert code == 2 and "--x" in err and "exponent" in err and out == ""
+    # a result coefficient past the int-to-str digit limit exits 2, prints nothing
+    big = "1" * 2001
+    code, out, err = run_cli(capsys, "compute", "jacobi", "--type", "V",
+                             "--x", f"{big},0,0", "--y", f"0,{big},0",
+                             "--z", f"0,0,{big}")
+    assert code == 2 and "too large" in err and out == ""
 
 
 def test_compute_jacobi_type_v(capsys):

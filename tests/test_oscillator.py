@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oplax import bianchi
+from oplax.operad import partial_compose
 from oplax.oscillator import (
     STRUCTURE_COLUMNS,
     DeformationCoeffs,
@@ -12,12 +13,10 @@ from oplax.oscillator import (
     coeffs_nondegenerate,
     ddt,
     deformed_structure_op,
+    det3,
     hamiltonian,
     inv_2p0,
     lax_pair,
-    mat_det,
-    mat_mul,
-    mat_trace,
     p0,
     rotation_op,
     verify_matrix_lax,
@@ -47,11 +46,20 @@ def test_hamiltonian_is_even_in_each_variable():
     assert h.subst_generators({P: -gen(P)}) == h
 
 
+def rows(op):
+    """The matrix of a degree-1 operation: entry (j, i) is row i, column j."""
+    return [[op.entry((j,), i) for j in range(3)] for i in range(3)]
+
+
+def trace(op):
+    return sum((op.entry((i,), i) for i in range(3)), OperatorExpr.zero(CLASSICAL))
+
+
 def test_determinant_is_minus_twice_hamiltonian():
-    pair = lax_pair()
-    assert mat_det(pair.l_matrix) + hamiltonian() + hamiltonian() == \
+    l_matrix = lax_pair().l_matrix
+    assert det3(*rows(l_matrix)) + hamiltonian() + hamiltonian() == \
         OperatorExpr.zero(CLASSICAL)
-    assert mat_trace(pair.l_matrix) == OperatorExpr.scalar(CLASSICAL, 1)
+    assert trace(l_matrix) == OperatorExpr.scalar(CLASSICAL, 1)
 
 
 def test_ddt_generator_rules():
@@ -107,19 +115,29 @@ def test_matrix_lax_entry_11_by_hand():
     # d/dt of the (1,1) entry is dp/dt = -w^2 q; the commutator side gives
     # M[1][2] L[2][1] - L[1][2] M[2][1] = -(w/2)(wq) - (wq)(w/2)
     pair = lax_pair()
-    lhs = ddt(pair.l_matrix[0][0])
-    assert lhs == -(W * W) * gen(Q)
-    rhs = mat_mul(pair.m_matrix, pair.l_matrix)[0][0] - \
-        mat_mul(pair.l_matrix, pair.m_matrix)[0][0]
-    assert rhs == lhs
+    assert pair.m_matrix == rotation_op()
+    l_rows, m_rows = rows(pair.l_matrix), rows(pair.m_matrix)
+    assert ddt(l_rows[0][0]) == -(W * W) * gen(Q)
+    # every entry against sum_k M[i][k] L[k][j] - L[i][k] M[k][j], summed
+    # here by hand so the oracle does not go through operad.bracket
+    for i in range(3):
+        for j in range(3):
+            rhs = OperatorExpr.zero(CLASSICAL)
+            for k in range(3):
+                rhs = rhs + m_rows[i][k] * l_rows[k][j] - l_rows[i][k] * m_rows[k][j]
+            assert ddt(l_rows[i][j]) == rhs, (i + 1, j + 1)
 
 
 def test_isospectral_traces():
-    pair = lax_pair()
-    l2 = mat_mul(pair.l_matrix, pair.l_matrix)
-    assert ddt(mat_trace(pair.l_matrix)).is_zero
-    assert ddt(mat_trace(l2)).is_zero
-    assert ddt(mat_det(pair.l_matrix)).is_zero
+    l_matrix = lax_pair().l_matrix
+    l2 = partial_compose(l_matrix, 0, l_matrix)
+    # L^2 = 2H on the (q, p) block and 1 in the corner
+    zero, one = OperatorExpr.zero(CLASSICAL), OperatorExpr.scalar(CLASSICAL, 1)
+    two_h = 2 * hamiltonian()
+    assert rows(l2) == [[two_h, zero, zero], [zero, two_h, zero], [zero, zero, one]]
+    assert ddt(trace(l_matrix)).is_zero
+    assert ddt(trace(l2)).is_zero
+    assert ddt(det3(*rows(l_matrix))).is_zero
 
 
 def _initial(**entries):

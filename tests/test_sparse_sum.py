@@ -106,6 +106,17 @@ def test_a_mode_mismatch_compares_false_and_does_not_raise():
         OperatorExpr.generator(CLASSICAL, Q) + OperatorExpr.generator(QUANTUM, Q)
 
 
+@pytest.mark.parametrize("make, key, one", [
+    (ScalarPoly, next(iter(ScalarPoly.const(1).terms)), 1),
+    (lambda terms: OperatorExpr(CLASSICAL, terms), (Q,), 1),
+    (lambda terms: MultiOp(1, 1, CLASSICAL, terms), (0, 0),
+     OperatorExpr.scalar(CLASSICAL, 1)),
+], ids=("ScalarPoly", "OperatorExpr", "MultiOp"))
+def test_a_repeated_key_adds_up(make, key, one):
+    assert make([(key, one), (key, one)]) == make([(key, one + one)])
+    assert make([(key, one), (key, -one)]) == make([])
+
+
 def test_a_multiop_minus_itself_stores_no_entries():
     bracket = MultiOp(2, 2, QUANTUM, {
         (0, 1, 0): OperatorExpr.generator(QUANTUM, P),
