@@ -274,19 +274,15 @@ def family_structure_op(params: FamilyParams) -> MultiOp:
 # -- consistency report ---------------------------------------------------------
 
 def multiop_check(check_id: str, ref: str, got: MultiOp, want: MultiOp,
-                  detail: str, finish=None) -> Check:
-    diff = got - want
-    if finish is not None:
-        diff = diff.map_entries(finish)
+                  detail: str, hbar_zero: bool = False) -> Check:
     return first_nonzero_check(check_id, ref, (
         (f"first differing entry ({i + 1},{j + 1})->{k + 1}", value)
-        for (i, j, k), value in diff.sorted_entries()
-    ), detail)
+        for (i, j, k), value in (got - want).sorted_entries()
+    ), detail, hbar_zero)
 
 
 def check_tables_consistency(hbar_zero: bool = False) -> VerificationReport:
     """Cross-check every stored table against its derivation route."""
-    finish = (lambda e: e.subst_params({"hbar": 0})) if hbar_zero else None
     rows = classification_rows()
     dynamical = dynamical_table()
     quantum = quantum_table()
@@ -320,7 +316,7 @@ def check_tables_consistency(hbar_zero: bool = False) -> VerificationReport:
             "quantization of the dynamical table",
             quantize(dynamical[row.name]), quantum[row.name],
             f"type {row.name}: hatted dynamical operation vs stored quantum table",
-            finish=finish,
+            hbar_zero=hbar_zero,
         ))
     for name in FAMILY_TYPE_NAMES:
         report.add(multiop_check(
@@ -328,7 +324,7 @@ def check_tables_consistency(hbar_zero: bool = False) -> VerificationReport:
             "four-parameter family against the quantum table",
             family_structure_op(family_params(name)), quantum[name],
             f"type {name}: family operation at its parameter values",
-            finish=finish,
+            hbar_zero=hbar_zero,
         ))
     report.add(flag_check(
         "tables.family.III_a1.b-value",

@@ -84,6 +84,9 @@ def _parse_vector(text: str, flag: str):
     if "e" in text.lower():
         # Fraction("1e999999999") would build 10**999999999 before failing
         raise ValueError(f"{flag}: exponent notation is not accepted")
+    if "_" in text or not text.isascii():
+        # Fraction reads "1_0" on some Python versions and non-ASCII digits on all
+        raise ValueError(f"{flag}: '_' and non-ASCII characters are not accepted")
     try:
         return jacobi.rational_vec(Fraction(part.strip()) for part in parts)
     except (ValueError, ZeroDivisionError) as exc:

@@ -23,7 +23,7 @@ from .bianchi import (
 )
 from .operad import MultiOp, partial_compose
 from .oscillator import det3, inv_2p0, inv_sqrt_2p0, p0
-from .report import VerificationReport, first_nonzero_check, flag_check, residual_check
+from .report import VerificationReport, first_nonzero_check, flag_check
 from .scalars import GaussRat, ScalarPoly, add_term, symbol
 from .weyl import AM, AP, P, Q, QUANTUM, OperatorExpr, commutator
 
@@ -157,16 +157,14 @@ def verify_closed_form(hbar_zero: bool = False) -> VerificationReport:
     params = FamilyParams.symbolic()
     computed = jacobi_op(x, y, z, family_structure_op(params))
     closed = closed_form_jacobi(x, y, z, params)
-    diff = computed - closed
-    if hbar_zero:
-        diff = diff.subst_params({"hbar": 0})
     report = VerificationReport()
-    for idx, residual in enumerate(diff, start=1):
-        report.add(residual_check(
+    for idx, residual in enumerate(computed - closed, start=1):
+        report.add(first_nonzero_check(
             f"theorem-9-1.J{idx}",
             "closed form of the family Jacobi operator",
-            residual,
+            [(None, residual)],
             f"component {idx}, computed minus closed form, all parameters symbolic",
+            hbar_zero,
         ))
     offending = next((c for c in computed if c.has_symbol("b")), None)
     report.add(flag_check(
@@ -179,26 +177,32 @@ def verify_closed_form(hbar_zero: bool = False) -> VerificationReport:
     return report
 
 
+def _jacobi_checks(prefix: str, ref: str, detail: str, cases,
+                   hbar_zero: bool) -> VerificationReport:
+    """One check per case ``(name, mu, params)``: the Jacobi operator of mu on
+    symbolic vectors, less the family's closed form at ``params`` unless they
+    are None, vanishes."""
+    x, y, z = symbolic_vec("x"), symbolic_vec("y"), symbolic_vec("z")
+    report = VerificationReport()
+    for name, mu, params in cases:
+        result = jacobi_op(x, y, z, mu)
+        if params is not None:
+            result = result - closed_form_jacobi(x, y, z, params)
+        report.add(first_nonzero_check(f"{prefix}.{name}", ref,
+                                       ((None, c) for c in result),
+                                       f"type {name}: {detail}", hbar_zero))
+    return report
+
+
 def verify_closed_form_specializations(hbar_zero: bool = False) -> VerificationReport:
     """The stored quantum table rows of the family reproduce the closed form
     at their parameter values."""
-    x, y, z = symbolic_vec("x"), symbolic_vec("y"), symbolic_vec("z")
     table = quantum_table()
-    report = VerificationReport()
-    for name in FAMILY_TYPE_NAMES:
-        computed = jacobi_op(x, y, z, table[name])
-        closed = closed_form_jacobi(x, y, z, family_params(name))
-        diff = computed - closed
-        if hbar_zero:
-            diff = diff.subst_params({"hbar": 0})
-        report.add(first_nonzero_check(
-            f"theorem-9-1.special.{name}",
-            "closed form specialized to a table row",
-            ((None, c) for c in diff),
-            f"type {name}: Jacobi operator of the stored quantum table vs "
-            "closed form at its parameters",
-        ))
-    return report
+    return _jacobi_checks(
+        "theorem-9-1.special", "closed form specialized to a table row",
+        "Jacobi operator of the stored quantum table vs closed form at its parameters",
+        ((name, table[name], family_params(name)) for name in FAMILY_TYPE_NAMES),
+        hbar_zero)
 
 
 _QUANTUM_LIE_TYPES = ("I", "II", "VII", "VI", "IX", "VIII")
@@ -207,33 +211,18 @@ _QUANTUM_LIE_TYPES = ("I", "II", "VII", "VI", "IX", "VIII")
 def verify_quantum_lie_types(hbar_zero: bool = False) -> VerificationReport:
     """The six quantum types that stay Lie algebras: symbolic Jacobi operator
     vanishes, hbar kept symbolic."""
-    x, y, z = symbolic_vec("x"), symbolic_vec("y"), symbolic_vec("z")
     table = quantum_table()
-    report = VerificationReport()
-    for name in _QUANTUM_LIE_TYPES:
-        result = jacobi_op(x, y, z, table[name])
-        if hbar_zero:
-            result = result.subst_params({"hbar": 0})
-        report.add(first_nonzero_check(
-            f"jacobi-quantum.{name}",
-            "quantum Jacobi identity",
-            ((None, c) for c in result),
-            f"type {name}: Jacobi operator with symbolic vectors",
-        ))
-    return report
+    return _jacobi_checks(
+        "jacobi-quantum", "quantum Jacobi identity",
+        "Jacobi operator with symbolic vectors",
+        ((name, table[name], None) for name in _QUANTUM_LIE_TYPES), hbar_zero)
 
 
 def verify_classical_lie_rows() -> VerificationReport:
     """Every classification row is a Lie algebra: the classical Jacobi
     operator vanishes for symbolic vectors."""
-    x, y, z = symbolic_vec("x"), symbolic_vec("y"), symbolic_vec("z")
-    report = VerificationReport()
-    for row in classification_rows():
-        result = jacobi_op(x, y, z, initial_structure_op(row))
-        report.add(first_nonzero_check(
-            f"jacobi-classical.{row.name}",
-            "classical Jacobi identity",
-            ((None, c) for c in result),
-            f"type {row.name}: Jacobi operator of the initial constants",
-        ))
-    return report
+    return _jacobi_checks(
+        "jacobi-classical", "classical Jacobi identity",
+        "Jacobi operator of the initial constants",
+        ((row.name, initial_structure_op(row), None) for row in classification_rows()),
+        hbar_zero=False)

@@ -12,7 +12,7 @@ All sign conventions run on the reduced degree (degree minus one).
 from __future__ import annotations
 
 from .scalars import add_term
-from .weyl import OperatorExpr
+from .weyl import OperatorExpr, _check_mode
 
 
 class MultiOp:
@@ -25,6 +25,7 @@ class MultiOp:
             raise ValueError("dimension must be positive")
         if degree < 1:
             raise ValueError("degree must be at least 1")
+        _check_mode(mode)
         self.dim = dim
         self.degree = degree
         self.mode = mode
@@ -37,6 +38,9 @@ class MultiOp:
                     raise ValueError(f"entry key {key} does not match degree {degree}")
                 if any(not 0 <= idx < dim for idx in key):
                     raise ValueError(f"entry key {key} out of range for dim {dim}")
+                if not isinstance(value, OperatorExpr):
+                    raise TypeError(f"entry {key} is {type(value).__name__}, "
+                                    "not OperatorExpr")
                 if value.mode != mode:
                     raise ValueError("entry mode does not match operation mode")
                 add_term(acc, key, value)
@@ -185,13 +189,15 @@ def antisymmetric_binary(dim: int, mode: str, pair_entries: dict) -> MultiOp:
     orders of the same pair is rejected.
     """
     entries: dict = {}
+    seen: set = set()
     for (i, j, k), value in pair_entries.items():
         if i == j or not all(1 <= idx <= dim for idx in (i, j, k)):
             raise ValueError(f"bad 1-based entry key {(i, j, k)}")
         key = (i - 1, j - 1, k - 1)
         flip = (j - 1, i - 1, k - 1)
-        if key in entries or flip in entries:
+        if key in seen:
             raise ValueError(f"entry {(i, j, k)} given twice")
+        seen.update((key, flip))
         if value.is_zero:
             continue
         entries[key] = value

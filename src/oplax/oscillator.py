@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .operad import MultiOp, antisymmetric_binary, bracket
-from .report import VerificationReport, residual_check
+from .report import VerificationReport, first_nonzero_check
 from .scalars import ScalarPoly, symbol
 from .weyl import AM, AP, CLASSICAL, OperatorExpr, P, Q
 
@@ -129,23 +129,23 @@ def verify_matrix_lax() -> VerificationReport:
     report = VerificationReport()
     for i in range(3):
         for j in range(3):
-            report.add(residual_check(
+            report.add(first_nonzero_check(
                 f"matrix-lax.entry.{i + 1}{j + 1}",
                 "matrix Lax equation for the oscillator",
-                defect.entry((j,), i),
+                [(None, defect.entry((j,), i))],
                 f"entry ({i + 1},{j + 1}) of dL/dt - (ML - LM)",
             ))
     det = det3(*([l_matrix.entry((j,), i) for j in range(3)] for i in range(3)))
-    report.add(residual_check(
+    report.add(first_nonzero_check(
         "matrix-lax.ddt-det",
         "isospectral invariant of the Lax matrix",
-        ddt(det),
+        [(None, ddt(det))],
         "d/dt of det L",
     ))
-    report.add(residual_check(
+    report.add(first_nonzero_check(
         "matrix-lax.det-energy",
         "determinant of the Lax matrix against the energy",
-        det + hamiltonian() + hamiltonian(),
+        [(None, det + hamiltonian() + hamiltonian())],
         "det L + 2H",
     ))
     return report
@@ -270,10 +270,10 @@ def verify_operadic_lax(mu: MultiOp, label: str = "") -> VerificationReport:
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                report.add(residual_check(
+                report.add(first_nonzero_check(
                     f"{prefix}.{i + 1}{j + 1}{k + 1}",
                     "operadic Lax equation",
-                    defect.entry((i, j), k),
+                    [(None, defect.entry((i, j), k))],
                     f"entry ({i + 1},{j + 1})->{k + 1} of d(mu)/dt - [M, mu]",
                 ))
     return report

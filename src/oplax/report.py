@@ -1,8 +1,9 @@
 """Check results and their text/JSON serialization.
 
-A check passes exactly when it has no residual or the residual renders as
-"0".  Reports are deterministic: check order is fixed by the caller and the
-JSON layout never depends on runtime state.
+Every residual verdict comes from `first_nonzero_check`: a check passes
+exactly when each of its residuals is the zero of its canonical form.  Reports
+are deterministic: check order is fixed by the caller and the JSON layout
+never depends on runtime state.
 """
 
 from __future__ import annotations
@@ -22,44 +23,29 @@ class Check(namedtuple("Check", "id paper_ref status residual detail")):
         return self.status == "pass"
 
 
-def residual_check(check_id: str, ref: str, residual, detail: str = "") -> Check:
-    """Build a check from anything with ``is_zero`` and ``render()``."""
-    ok = residual.is_zero
-    return Check(
-        id=check_id,
-        paper_ref=ref,
-        status="pass" if ok else "fail",
-        residual=residual.render(),
-        detail=detail,
-    )
-
-
 def flag_check(check_id: str, ref: str, ok: bool, detail: str = "",
                residual: str | None = None) -> Check:
-    if not ok and residual is None:
-        residual = "nonzero"
-    return Check(
-        id=check_id,
-        paper_ref=ref,
-        status="pass" if ok else "fail",
-        residual=residual,
-        detail=detail,
-    )
+    return Check(check_id, ref, "pass" if ok else "fail", residual, detail)
 
 
-def first_nonzero_check(check_id: str, ref: str, residuals, detail: str = "") -> Check:
-    """Flag check that passes when every residual is zero.
+def first_nonzero_check(check_id: str, ref: str, residuals, detail: str = "",
+                        hbar_zero: bool = False) -> Check:
+    """The one verdict on residuals: pass when every residual is zero.
 
-    ``residuals`` yields ``(label, residual)`` pairs in order.  The check
-    fails on the first nonzero residual, shows its rendering, and appends its
-    label, when there is one, to the detail.
+    ``residuals`` yields ``(label, residual)`` pairs in order; a residual has
+    ``is_zero`` and ``render()``, and with ``hbar_zero`` it is first taken to
+    the classical limit hbar = 0 by ``subst_params``.  The check fails on the
+    first nonzero residual, shows its rendering, and appends its label, when
+    there is one, to the detail.
     """
     for label, residual in residuals:
+        if hbar_zero:
+            residual = residual.subst_params({"hbar": 0})
         if not residual.is_zero:
             if label:
                 detail = f"{detail}; {label}"
-            return flag_check(check_id, ref, False, detail, residual=residual.render())
-    return flag_check(check_id, ref, True, detail, residual="0")
+            return flag_check(check_id, ref, False, detail, residual.render())
+    return flag_check(check_id, ref, True, detail, "0")
 
 
 class VerificationReport:

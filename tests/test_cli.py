@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 from oplax import bianchi, cli
+from oplax.operad import antisymmetric_binary
+from oplax.weyl import CLASSICAL, QUANTUM, parse_operator
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +74,11 @@ def test_usage_errors_exit_2(capsys):
     code, out, err = run_cli(capsys, "compute", "jacobi", "--type", "V",
                              "--x", "1e5000,0,0", "--y", "0,1,0", "--z", "0,0,1")
     assert code == 2 and "--x" in err and "exponent" in err and out == ""
+    # digit separators and non-ASCII digits are refused on every Python version
+    for bad in (("--x", "1_0,0,0", "--y", "0,1,0"), ("--y", "0,\u0661,0", "--x", "1,0,0")):
+        code, out, err = run_cli(capsys, "compute", "jacobi", "--type", "V", *bad,
+                                 "--z", "0,0,1")
+        assert code == 2 and bad[0] in err and out == ""
     # a result coefficient past the int-to-str digit limit exits 2, prints nothing
     big = "1" * 2001
     code, out, err = run_cli(capsys, "compute", "jacobi", "--type", "V",
@@ -187,3 +194,40 @@ def test_compute_jacobi_is_byte_identical(capsys):
                 assert code == 0
                 text += out
     assert hashlib.sha256(text.encode()).hexdigest() == COMPUTE_JACOBI_SHA256
+
+
+#: four planted faults, each added with its antisymmetric flip:
+#: (table, type, 1-based (i, j, k) entry, added operator text)
+PLANTED_FAULTS = (
+    ("dynamical", "II", (2, 3, 1), "q"),
+    ("quantum", "VII_a", (1, 2, 3), "hbar*qh"),
+    ("quantum", "IX", (2, 3, 1), "hbar*ph"),
+    ("quantum", "VI", (2, 3, 1), "ph"),
+)
+
+#: sha256 of ``verify all`` stdout with the planted faults, per argument list,
+#: and its number of failing checks (None for the text format)
+PLANTED_FAULT_REPORTS = (
+    (("--format", "json"), 12,
+     "2610b863bfa88933f1240f57feb065f9820cecfdbe570114e006e8218814faef"),
+    (("--format", "json", "--hbar", "0"), 9,
+     "780f17d4a05b628ab9763090b0558cab65c778f96b1d9713199f754de0eb4648"),
+    ((), None,
+     "851a1c7255c4b69c9716925500c7aa87fa40ce326060bcb8bda5211ad2d98520"),
+)
+
+
+def test_planted_fault_reports_are_byte_identical(capsys, monkeypatch):
+    tables = {"dynamical": bianchi.dynamical_table(), "quantum": bianchi.quantum_table()}
+    for table, name, key, text in PLANTED_FAULTS:
+        mode = CLASSICAL if table == "dynamical" else QUANTUM
+        fault = antisymmetric_binary(3, mode, {key: parse_operator(text, mode)})
+        tables[table][name] = tables[table][name] + fault
+    monkeypatch.setattr(bianchi, "dynamical_table", lambda: tables["dynamical"])
+    monkeypatch.setattr(bianchi, "quantum_table", lambda: tables["quantum"])
+    for args, failed, digest in PLANTED_FAULT_REPORTS:
+        code, out, _ = run_cli(capsys, "verify", "all", *args)
+        assert code == 1
+        if failed is not None:
+            assert json.loads(out)["summary"]["failed"] == failed
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args

@@ -199,3 +199,19 @@ def test_antisymmetric_builder():
         antisymmetric_binary(3, CLASSICAL, {(1, 1, 2): one})
     with pytest.raises(ValueError):
         antisymmetric_binary(3, CLASSICAL, {(1, 2, 1): one, (2, 1, 1): one})
+
+
+def test_antisymmetric_builder_rejects_a_pair_given_twice_with_a_zero():
+    zero, one = OperatorExpr.zero(CLASSICAL), OperatorExpr.scalar(CLASSICAL, 1)
+    for entries in ({(1, 2, 3): zero, (2, 1, 3): one},
+                    {(1, 2, 3): one, (2, 1, 3): zero},
+                    {(1, 2, 3): zero, (2, 1, 3): zero}):
+        with pytest.raises(ValueError, match="given twice"):
+            antisymmetric_binary(3, CLASSICAL, entries)
+
+
+def test_multiop_validates_its_mode_and_entry_values():
+    with pytest.raises(ValueError, match="unknown mode"):
+        MultiOp(3, 2, "bogus")
+    with pytest.raises(TypeError, match="int"):
+        MultiOp(3, 2, CLASSICAL, {(0, 1, 2): 5})
