@@ -288,14 +288,13 @@ def check_tables_consistency(hbar_zero: bool = False) -> VerificationReport:
     quantum = quantum_table()
     report = VerificationReport()
     for row in rows:
-        derived = derive_dynamical(row)
         coeffs = coeffs_from_initial(row.mu0)
         advisory = "" if coeffs_nondegenerate(coeffs) else \
             "; nondegeneracy sum of squares vanishes (advisory)"
         report.add(multiop_check(
             f"tables.derive.{row.name}",
             "structure constants solved from initial data",
-            derived, dynamical[row.name],
+            deformed_structure_op(coeffs), dynamical[row.name],
             f"type {row.name}: derived operation vs stored table{advisory}",
         ))
     for row in rows:

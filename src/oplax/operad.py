@@ -12,7 +12,7 @@ All sign conventions run on the reduced degree (degree minus one).
 from __future__ import annotations
 
 from .scalars import add_term
-from .weyl import OperatorExpr, _check_mode
+from .weyl import OperatorExpr, _check_mode, _mul_into, _wrap
 
 
 class MultiOp:
@@ -126,59 +126,73 @@ class MultiOp:
                 f"nonzero={len(self.entries)}>")
 
 
+def _compose_into(acc: dict, f: MultiOp, pos: int, g: MultiOp, negate: bool) -> None:
+    """Add f o_pos g, negated when ``negate``, into ``acc``: a raw
+    ``{key: {word: {exp: GaussRat}}}`` sum that ``_composite`` wraps."""
+    f._require_compatible(g)
+    if not 0 <= pos <= f.reduced_degree:
+        raise ValueError(f"slot {pos} out of range for degree {f.degree}")
+    negate ^= (pos * g.reduced_degree) % 2 == 1
+    g_by_out: dict = {}
+    for key, value in g.entries.items():
+        g_by_out.setdefault(key[-1], []).append((key[:-1], value))
+    for key, fval in f.entries.items():
+        inputs, out = key[:-1], key[-1]
+        for g_inputs, gval in g_by_out.get(inputs[pos], ()):
+            new_key = inputs[:pos] + g_inputs + inputs[pos + 1:] + (out,)
+            _mul_into(acc.setdefault(new_key, {}), fval, gval, negate)
+
+
+def _total_into(acc: dict, f: MultiOp, g: MultiOp, negate: bool) -> None:
+    for pos in range(f.degree):
+        _compose_into(acc, f, pos, g, negate)
+
+
+def _bracket_into(acc: dict, f: MultiOp, g: MultiOp, negate: bool) -> None:
+    _total_into(acc, f, g, negate)
+    _total_into(acc, g, f, negate == ((f.reduced_degree * g.reduced_degree) % 2 == 1))
+
+
+def _composite(f: MultiOp, degree: int, fill) -> MultiOp:
+    """Fill one raw sum and wrap it once, dropping what cancelled."""
+    acc: dict = {}
+    fill(acc)
+    return MultiOp._make(f.dim, degree, f.mode, {
+        key: value for key, raw in acc.items() if (value := _wrap(f.mode, raw))})
+
+
 def partial_compose(f: MultiOp, pos: int, g: MultiOp) -> MultiOp:
     """Insert g into input slot ``pos`` of f (0-based), with the graded sign.
 
     The composite picks up (-1)^(pos * |g|) where |g| is g's reduced degree,
     and every entry is a sum of products with the f-entry on the left.
     """
-    f._require_compatible(g)
-    if not 0 <= pos <= f.reduced_degree:
-        raise ValueError(f"slot {pos} out of range for degree {f.degree}")
-    negate = (pos * g.reduced_degree) % 2 == 1
-    g_by_out: dict = {}
-    for key, value in g.entries.items():
-        g_by_out.setdefault(key[-1], []).append((key[:-1], value))
-    acc: dict = {}
-    for key, fval in f.entries.items():
-        inputs, out = key[:-1], key[-1]
-        for g_inputs, gval in g_by_out.get(inputs[pos], ()):
-            new_key = inputs[:pos] + g_inputs + inputs[pos + 1:] + (out,)
-            term = fval * gval
-            add_term(acc, new_key, -term if negate else term)
-    return MultiOp._make(f.dim, f.degree + g.reduced_degree, f.mode, acc)
+    return _composite(f, f.degree + g.reduced_degree,
+                      lambda acc: _compose_into(acc, f, pos, g, False))
 
 
 def total_compose(f: MultiOp, g: MultiOp) -> MultiOp:
     """Sum of all partial compositions of g into f."""
-    result = partial_compose(f, 0, g)
-    for pos in range(1, f.reduced_degree + 1):
-        result = result + partial_compose(f, pos, g)
-    return result
+    return _composite(f, f.degree + g.reduced_degree,
+                      lambda acc: _total_into(acc, f, g, False))
 
 
 def bracket(f: MultiOp, g: MultiOp) -> MultiOp:
     """Graded commutator f o g - (-1)^(|f||g|) g o f."""
-    fg = total_compose(f, g)
-    gf = total_compose(g, f)
-    if (f.reduced_degree * g.reduced_degree) % 2 == 1:
-        return fg + gf
-    return fg - gf
+    return _composite(f, f.degree + g.reduced_degree,
+                      lambda acc: _bracket_into(acc, f, g, False))
 
 
 def jacobi_defect(f: MultiOp, g: MultiOp, h: MultiOp) -> MultiOp:
-    """Signed cyclic sum of nested brackets; zero for a graded Lie algebra."""
-    terms = [
-        (f.reduced_degree * h.reduced_degree, bracket(f, bracket(g, h))),
-        (g.reduced_degree * f.reduced_degree, bracket(g, bracket(h, f))),
-        (h.reduced_degree * g.reduced_degree, bracket(h, bracket(f, g))),
-    ]
-    result = None
-    for exponent, term in terms:
-        if exponent % 2 == 1:
-            term = -term
-        result = term if result is None else result + term
-    return result
+    """Signed cyclic sum of nested brackets; zero for a graded Lie algebra.
+
+    [x, [y, z]] has the sign (-1)^(|x||z|); the outer brackets share one sum.
+    """
+    def fill(acc):
+        for x, y, z in ((f, g, h), (g, h, f), (h, f, g)):
+            odd = (x.reduced_degree * z.reduced_degree) % 2 == 1
+            _bracket_into(acc, x, bracket(y, z), odd)
+    return _composite(f, f.degree + g.reduced_degree + h.reduced_degree, fill)
 
 
 def antisymmetric_binary(dim: int, mode: str, pair_entries: dict) -> MultiOp:

@@ -14,6 +14,7 @@ maps coincide.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -155,6 +156,15 @@ def add_term(acc: dict, key, value) -> None:
         acc.pop(key, None)
 
 
+def add_exponents(e1: tuple, e2: tuple) -> tuple:
+    """The exponent vector of a monomial product."""
+    if e2 == _ZERO_EXP:
+        return e1
+    if e1 == _ZERO_EXP:
+        return e2
+    return tuple(map(operator.add, e1, e2))
+
+
 class SparseSum:
     """A sum stored as ``terms``, a dict of nonzero values: the additive group
     and the equality shared by ScalarPoly and OperatorExpr.
@@ -281,16 +291,9 @@ class ScalarPoly(SparseSum):
         except TypeError:
             return NotImplemented
         acc: dict = {}
-        zero_exp = _ZERO_EXP
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                if e2 == zero_exp:
-                    exp = e1
-                elif e1 == zero_exp:
-                    exp = e2
-                else:
-                    exp = tuple(a + b for a, b in zip(e1, e2))
-                add_term(acc, exp, c1 * c2)
+                add_term(acc, add_exponents(e1, e2), c1 * c2)
         return ScalarPoly._make(acc)
 
     __rmul__ = __mul__

@@ -19,8 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .scalars import (GaussRat, ScalarPoly, SparseSum, add_term, parse_terms, render_sum,
-                      render_term)
+from .scalars import (GaussRat, ScalarPoly, SparseSum, add_exponents, add_term, parse_terms,
+                      render_sum, render_term)
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -61,6 +61,27 @@ def _normalize_into(acc: dict, word: tuple, coeff: ScalarPoly, mode: str) -> Non
             head, tail = w[:swap_at], w[swap_at + 2:]
             stack.append((head + (Q, P) + tail, c))
             stack.append((head + tail, c * _MINUS_I_HBAR))
+
+
+def _mul_into(acc: dict, x: "OperatorExpr", y: "OperatorExpr", negate: bool) -> None:
+    """Add x*y, negated when ``negate``, into ``acc``: a raw ``{word: {exp:
+    GaussRat}}`` sum.  Each word pair is normal-ordered once, carrying x's
+    coefficient; every coefficient product then goes straight into ``acc``."""
+    for w1, c1 in x.terms.items():
+        for w2, c2 in y.terms.items():
+            words: dict = {}
+            _normalize_into(words, w1 + w2, c1, x.mode)
+            for word, c in words.items():
+                inner = acc.setdefault(word, {})
+                for e1, g1 in c.terms.items():
+                    for e2, g2 in c2.terms.items():
+                        g = g1 * g2
+                        add_term(inner, add_exponents(e1, e2), -g if negate else g)
+
+
+def _wrap(mode: str, acc: dict) -> "OperatorExpr":
+    """The OperatorExpr of a raw sum, less the words that cancelled."""
+    return OperatorExpr._make(mode, {w: ScalarPoly._make(t) for w, t in acc.items() if t})
 
 
 class OperatorExpr(SparseSum):
@@ -127,10 +148,8 @@ class OperatorExpr(SparseSum):
         except TypeError:
             return NotImplemented
         acc: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                _normalize_into(acc, w1 + w2, c1 * c2, self.mode)
-        return OperatorExpr._make(self.mode, acc)
+        _mul_into(acc, self, other, False)
+        return _wrap(self.mode, acc)
 
     def __rmul__(self, other):
         try:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,8 @@ from oplax.operad import (
     partial_compose,
     total_compose,
 )
-from oplax.weyl import CLASSICAL, QUANTUM, OperatorExpr
+from oplax.scalars import GaussRat, ScalarPoly
+from oplax.weyl import AM, AP, CLASSICAL, P, Q, QUANTUM, OperatorExpr
 
 
 def scalar_op(dim, degree, values):
@@ -19,6 +21,14 @@ def scalar_op(dim, degree, values):
     return MultiOp(dim, degree, CLASSICAL, {
         key: OperatorExpr.scalar(CLASSICAL, v) for key, v in values.items()
     })
+
+
+def constructor_product(x, y):
+    """x*y by the normalising constructor, so the oracle below shares no code
+    with the product kernel the compositions use."""
+    return OperatorExpr(x.mode, [(w1 + w2, c1 * c2)
+                                 for w1, c1 in x.terms.items()
+                                 for w2, c2 in y.terms.items()])
 
 
 def compose_by_basis_evaluation(f, pos, g):
@@ -38,7 +48,7 @@ def compose_by_basis_evaluation(f, pos, g):
                 fval = f.entries.get(head + (s,) + tail + (k,))
                 if gval is None or fval is None:
                     continue
-                total = total + fval * gval
+                total = total + constructor_product(fval, gval)
             if (pos * (g.degree - 1)) % 2 == 1:
                 total = -total
             if not total.is_zero:
@@ -54,6 +64,68 @@ def random_scalar_op(rng, dim, degree, density=0.5):
             if v:
                 entries[key] = OperatorExpr.scalar(CLASSICAL, v)
     return MultiOp(dim, degree, CLASSICAL, entries)
+
+
+#: operator entry coefficients: hbar, s^-1, a parameter, non-real parts
+OPERATOR_COEFFS = (
+    ScalarPoly.const(1),
+    ScalarPoly.monomial(GaussRat(0, -1), {"hbar": 1}),
+    ScalarPoly.monomial(GaussRat(1, 2), {"s": -1}),
+    ScalarPoly.monomial(-2, {"w": 1, "s": 1}),
+    ScalarPoly.monomial(GaussRat(0, Fraction(1, 2)), {"beta": 1, "hbar": 1}),
+)
+
+
+def random_operator_op(rng, mode, dim, degree, density=0.4):
+    """Entries of one or two terms over words in q, p, A+, A- of length <= 2."""
+    entries = {}
+    for key in itertools.product(range(dim), repeat=degree + 1):
+        if rng.random() < density:
+            terms = [(tuple(rng.choice((Q, P, AP, AM)) for _ in range(rng.randint(0, 2))),
+                      rng.choice(OPERATOR_COEFFS) * rng.choice((-1, 1, 2)))
+                     for _ in range(rng.randint(1, 2))]
+            entries[key] = OperatorExpr(mode, terms)
+    return MultiOp(dim, degree, mode, entries)
+
+
+def operator_pairs(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        mode = rng.choice((CLASSICAL, QUANTUM))
+        dim = rng.choice((2, 3))
+        yield (random_operator_op(rng, mode, dim, rng.randint(1, 2)),
+               random_operator_op(rng, mode, dim, rng.randint(1, 2)))
+
+
+def test_operator_entries_compose_like_basis_evaluation():
+    for f, g in operator_pairs(7, 16):
+        for pos in range(f.degree):
+            assert partial_compose(f, pos, g) == compose_by_basis_evaluation(f, pos, g)
+
+
+def test_total_compose_and_bracket_are_their_multiop_sums():
+    for f, g in operator_pairs(13, 16):
+        partials = [partial_compose(f, pos, g) for pos in range(f.degree)]
+        total = partials[0]
+        for partial in partials[1:]:
+            total = total + partial
+        assert total_compose(f, g) == total
+        gf = total_compose(g, f)
+        odd = (f.reduced_degree * g.reduced_degree) % 2 == 1
+        assert bracket(f, g) == (total + gf if odd else total - gf)
+
+
+def test_operator_jacobi_defect_is_its_multiop_sum():
+    rng = random.Random(19)
+    for mode in (CLASSICAL, QUANTUM):
+        f, g, h = (random_operator_op(rng, mode, 2, d) for d in (2, 1, 2))
+        want = None
+        for x, y, z in ((f, g, h), (g, h, f), (h, f, g)):
+            term = bracket(x, bracket(y, z))
+            if (x.reduced_degree * z.reduced_degree) % 2 == 1:
+                term = -term
+            want = term if want is None else want + term
+        assert jacobi_defect(f, g, h) == want
 
 
 def test_degree_one_composition_is_matrix_product():
@@ -186,6 +258,11 @@ def test_shape_and_slot_errors():
         partial_compose(f, 0, quantum)  # mode mismatch
     with pytest.raises(ValueError):
         f + random_scalar_op(rng, 2, 1)  # shape mismatch on addition
+    for other in (g, quantum):
+        for build in (bracket, total_compose, lambda x, y: jacobi_defect(x, x, y),
+                      lambda x, y: jacobi_defect(y, x, x)):
+            with pytest.raises(ValueError):
+                build(f, other)
 
 
 def test_antisymmetric_builder():

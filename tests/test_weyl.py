@@ -168,6 +168,50 @@ def test_commutator_is_bilinear(u, v, t, c):
     assert lhs == rhs
 
 
+def constructor_product(x, y):
+    """x*y by the normalising constructor: concatenated words, ScalarPoly
+    coefficient products, no product kernel."""
+    return OperatorExpr(x.mode, [(w1 + w2, c1 * c2)
+                                 for w1, c1 in x.terms.items()
+                                 for w2, c2 in y.terms.items()])
+
+
+gauss_coeffs = st.builds(
+    GaussRat, st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    st.sampled_from((0, 1, -2, Fraction(1, 2))))
+
+
+@st.composite
+def kernel_scalars(draw):
+    """Coefficients with hbar, s^-1, a parameter and non-real parts."""
+    total = ScalarPoly.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        powers = {"hbar": draw(st.integers(0, 2)), "s": draw(st.integers(-2, 1)),
+                  draw(st.sampled_from(("w", "beta", "x1"))): draw(st.integers(0, 1))}
+        total = total + ScalarPoly.monomial(draw(gauss_coeffs), powers)
+    return total
+
+
+def kernel_exprs(mode, prefix=(), suffix=()):
+    short_words = st.lists(st.sampled_from((Q, P, AP, AM)), max_size=4).map(tuple)
+    return st.lists(st.tuples(short_words, kernel_scalars()), max_size=3).map(
+        lambda terms: OperatorExpr(mode, [(prefix + w + suffix, c) for w, c in terms]))
+
+
+@pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_product_kernel_matches_the_constructor(mode, data):
+    # a trailing p on x and a leading q on y put a p q pair at the junction
+    junction = data.draw(st.booleans())
+    x = data.draw(kernel_exprs(mode, suffix=(P,) if junction else ()))
+    y = data.draw(kernel_exprs(mode, prefix=(Q,) if junction else ()))
+    product = x * y
+    assert product == constructor_product(x, y)
+    for coeff in product.terms.values():
+        assert coeff.terms and all(coeff.terms.values())
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_exprs)
 def test_operator_render_parse_round_trip(expr):
