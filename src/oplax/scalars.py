@@ -57,10 +57,11 @@ class GaussRat:
         return value if isinstance(value, GaussRat) else GaussRat(value)
 
     def __add__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
+        if type(other) is not GaussRat:
+            try:
+                other = GaussRat(other)
+            except TypeError:
+                return NotImplemented
         return GaussRat(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -69,17 +70,19 @@ class GaussRat:
         return GaussRat(-self.re, -self.im)
 
     def __sub__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not GaussRat:
+            try:
+                other = GaussRat(other)
+            except TypeError:
+                return NotImplemented
+        return GaussRat(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
+        if type(other) is not GaussRat:
+            try:
+                other = GaussRat(other)
+            except TypeError:
+                return NotImplemented
         if not self.im and not other.im:
             return GaussRat(self.re * other.re)
         return GaussRat(
@@ -97,10 +100,11 @@ class GaussRat:
         return GaussRat(self.re / norm, -self.im / norm)
 
     def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
+        if type(other) is not GaussRat:
+            try:
+                other = GaussRat(other)
+            except TypeError:
+                return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
@@ -163,6 +167,27 @@ def add_exponents(e1: tuple, e2: tuple) -> tuple:
     if e1 == _ZERO_EXP:
         return e2
     return tuple(map(operator.add, e1, e2))
+
+
+def mul_terms_into(acc: dict, t1: dict, t2: dict, negate: bool) -> None:
+    """The one coefficient-product kernel: add t1*t2, negated when ``negate``,
+    into ``acc``, all three ``{exp: GaussRat}`` maps.  It multiplies the parts
+    inline and stores one GaussRat per running sum, dropping a zero sum."""
+    for e1, g1 in t1.items():
+        r1, i1 = (-g1.re, -g1.im) if negate else (g1.re, g1.im)
+        for e2, g2 in t2.items():
+            if i1 or g2.im:
+                re, im = r1 * g2.re - i1 * g2.im, r1 * g2.im + i1 * g2.re
+            else:
+                re, im = r1 * g2.re, 0
+            key = add_exponents(e1, e2)
+            total = acc.get(key)
+            if total is not None:
+                re, im = re + total.re, im + total.im
+            if re or im:
+                acc[key] = GaussRat(re, im)
+            elif total is not None:
+                del acc[key]
 
 
 class SparseSum:
@@ -291,9 +316,7 @@ class ScalarPoly(SparseSum):
         except TypeError:
             return NotImplemented
         acc: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                add_term(acc, add_exponents(e1, e2), c1 * c2)
+        mul_terms_into(acc, self.terms, other.terms, False)
         return ScalarPoly._make(acc)
 
     __rmul__ = __mul__

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .scalars import (GaussRat, ScalarPoly, SparseSum, add_exponents, add_term, parse_terms,
+from .scalars import (GaussRat, ScalarPoly, SparseSum, add_term, mul_terms_into, parse_terms,
                       render_sum, render_term)
 
 CLASSICAL = "classical"
@@ -65,18 +65,19 @@ def _normalize_into(acc: dict, word: tuple, coeff: ScalarPoly, mode: str) -> Non
 
 def _mul_into(acc: dict, x: "OperatorExpr", y: "OperatorExpr", negate: bool) -> None:
     """Add x*y, negated when ``negate``, into ``acc``: a raw ``{word: {exp:
-    GaussRat}}`` sum.  Each word pair is normal-ordered once, carrying x's
-    coefficient; every coefficient product then goes straight into ``acc``."""
+    GaussRat}}`` sum.  A classical word pair is sorted, a quantum one normal-ordered
+    carrying x's coefficient; ``mul_terms_into`` adds each normal word's product."""
+    classical = x.mode == CLASSICAL
     for w1, c1 in x.terms.items():
         for w2, c2 in y.terms.items():
-            words: dict = {}
-            _normalize_into(words, w1 + w2, c1, x.mode)
-            for word, c in words.items():
-                inner = acc.setdefault(word, {})
-                for e1, g1 in c.terms.items():
-                    for e2, g2 in c2.terms.items():
-                        g = g1 * g2
-                        add_term(inner, add_exponents(e1, e2), -g if negate else g)
+            if classical:
+                mul_terms_into(acc.setdefault(tuple(sorted(w1 + w2)), {}),
+                               c1.terms, c2.terms, negate)
+            else:
+                words: dict = {}
+                _normalize_into(words, w1 + w2, c1, QUANTUM)
+                for word, c in words.items():
+                    mul_terms_into(acc.setdefault(word, {}), c.terms, c2.terms, negate)
 
 
 def _wrap(mode: str, acc: dict) -> "OperatorExpr":

@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oplax.bianchi import dynamical_table
 from oplax.operad import (
     MultiOp,
     antisymmetric_binary,
@@ -12,6 +14,7 @@ from oplax.operad import (
     partial_compose,
     total_compose,
 )
+from oplax.oscillator import lax_defect
 from oplax.scalars import GaussRat, ScalarPoly
 from oplax.weyl import AM, AP, CLASSICAL, P, Q, QUANTUM, OperatorExpr
 
@@ -292,3 +295,45 @@ def test_multiop_validates_its_mode_and_entry_values():
         MultiOp(3, 2, "bogus")
     with pytest.raises(TypeError, match="int"):
         MultiOp(3, 2, CLASSICAL, {(0, 1, 2): 5})
+
+
+#: Gaussian-rational coefficients of the Leibniz operands, with w and s^-1
+leibniz_coeffs = st.builds(
+    lambda re, im, powers: ScalarPoly.monomial(GaussRat(re, im), powers),
+    st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-3, 2))),
+    st.sampled_from((0, 0, 1, Fraction(-1, 2))),
+    st.fixed_dictionaries({"w": st.integers(0, 1), "s": st.integers(-1, 1)}))
+leibniz_entries = st.lists(
+    st.tuples(st.lists(st.sampled_from((Q, P, AP, AM)), max_size=2), leibniz_coeffs),
+    min_size=1, max_size=2).map(lambda terms: OperatorExpr(CLASSICAL, terms))
+
+
+@st.composite
+def leibniz_ops(draw):
+    """A classical operation on dimension 3 (the rotation's), degree 1 or 2,
+    with up to four operator-valued entries."""
+    degree = draw(st.integers(1, 2))
+    keys = st.tuples(*[st.integers(0, 2)] * (degree + 1))
+    return MultiOp(3, degree, CLASSICAL,
+                   draw(st.dictionaries(keys, leibniz_entries, max_size=4)))
+
+
+@settings(max_examples=45, deadline=None)
+@given(leibniz_ops(), leibniz_ops())
+def test_lax_defect_is_a_derivation_of_partial_composition(f, g):
+    # d/dt is a derivation of every product, and [M, .] of every partial
+    # composition, since M has reduced degree 0; no stored table is involved
+    for pos in range(f.degree):
+        assert lax_defect(partial_compose(f, pos, g)) == \
+            partial_compose(lax_defect(f), pos, g) + partial_compose(f, pos, lax_defect(g))
+
+
+def test_a_dynamical_row_composed_with_itself_solves_the_lax_equation():
+    table = dynamical_table()
+    assert len(table) == 11
+    for name, mu in table.items():
+        for pos in range(mu.degree):
+            composite = partial_compose(mu, pos, mu)
+            # type I is the zero bracket; every other composite has entries
+            assert composite.is_zero == (name == "I")
+            assert lax_defect(composite).is_zero

@@ -33,6 +33,21 @@ def test_gaussrat_rejects_floats_and_strings(bad):
         GaussRat(1, bad)
 
 
+def test_gaussrat_operand_contract():
+    # a GaussRat operand skips coercion; any other still goes through
+    # GaussRat(), and its TypeError becomes NotImplemented
+    one = GaussRat(1)
+    for operation in (lambda: one + 0.5, lambda: 0.5 * one, lambda: one - "1",
+                      lambda: one * "1"):
+        with pytest.raises(TypeError):
+            operation()
+    assert GaussRat.__add__(one, 0.5) is NotImplemented
+    assert (one == 1.0) is False and (one != 1.0) is True
+    assert one == 1 and one == Fraction(2, 2) and one == GaussRat(1)
+    assert one + Fraction(1, 2) == GaussRat(Fraction(3, 2))
+    assert one - 2 == GaussRat(-1) and 3 * one == GaussRat(3)
+
+
 def assert_canonical(g):
     """Each part is an int exactly when its denominator is 1, else a Fraction."""
     for part in (g.re, g.im):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oplax.scalars import GaussRat, ScalarPoly, symbol
+from oplax.scalars import GaussRat, ScalarPoly, add_term, symbol
 from oplax.weyl import (
     AM,
     AP,
@@ -12,6 +12,9 @@ from oplax.weyl import (
     Q,
     QUANTUM,
     OperatorExpr,
+    _mul_into,
+    _normalize_into,
+    _wrap,
     commutator,
     parse_operator,
     render_factored,
@@ -99,6 +102,15 @@ def test_mixed_operations_do_not_render_the_operator(monkeypatch):
     assert difference.terms == {(): ScalarPoly.const(2), (P,): ScalarPoly.const(-1)}
     with pytest.raises(TypeError, match="OperatorExpr"):
         GaussRat._coerce(qexpr(P))
+
+
+def test_a_scalar_times_an_operator_is_handed_to_the_operator():
+    w, op = symbol("w"), qexpr(P)
+    for scalar in (w, GaussRat(0, 1)):
+        assert type(scalar).__mul__(scalar, op) is NotImplemented
+        product = scalar * op
+        assert type(product) is OperatorExpr
+        assert product.terms == {(P,): ScalarPoly._coerce(scalar)}
 
 
 words = st.lists(st.sampled_from((Q, P, AP, AM)), max_size=8).map(tuple)
@@ -210,6 +222,104 @@ def test_product_kernel_matches_the_constructor(mode, data):
     assert product == constructor_product(x, y)
     for coeff in product.terms.values():
         assert coeff.terms and all(coeff.terms.values())
+
+
+def old_route_terms(t1, t2, negate):
+    """The product of two {exp: GaussRat} maps one GaussRat.__mul__ and one
+    add_term at a time, with the exponents added here."""
+    acc: dict = {}
+    for e1, g1 in t1.items():
+        for e2, g2 in t2.items():
+            g = g1 * g2
+            add_term(acc, tuple(a + b for a, b in zip(e1, e2)), -g if negate else g)
+    return acc
+
+
+def old_route_product(x, y, negate):
+    """x*y, negated when ``negate``, as a {word: {exp: GaussRat}} map: each
+    word pair through _normalize_into, then old_route_terms per normal word."""
+    acc: dict = {}
+    for w1, c1 in x.terms.items():
+        for w2, c2 in y.terms.items():
+            words: dict = {}
+            _normalize_into(words, w1 + w2, c1, x.mode)
+            for word, c in words.items():
+                inner = acc.setdefault(word, {})
+                for exp, g in old_route_terms(c.terms, c2.terms, negate).items():
+                    add_term(inner, exp, g)
+    return {word: terms for word, terms in acc.items() if terms}
+
+
+def assert_canonical_terms(terms):
+    assert terms, "an empty word survived the wrap"
+    for g in terms.values():
+        assert g, "a zero coefficient is stored"
+        for part in (g.re, g.im):
+            assert type(part) is (int if Fraction(part).denominator == 1 else Fraction)
+
+
+#: parts whose products cancel denominators (1/2 * 2, 2/3 * 3/2) or vanish
+kernel_parts = st.sampled_from((0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3),
+                                Fraction(3, 2)))
+
+
+@st.composite
+def differential_exprs(draw, mode):
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        coeff = ScalarPoly.zero()
+        for _ in range(draw(st.integers(1, 2))):
+            coeff = coeff + ScalarPoly.monomial(
+                GaussRat(draw(kernel_parts), draw(kernel_parts)),
+                {"s": draw(st.integers(-2, 1)), "hbar": draw(st.integers(0, 1)),
+                 "w": draw(st.integers(0, 1))})
+        terms.append((draw(st.lists(st.sampled_from((Q, P, AP, AM)), max_size=3)), coeff))
+    return OperatorExpr(mode, terms)
+
+
+@pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_product_kernel_matches_the_old_route(mode, data):
+    u = data.draw(differential_exprs(mode))
+    v = data.draw(differential_exprs(mode))
+    # u and v as they are, or (u + v)(u - v), whose cross terms cancel in
+    # classical mode
+    x, y = (u + v, u - v) if data.draw(st.booleans()) else (u, v)
+    for negate in (False, True):
+        acc: dict = {}
+        _mul_into(acc, x, y, negate)
+        got = _wrap(mode, acc)
+        want = old_route_product(x, y, negate)
+        assert {word: c.terms for word, c in got.terms.items()} == want
+        for coeff in got.terms.values():
+            assert_canonical_terms(coeff.terms)
+        # the same product added with the other sign deletes every key
+        _mul_into(acc, x, y, not negate)
+        assert not any(acc.values()) and _wrap(mode, acc).is_zero
+    product = x * y
+    assert {word: c.terms for word, c in product.terms.items()} == \
+        old_route_product(x, y, False)
+    for c1 in x.terms.values():
+        for c2 in y.terms.values():
+            terms = (c1 * c2).terms
+            assert terms == old_route_terms(c1.terms, c2.terms, False)
+            if terms:
+                assert_canonical_terms(terms)
+
+
+def test_product_kernel_keeps_integral_fraction_products_as_int():
+    half = ScalarPoly.const(GaussRat(Fraction(1, 2), Fraction(-1, 2)))
+    two = ScalarPoly.const(2)
+    (g,) = (half * two).terms.values()
+    assert (g.re, g.im) == (1, -1) and type(g.re) is int and type(g.im) is int
+    product = (half * OperatorExpr.generator(QUANTUM, P)) * (two * qexpr(Q))
+    # (1-i) p q = (1-i) q p + (-1-i) hbar
+    assert product == qexpr(Q, P) * GaussRat(1, -1) + \
+        OperatorExpr.scalar(QUANTUM, ScalarPoly.monomial(GaussRat(-1, -1), {"hbar": 1}))
+    # the cross terms of (a + b)(a - b) cancel inside one product
+    b = ScalarPoly.monomial(Fraction(2, 3), {"s": -1})
+    assert ((half + b) * (half - b)).terms == (half * half - b * b).terms
 
 
 @settings(max_examples=150, deadline=None)
