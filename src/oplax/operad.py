@@ -12,7 +12,7 @@ All sign conventions run on the reduced degree (degree minus one).
 from __future__ import annotations
 
 from .scalars import add_term
-from .weyl import OperatorExpr, _check_mode, _mul_into, _wrap
+from .weyl import OperatorExpr, _check_mode, _mul_rows_into, _rows, _wrap
 
 
 class MultiOp:
@@ -127,20 +127,18 @@ class MultiOp:
 
 
 def _compose_into(acc: dict, f: MultiOp, pos: int, g: MultiOp, negate: bool) -> None:
-    """Add f o_pos g, negated when ``negate``, into ``acc``: a raw
-    ``{key: {word: {exp: GaussRat}}}`` sum that ``_composite`` wraps."""
+    """Add f o_pos g, negated when ``negate``, into ``acc``, a raw sum by entry key."""
     f._require_compatible(g)
     if not 0 <= pos <= f.reduced_degree:
         raise ValueError(f"slot {pos} out of range for degree {f.degree}")
     negate ^= (pos * g.reduced_degree) % 2 == 1
     g_by_out: dict = {}
     for key, value in g.entries.items():
-        g_by_out.setdefault(key[-1], []).append((key[:-1], value))
+        g_by_out.setdefault(key[-1], []).append((key[:-1], _rows(value.terms, False)))
     for key, fval in f.entries.items():
-        inputs, out = key[:-1], key[-1]
-        for g_inputs, gval in g_by_out.get(inputs[pos], ()):
-            new_key = inputs[:pos] + g_inputs + inputs[pos + 1:] + (out,)
-            _mul_into(acc.setdefault(new_key, {}), fval, gval, negate)
+        head, tail, xs = key[:pos], key[pos + 1:], _rows(fval.terms, negate)
+        for g_inputs, ys in g_by_out.get(key[pos], ()):
+            _mul_rows_into(acc.setdefault(head + g_inputs + tail, {}), xs, ys, f.mode)
 
 
 def _total_into(acc: dict, f: MultiOp, g: MultiOp, negate: bool) -> None:

@@ -77,6 +77,9 @@ class GaussRat:
                 return NotImplemented
         return GaussRat(self.re - other.re, self.im - other.im)
 
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
     def __mul__(self, other):
         if type(other) is not GaussRat:
             try:
@@ -169,12 +172,11 @@ def add_exponents(e1: tuple, e2: tuple) -> tuple:
     return tuple(map(operator.add, e1, e2))
 
 
-def mul_terms_into(acc: dict, t1: dict, t2: dict, negate: bool) -> None:
-    """The one coefficient-product kernel: add t1*t2, negated when ``negate``,
-    into ``acc``, all three ``{exp: GaussRat}`` maps.  It multiplies the parts
-    inline and stores one GaussRat per running sum, dropping a zero sum."""
+def mul_terms_into(acc: dict, t1: dict, t2: dict) -> None:
+    """The coefficient-product kernel: add t1*t2 into ``acc``, all three ``{exp:
+    GaussRat}`` maps, multiplying the parts inline and dropping a zero sum."""
     for e1, g1 in t1.items():
-        r1, i1 = (-g1.re, -g1.im) if negate else (g1.re, g1.im)
+        r1, i1 = g1.re, g1.im
         for e2, g2 in t2.items():
             if i1 or g2.im:
                 re, im = r1 * g2.re - i1 * g2.im, r1 * g2.im + i1 * g2.re
@@ -316,7 +318,7 @@ class ScalarPoly(SparseSum):
         except TypeError:
             return NotImplemented
         acc: dict = {}
-        mul_terms_into(acc, self.terms, other.terms, False)
+        mul_terms_into(acc, self.terms, other.terms)
         return ScalarPoly._make(acc)
 
     __rmul__ = __mul__

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .scalars import (GaussRat, ScalarPoly, SparseSum, add_term, mul_terms_into, parse_terms,
+from .scalars import (GaussRat, ScalarPoly, SparseSum, add_exponents, add_term, parse_terms,
                       render_sum, render_term)
 
 CLASSICAL = "classical"
@@ -63,26 +63,51 @@ def _normalize_into(acc: dict, word: tuple, coeff: ScalarPoly, mode: str) -> Non
             stack.append((head + tail, c * _MINUS_I_HBAR))
 
 
-def _mul_into(acc: dict, x: "OperatorExpr", y: "OperatorExpr", negate: bool) -> None:
-    """Add x*y, negated when ``negate``, into ``acc``: a raw ``{word: {exp:
-    GaussRat}}`` sum.  A classical word pair is sorted, a quantum one normal-ordered
-    carrying x's coefficient; ``mul_terms_into`` adds each normal word's product."""
-    classical = x.mode == CLASSICAL
-    for w1, c1 in x.terms.items():
-        for w2, c2 in y.terms.items():
-            if classical:
-                mul_terms_into(acc.setdefault(tuple(sorted(w1 + w2)), {}),
-                               c1.terms, c2.terms, negate)
+def _rows(terms: dict, negate: bool) -> list:
+    """``{word: ScalarPoly}`` terms as ``(word, exp, re, im)`` rows, negated when ``negate``."""
+    if negate:
+        return [(word, exp, -g.re, -g.im)
+                for word, coeff in terms.items() for exp, g in coeff.terms.items()]
+    return [(word, exp, g.re, g.im)
+            for word, coeff in terms.items() for exp, g in coeff.terms.items()]
+
+
+def _mul_rows_into(acc: dict, xs: list, ys: list, mode: str) -> None:
+    """The one operator-product kernel: add xs*ys into ``acc``, a raw ``{word:
+    {exp: (re, im)}}`` sum, deleting a zero sum.  A classical pair is sorted unless
+    a side is empty; a quantum p q junction is normal-ordered and comes back here."""
+    for w1, e1, r1, i1 in xs:
+        for w2, e2, r2, i2 in ys:
+            if i1 or i2:
+                re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
             else:
-                words: dict = {}
-                _normalize_into(words, w1 + w2, c1, QUANTUM)
-                for word, c in words.items():
-                    mul_terms_into(acc.setdefault(word, {}), c.terms, c2.terms, negate)
+                re, im = r1 * r2, 0
+            exp = add_exponents(e1, e2)
+            if not (w1 and w2):
+                word = w1 or w2
+            elif mode == CLASSICAL:
+                word = tuple(sorted(w1 + w2))
+            elif w1[-1] != P or w2[0] != Q:
+                word = w1 + w2
+            else:
+                _normalize_into(words := {}, w1 + w2, ScalarPoly.const(1), QUANTUM)
+                _mul_rows_into(acc, (((), exp, re, im),), _rows(words, False), QUANTUM)
+                continue
+            inner = acc.setdefault(word, {})
+            total = inner.get(exp)
+            if total is not None:
+                re, im = re + total[0], im + total[1]
+                if not (re or im):
+                    del inner[exp]
+                    continue
+            inner[exp] = (re, im)
 
 
 def _wrap(mode: str, acc: dict) -> "OperatorExpr":
-    """The OperatorExpr of a raw sum, less the words that cancelled."""
-    return OperatorExpr._make(mode, {w: ScalarPoly._make(t) for w, t in acc.items() if t})
+    """The OperatorExpr of a raw sum: one GaussRat per part pair, no empty word."""
+    return OperatorExpr._make(mode, {
+        word: ScalarPoly._make({exp: GaussRat(re, im) for exp, (re, im) in raw.items()})
+        for word, raw in acc.items() if raw})
 
 
 class OperatorExpr(SparseSum):
@@ -149,7 +174,7 @@ class OperatorExpr(SparseSum):
         except TypeError:
             return NotImplemented
         acc: dict = {}
-        _mul_into(acc, self, other, False)
+        _mul_rows_into(acc, _rows(self.terms, False), _rows(other.terms, False), self.mode)
         return _wrap(self.mode, acc)
 
     def __rmul__(self, other):

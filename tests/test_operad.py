@@ -337,3 +337,46 @@ def test_a_dynamical_row_composed_with_itself_solves_the_lax_equation():
             # type I is the zero bracket; every other composite has entries
             assert composite.is_zero == (name == "I")
             assert lax_defect(composite).is_zero
+
+
+def compose_by_entry_products(f, pos, g):
+    """f o_pos g as the signed sum, entry pair by entry pair, of the
+    OperatorExpr products fval * gval, accumulated as operators."""
+    sign = -1 if (pos * g.reduced_degree) % 2 else 1
+    entries = {}
+    for fkey, fval in f.entries.items():
+        for gkey, gval in g.entries.items():
+            if gkey[-1] == fkey[pos]:
+                key = fkey[:pos] + gkey[:-1] + fkey[pos + 1:]
+                entries[key] = entries.get(key, OperatorExpr.zero(f.mode)) + sign * (fval * gval)
+    return MultiOp(f.dim, f.degree + g.reduced_degree, f.mode,
+                   {key: value for key, value in entries.items() if value})
+
+
+@st.composite
+def product_ops(draw, mode):
+    """A dimension-2 operation of degree 1-3 whose entries' words may end in p
+    or start with q, so quantum compositions cross a p q junction."""
+    degree = draw(st.integers(1, 3))
+    words = st.tuples(st.sampled_from(((), (Q,))), st.lists(
+        st.sampled_from((Q, P, AP, AM)), max_size=2), st.sampled_from(((), (P,))))
+    terms = st.lists(st.tuples(words.map(lambda w: w[0] + tuple(w[1]) + w[2]),
+                               leibniz_coeffs), min_size=1, max_size=2)
+    keys = st.tuples(*[st.integers(0, 1)] * (degree + 1))
+    entries = draw(st.dictionaries(keys, terms, max_size=6))
+    return MultiOp(2, degree, mode, {key: OperatorExpr(mode, value)
+                                     for key, value in entries.items()})
+
+
+@pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_partial_compose_is_the_signed_sum_of_entry_products(mode, data):
+    f = data.draw(product_ops(mode))
+    g = data.draw(product_ops(mode))
+    for pos in range(f.degree):
+        got = partial_compose(f, pos, g)
+        assert got == compose_by_entry_products(f, pos, g)
+        for value in got.entries.values():
+            assert value and all(coeff.terms and all(coeff.terms.values())
+                                 for coeff in value.terms.values())

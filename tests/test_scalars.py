@@ -38,14 +38,27 @@ def test_gaussrat_operand_contract():
     # GaussRat(), and its TypeError becomes NotImplemented
     one = GaussRat(1)
     for operation in (lambda: one + 0.5, lambda: 0.5 * one, lambda: one - "1",
-                      lambda: one * "1"):
+                      lambda: one * "1", lambda: 0.5 - one, lambda: "1" - one):
         with pytest.raises(TypeError):
             operation()
     assert GaussRat.__add__(one, 0.5) is NotImplemented
+    assert GaussRat.__rsub__(one, 0.5) is NotImplemented
     assert (one == 1.0) is False and (one != 1.0) is True
     assert one == 1 and one == Fraction(2, 2) and one == GaussRat(1)
     assert one + Fraction(1, 2) == GaussRat(Fraction(3, 2))
     assert one - 2 == GaussRat(-1) and 3 * one == GaussRat(3)
+
+
+def test_a_plain_number_minus_a_gaussrat():
+    # __rsub__ mirrors __radd__: an int or Fraction on the left subtracts
+    g = GaussRat(Fraction(1, 2), -2)
+    assert 1 - GaussRat(1) == GaussRat(0) and not (1 - GaussRat(1))
+    for left in (3, -1, Fraction(5, 2), Fraction(1, 2)):
+        got = left - g
+        assert type(got) is GaussRat and got == GaussRat(left) - g
+        assert_canonical(got)
+    # 1/2 - 1/2 and 5/2 - 1/2 land on integers, stored as int
+    assert type((Fraction(1, 2) - g).re) is int and (Fraction(5, 2) - g).re == 2
 
 
 def assert_canonical(g):

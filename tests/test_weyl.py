@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +13,9 @@ from oplax.weyl import (
     Q,
     QUANTUM,
     OperatorExpr,
-    _mul_into,
+    _mul_rows_into,
     _normalize_into,
+    _rows,
     _wrap,
     commutator,
     parse_operator,
@@ -277,6 +279,13 @@ def differential_exprs(draw, mode):
     return OperatorExpr(mode, terms)
 
 
+def mul_rows(acc, x, y, negate, sign_on_left=True):
+    """Add x*y, negated when ``negate``, into ``acc`` through the row kernel,
+    with the sign on the rows of x or of y."""
+    _mul_rows_into(acc, _rows(x.terms, negate and sign_on_left),
+                   _rows(y.terms, negate and not sign_on_left), x.mode)
+
+
 @pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
@@ -286,16 +295,17 @@ def test_product_kernel_matches_the_old_route(mode, data):
     # u and v as they are, or (u + v)(u - v), whose cross terms cancel in
     # classical mode
     x, y = (u + v, u - v) if data.draw(st.booleans()) else (u, v)
+    sign_on_left = data.draw(st.booleans())
     for negate in (False, True):
         acc: dict = {}
-        _mul_into(acc, x, y, negate)
+        mul_rows(acc, x, y, negate, sign_on_left)
         got = _wrap(mode, acc)
         want = old_route_product(x, y, negate)
         assert {word: c.terms for word, c in got.terms.items()} == want
         for coeff in got.terms.values():
             assert_canonical_terms(coeff.terms)
         # the same product added with the other sign deletes every key
-        _mul_into(acc, x, y, not negate)
+        mul_rows(acc, x, y, not negate, sign_on_left)
         assert not any(acc.values()) and _wrap(mode, acc).is_zero
     product = x * y
     assert {word: c.terms for word, c in product.terms.items()} == \
@@ -320,6 +330,56 @@ def test_product_kernel_keeps_integral_fraction_products_as_int():
     # the cross terms of (a + b)(a - b) cancel inside one product
     b = ScalarPoly.monomial(Fraction(2, 3), {"s": -1})
     assert ((half + b) * (half - b)).terms == (half * half - b * b).terms
+
+
+#: (-i)^k for k mod 4
+MINUS_I_POWERS = (GaussRat(1), GaussRat(0, -1), GaussRat(-1), GaussRat(0, 1))
+
+
+def block_terms(b, c):
+    """p^b q^c in normal order by its closed form, term by term, with no
+    rewriting: the sum over k of k! C(b,k) C(c,k) (-i hbar)^k q^(c-k) p^(b-k)."""
+    return [((Q,) * (c - k) + (P,) * (b - k),
+             ScalarPoly.monomial(factorial(k) * comb(b, k) * comb(c, k) * MINUS_I_POWERS[k % 4],
+                                 {"hbar": k}))
+            for k in range(min(b, c) + 1)]
+
+
+@pytest.mark.parametrize("b", range(6))
+@pytest.mark.parametrize("c", range(6))
+def test_normal_ordering_matches_the_closed_form(b, c):
+    word = (P,) * b + (Q,) * c
+    want = dict(block_terms(b, c))
+    assert OperatorExpr(QUANTUM, [(word, 1)]).terms == want
+
+
+@pytest.mark.parametrize("middle", (AP, AM))
+def test_normal_ordering_keeps_blocks_apart_across_a_free_generator(middle):
+    # p^3 q^2 A p^2 q^3: nothing passes A, so each block orders on its own
+    want = {w1 + (middle,) + w2: c1 * c2
+            for w1, c1 in block_terms(3, 2) for w2, c2 in block_terms(2, 3)}
+    word = (P,) * 3 + (Q,) * 2 + (middle,) + (P,) * 2 + (Q,) * 3
+    assert OperatorExpr(QUANTUM, [(word, 1)]).terms == want
+
+
+@pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
+def test_row_kernel_wraps_an_integral_fraction_sum_as_int(mode):
+    # (1/2 q + 1/2 p)(p + q): the q p word gets 1/2 + 1/2 from two row pairs,
+    # a Fraction sum with denominator 1; in quantum mode 1/2 p * q also passes
+    # a p q junction through the rewrite
+    half = ScalarPoly.const(GaussRat(Fraction(1, 2), Fraction(-1, 2)))
+    x = OperatorExpr(mode, [((Q,), half), ((P,), half)])
+    y = OperatorExpr(mode, [((P,), 1), ((Q,), 1)])
+    acc: dict = {}
+    mul_rows(acc, x, y, False)
+    raw = acc[(Q, P)][(0,) * 16]
+    assert raw == (1, -1) and type(raw[0]) is Fraction and type(raw[1]) is Fraction
+    for product in (_wrap(mode, acc), x * y):
+        (g,) = product.terms[(Q, P)].terms.values()
+        assert (g.re, g.im) == (1, -1) and type(g.re) is int and type(g.im) is int
+        for coeff in product.terms.values():
+            assert_canonical_terms(coeff.terms)
+    assert x * y == constructor_product(x, y)
 
 
 @settings(max_examples=150, deadline=None)
