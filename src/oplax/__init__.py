@@ -4,7 +4,9 @@ Jacobi operators of their quantum counterparts."""
 
 from .bianchi import (
     BianchiRow,
+    BianchiTables,
     FamilyParams,
+    builtin_tables,
     check_tables_consistency,
     classification_rows,
     derive_dynamical,

@@ -3,10 +3,10 @@ and their deformations: the initial structure constants, the stored dynamical
 table, its quantum counterpart, and the four-parameter family that collects
 the five non-Lie quantum types.
 
-The stored tables are direct transcriptions; `derive_dynamical` rebuilds the
-dynamical table from the initial constants through the nine-parameter solve,
-and `check_tables_consistency` cross-checks every route against the stored
-data, entry by entry.
+The stored tables are direct transcriptions that `builtin_tables` gathers
+into one `BianchiTables`; `derive_dynamical` rebuilds the dynamical table
+through the nine-parameter solve, and `check_tables_consistency` cross-checks
+every route against a `BianchiTables` value, entry by entry.
 """
 
 from __future__ import annotations
@@ -94,6 +94,8 @@ def classification_rows() -> tuple:
 
 
 TYPE_NAMES = tuple(row.name for row in classification_rows())
+
+BianchiTables = namedtuple("BianchiTables", "rows dynamical quantum")
 
 
 def row_by_name(name: str) -> BianchiRow:
@@ -201,6 +203,11 @@ def quantum_table() -> dict:
     }
 
 
+def builtin_tables() -> BianchiTables:
+    """The stored rows and tables, each builder looked up when called."""
+    return BianchiTables(classification_rows(), dynamical_table(), quantum_table())
+
+
 def derive_dynamical(row: BianchiRow) -> MultiOp:
     """Rebuild the dynamical operation from the row's initial constants."""
     return deformed_structure_op(coeffs_from_initial(row.mu0))
@@ -281,11 +288,9 @@ def multiop_check(check_id: str, ref: str, got: MultiOp, want: MultiOp,
     ), detail, hbar_zero)
 
 
-def check_tables_consistency(hbar_zero: bool = False) -> VerificationReport:
-    """Cross-check every stored table against its derivation route."""
-    rows = classification_rows()
-    dynamical = dynamical_table()
-    quantum = quantum_table()
+def check_tables_consistency(tables, hbar_zero: bool = False) -> VerificationReport:
+    """Cross-check every table in ``tables`` against its derivation route."""
+    rows, dynamical, quantum = tables
     report = VerificationReport()
     for row in rows:
         coeffs = coeffs_from_initial(row.mu0)
@@ -377,11 +382,10 @@ def _ops_from_strings(doc: dict, part: str, mode: str) -> dict:
 
 
 def export_tables() -> str:
-    """All three tables as one deterministic JSON document."""
+    """All three built-in tables as one deterministic JSON document."""
     doc = {"classification": {}, "dynamical": {}, "quantum": {}}
-    dynamical = dynamical_table()
-    quantum = quantum_table()
-    for row in classification_rows():
+    rows, dynamical, quantum = builtin_tables()
+    for row in rows:
         doc["classification"][row.name] = {
             "alpha": row.alpha.render(),
             "n": [v.render() for v in row.n],
@@ -392,9 +396,6 @@ def export_tables() -> str:
         doc["dynamical"][row.name] = _op_to_strings(dynamical[row.name])
         doc["quantum"][row.name] = _op_to_strings(quantum[row.name])
     return json.dumps(doc, indent=2) + "\n"
-
-
-BianchiTables = namedtuple("BianchiTables", "rows dynamical quantum")
 
 
 def import_tables(text: str) -> BianchiTables:

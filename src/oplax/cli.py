@@ -18,28 +18,28 @@ from .report import VerificationReport
 from .weyl import render_factored
 
 
-def _operadic_lax(hbar_zero: bool, type_name) -> VerificationReport:
+def _operadic_lax(tables, hbar_zero: bool) -> VerificationReport:
     report = VerificationReport()
-    for name, mu in bianchi.dynamical_table().items():
-        if type_name in (None, name):
-            report.extend(oscillator.verify_operadic_lax(mu, label=name))
+    for name, mu in tables.dynamical.items():
+        report.extend(oscillator.verify_operadic_lax(mu, label=name))
     return report
 
 
-def _theorem(hbar_zero: bool, type_name) -> VerificationReport:
+def _theorem(tables, hbar_zero: bool) -> VerificationReport:
     report = jacobi.verify_closed_form(hbar_zero=hbar_zero)
-    report.extend(jacobi.verify_closed_form_specializations(hbar_zero=hbar_zero))
+    report.extend(jacobi.verify_closed_form_specializations(tables.quantum, hbar_zero))
     return report
 
 
-#: suite name -> fn(hbar_zero, type_name), in the order ``verify all`` runs
+#: suite name -> fn(tables, hbar_zero), in the order ``verify all`` runs
 #: them; each check is looked up in its module at call time
 SUITES = {
-    "matrix-lax": lambda hbar_zero, _: oscillator.verify_matrix_lax(),
+    "matrix-lax": lambda tables, hbar_zero: oscillator.verify_matrix_lax(),
     "operadic-lax": _operadic_lax,
-    "tables": lambda hbar_zero, _: bianchi.check_tables_consistency(hbar_zero),
-    "jacobi-classical": lambda hbar_zero, _: jacobi.verify_classical_lie_rows(),
-    "jacobi-quantum": lambda hbar_zero, _: jacobi.verify_quantum_lie_types(hbar_zero),
+    "tables": lambda tables, hbar_zero: bianchi.check_tables_consistency(tables, hbar_zero),
+    "jacobi-classical": lambda tables, _: jacobi.verify_classical_lie_rows(tables.rows),
+    "jacobi-quantum": lambda tables, hbar_zero:
+        jacobi.verify_quantum_lie_types(tables.quantum, hbar_zero),
     "theorem-9-1": _theorem,
 }
 
@@ -98,10 +98,13 @@ def _run_verify(args) -> int:
         print("--type applies to the operadic-lax suite only", file=sys.stderr)
         return 2
     hbar_zero = args.hbar == "0"
+    tables = bianchi.builtin_tables()
+    if args.type_name is not None:
+        tables = tables._replace(dynamical={args.type_name: tables.dynamical[args.type_name]})
     report = VerificationReport()
     for name, suite in SUITES.items():
         if args.suite in ("all", name):
-            report.extend(suite(hbar_zero, args.type_name))
+            report.extend(suite(tables, hbar_zero))
     rendered = report.render_json() if args.fmt == "json" else report.render_text()
     sys.stdout.write(rendered)
     return 0 if report.all_passed else 1

@@ -15,11 +15,9 @@ from collections import namedtuple
 from .bianchi import (
     FAMILY_TYPE_NAMES,
     FamilyParams,
-    classification_rows,
     family_params,
     family_structure_op,
     initial_structure_op,
-    quantum_table,
 )
 from .operad import MultiOp, partial_compose
 from .oscillator import det3, inv_2p0, inv_sqrt_2p0, p0
@@ -93,9 +91,6 @@ class JacobiTriple(namedtuple("JacobiTriple", "j1 j2 j3")):
 
     def subst_params(self, bindings: dict) -> "JacobiTriple":
         return JacobiTriple(*(c.subst_params(bindings) for c in self))
-
-    def render(self) -> str:
-        return "; ".join(c.render() for c in self)
 
 
 def jacobi_op(x: Vec3, y: Vec3, z: Vec3, mu: MultiOp) -> JacobiTriple:
@@ -194,35 +189,34 @@ def _jacobi_checks(prefix: str, ref: str, detail: str, cases,
     return report
 
 
-def verify_closed_form_specializations(hbar_zero: bool = False) -> VerificationReport:
-    """The stored quantum table rows of the family reproduce the closed form
-    at their parameter values."""
-    table = quantum_table()
+def verify_closed_form_specializations(quantum,
+                                       hbar_zero: bool = False) -> VerificationReport:
+    """The family rows of the quantum table reproduce the closed form at
+    their parameter values."""
     return _jacobi_checks(
         "theorem-9-1.special", "closed form specialized to a table row",
         "Jacobi operator of the stored quantum table vs closed form at its parameters",
-        ((name, table[name], family_params(name)) for name in FAMILY_TYPE_NAMES),
+        ((name, quantum[name], family_params(name)) for name in FAMILY_TYPE_NAMES),
         hbar_zero)
 
 
 _QUANTUM_LIE_TYPES = ("I", "II", "VII", "VI", "IX", "VIII")
 
 
-def verify_quantum_lie_types(hbar_zero: bool = False) -> VerificationReport:
+def verify_quantum_lie_types(quantum, hbar_zero: bool = False) -> VerificationReport:
     """The six quantum types that stay Lie algebras: symbolic Jacobi operator
     vanishes, hbar kept symbolic."""
-    table = quantum_table()
     return _jacobi_checks(
         "jacobi-quantum", "quantum Jacobi identity",
         "Jacobi operator with symbolic vectors",
-        ((name, table[name], None) for name in _QUANTUM_LIE_TYPES), hbar_zero)
+        ((name, quantum[name], None) for name in _QUANTUM_LIE_TYPES), hbar_zero)
 
 
-def verify_classical_lie_rows() -> VerificationReport:
+def verify_classical_lie_rows(rows) -> VerificationReport:
     """Every classification row is a Lie algebra: the classical Jacobi
     operator vanishes for symbolic vectors."""
     return _jacobi_checks(
         "jacobi-classical", "classical Jacobi identity",
         "Jacobi operator of the initial constants",
-        ((row.name, initial_structure_op(row), None) for row in classification_rows()),
+        ((row.name, initial_structure_op(row), None) for row in rows),
         hbar_zero=False)

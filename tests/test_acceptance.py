@@ -95,13 +95,13 @@ def test_a3_table_regeneration():
 
 
 def test_a4_classical_lie_rows():
-    report = jacobi.verify_classical_lie_rows()
+    report = jacobi.verify_classical_lie_rows(bianchi.classification_rows())
     _conclude("A4 classical Jacobi identity, eleven rows",
               report.total == 11 and report.all_passed)
 
 
 def test_a5_quantum_lie_types():
-    report = jacobi.verify_quantum_lie_types()
+    report = jacobi.verify_quantum_lie_types(bianchi.quantum_table())
     _conclude("A5 quantum Jacobi identity, six types, symbolic hbar",
               report.total == 6 and report.all_passed)
 
@@ -116,7 +116,7 @@ def test_a6_closed_form_fully_symbolic():
 
 
 def test_a7_closed_form_specializations():
-    report = jacobi.verify_closed_form_specializations()
+    report = jacobi.verify_closed_form_specializations(bianchi.quantum_table())
     ok = report.total == 5 and report.all_passed
     # explicit form for the first family type: (0, 0, det/p0 [A+, A-])
     x, y, z = (jacobi.symbolic_vec(prefix) for prefix in "xyz")

@@ -6,6 +6,7 @@ from oplax import bianchi
 from oplax.bianchi import (
     BianchiRow,
     FamilyParams,
+    builtin_tables,
     check_tables_consistency,
     classification_rows,
     derive_dynamical,
@@ -143,7 +144,7 @@ def test_family_symbolic_entries():
 
 
 def test_tables_consistency_report():
-    report = check_tables_consistency()
+    report = check_tables_consistency(builtin_tables())
     assert report.all_passed
     ids = [c.id for c in report.checks]
     assert "tables.derive.II" in ids
@@ -153,11 +154,11 @@ def test_tables_consistency_report():
     assert "tables.family.III_a1.b-value" in ids
     # 11 + 11 + 11 + 5 + 1 checks
     assert report.total == 39
-    assert check_tables_consistency(hbar_zero=True).all_passed
+    assert check_tables_consistency(builtin_tables(), hbar_zero=True).all_passed
 
 
 def test_condition_flag_is_advisory():
-    report = check_tables_consistency()
+    report = check_tables_consistency(builtin_tables())
     by_id = {c.id: c for c in report.checks}
     # several rows violate the nondegeneracy condition yet still verify
     assert "advisory" in by_id["tables.derive.I"].detail

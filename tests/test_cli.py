@@ -4,7 +4,9 @@ import re
 import subprocess
 import sys
 
-from oplax import bianchi, cli
+import pytest
+
+from oplax import bianchi, cli, jacobi
 from oplax.operad import antisymmetric_binary
 from oplax.weyl import CLASSICAL, QUANTUM, parse_operator
 
@@ -179,6 +181,20 @@ def test_verify_all_json_is_byte_identical():
     assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_JSON_SHA256
 
 
+#: sha256 of the clean ``verify all`` text report; no check in it carries a
+#: residual, so ``--hbar 0`` prints the same bytes
+VERIFY_ALL_TEXT_SHA256 = "b249d1cb734494ef2c8e8ba25908ead9b738876efa4777fcc958e667af9e5adc"
+
+
+def test_verify_all_reports_are_byte_identical(capsys):
+    for args, digest in (((), VERIFY_ALL_TEXT_SHA256),
+                         (("--hbar", "0"), VERIFY_ALL_TEXT_SHA256),
+                         (("--format", "json", "--hbar", "0"), VERIFY_ALL_JSON_SHA256)):
+        code, out, _ = run_cli(capsys, "verify", "all", *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
 #: sha256 of every `compute jacobi --symbolic` output, over the types, both
 #: formats and both hbar settings, concatenated in that loop order
 COMPUTE_JACOBI_SHA256 = "02f7b72745331c5963e26521b35cde8e564b7e9278505bc2f9ceaf61e17b71b2"
@@ -231,3 +247,60 @@ def test_planted_fault_reports_are_byte_identical(capsys, monkeypatch):
         if failed is not None:
             assert json.loads(out)["summary"]["failed"] == failed
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
+
+@pytest.mark.parametrize("suite, name, key, text, check_id", [
+    ("jacobi-quantum", "IX", (1, 2, 1), "Ah+", "jacobi-quantum.IX"),
+    ("theorem-9-1", "V", (2, 3, 1), "ph", "theorem-9-1.special.V"),
+], ids=("IX", "V"))
+def test_a_planted_jacobi_fault_fails_its_suite(capsys, monkeypatch, suite, name,
+                                                key, text, check_id):
+    # the quantum table's type gains ``text`` at the 1-based entry ``key``
+    # (and its antisymmetric flip), which changes its Jacobi operator
+    symbolic = [jacobi.symbolic_vec(prefix) for prefix in "xyz"]
+    quantum = bianchi.quantum_table()
+    clean = jacobi.jacobi_op(*symbolic, quantum[name])
+    quantum[name] = quantum[name] + antisymmetric_binary(
+        3, QUANTUM, {key: parse_operator(text, QUANTUM)})
+    assert not (jacobi.jacobi_op(*symbolic, quantum[name]) - clean).is_zero
+    monkeypatch.setattr(bianchi, "quantum_table", lambda: quantum)
+    code, out, _ = run_cli(capsys, "verify", suite, "--format", "json")
+    assert code == 1
+    failing = {c["id"]: c["residual"] for c in json.loads(out)["checks"]
+               if c["status"] == "fail"}
+    assert list(failing) == [check_id]
+    assert failing[check_id] != "0"
+
+def test_suites_check_an_imported_document_like_the_builtin_tables():
+    builtin = bianchi.builtin_tables()
+    imported = bianchi.import_tables(bianchi.export_tables())
+    for hbar_zero in (False, True):
+        for suite in (
+            lambda t: bianchi.check_tables_consistency(t, hbar_zero),
+            lambda t: jacobi.verify_quantum_lie_types(t.quantum, hbar_zero),
+            lambda t: jacobi.verify_closed_form_specializations(t.quantum, hbar_zero),
+            lambda t: jacobi.verify_classical_lie_rows(t.rows),
+        ):
+            assert suite(imported).render_json() == suite(builtin).render_json()
+
+
+def test_verify_all_builds_each_table_once(capsys, monkeypatch):
+    calls = {}
+    for builder in ("dynamical_table", "quantum_table"):
+        def counted(build=getattr(bianchi, builder), builder=builder):
+            calls[builder] = calls.get(builder, 0) + 1
+            return build()
+        monkeypatch.setattr(bianchi, builder, counted)
+    assert run_cli(capsys, "verify", "all")[0] == 0
+    assert calls == {"dynamical_table": 1, "quantum_table": 1}
+
+
+def test_type_filter_prints_that_types_lines_of_the_full_suite(capsys):
+    _, full, _ = run_cli(capsys, "verify", "operadic-lax")
+    code, narrowed, _ = run_cli(capsys, "verify", "operadic-lax", "--type", "VII")
+    assert code == 0
+    lines = [line for line in full.splitlines(keepends=True)
+             if line.split()[1].startswith("operadic-lax.VII.")]
+    assert len(lines) == 27
+    assert narrowed == "".join(lines)

@@ -183,21 +183,21 @@ def test_verify_closed_form_report():
 
 
 def test_verify_specializations_report():
-    report = verify_closed_form_specializations()
+    report = verify_closed_form_specializations(bianchi.quantum_table())
     assert report.all_passed
     assert report.total == 5
 
 
 def test_verify_quantum_lie_types():
-    report = verify_quantum_lie_types()
+    report = verify_quantum_lie_types(bianchi.quantum_table())
     assert report.all_passed
     assert [c.id.rsplit(".", 1)[1] for c in report.checks] == \
         ["I", "II", "VII", "VI", "IX", "VIII"]
-    assert verify_quantum_lie_types(hbar_zero=True).all_passed
+    assert verify_quantum_lie_types(bianchi.quantum_table(), hbar_zero=True).all_passed
 
 
 def test_verify_classical_rows():
-    report = verify_classical_lie_rows()
+    report = verify_classical_lie_rows(bianchi.classification_rows())
     assert report.all_passed
     assert report.total == 11
 
