@@ -11,6 +11,8 @@ All sign conventions run on the reduced degree (degree minus one).
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .scalars import add_term
 from .weyl import OperatorExpr, _check_mode, _mul_rows_into, _rows, _wrap
 
@@ -73,12 +75,6 @@ class MultiOp:
         return (self.dim == other.dim and self.degree == other.degree
                 and self.mode == other.mode)
 
-    def _require_compatible(self, other: "MultiOp") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        if self.mode != other.mode:
-            raise ValueError(f"mode mismatch: {self.mode} vs {other.mode}")
-
     def __add__(self, other: "MultiOp") -> "MultiOp":
         if not self.same_shape(other):
             raise ValueError("cannot add operations of different shape")
@@ -126,36 +122,54 @@ class MultiOp:
                 f"nonzero={len(self.entries)}>")
 
 
-def _compose_into(acc: dict, f: MultiOp, pos: int, g: MultiOp, negate: bool) -> None:
+_Operand = namedtuple("_Operand", "dim degree mode rows by_out")
+
+
+def _operand(op: MultiOp) -> _Operand:
+    """``op`` flattened once per public call: its rows per entry key, keyed by
+    sign (the negated ones made on first use), and ``(inputs, rows)`` by output index."""
+    rows = {key: _rows(value.terms, False) for key, value in op.entries.items()}
+    by_out: dict = {}
+    for key, xs in rows.items():
+        by_out.setdefault(key[-1], []).append((key[:-1], xs))
+    return _Operand(op.dim, op.degree, op.mode, {False: rows}, by_out)
+
+
+def _compose_into(acc: dict, f: _Operand, pos: int, g: _Operand, negate: bool) -> None:
     """Add f o_pos g, negated when ``negate``, into ``acc``, a raw sum by entry key."""
-    f._require_compatible(g)
-    if not 0 <= pos <= f.reduced_degree:
+    if f.dim != g.dim:
+        raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
+    if f.mode != g.mode:
+        raise ValueError(f"mode mismatch: {f.mode} vs {g.mode}")
+    if not 0 <= pos < f.degree:
         raise ValueError(f"slot {pos} out of range for degree {f.degree}")
-    negate ^= (pos * g.reduced_degree) % 2 == 1
-    g_by_out: dict = {}
-    for key, value in g.entries.items():
-        g_by_out.setdefault(key[-1], []).append((key[:-1], _rows(value.terms, False)))
-    for key, fval in f.entries.items():
-        head, tail, xs = key[:pos], key[pos + 1:], _rows(fval.terms, negate)
-        for g_inputs, ys in g_by_out.get(key[pos], ()):
+    negate ^= (pos * (g.degree - 1)) % 2 == 1
+    if negate not in f.rows:
+        f.rows[True] = {key: [(word, exp, -re, -im) for word, exp, re, im in xs]
+                        for key, xs in f.rows[False].items()}
+    for key, xs in f.rows[negate].items():
+        head, tail = key[:pos], key[pos + 1:]
+        for g_inputs, ys in g.by_out.get(key[pos], ()):
             _mul_rows_into(acc.setdefault(head + g_inputs + tail, {}), xs, ys, f.mode)
 
 
-def _total_into(acc: dict, f: MultiOp, g: MultiOp, negate: bool) -> None:
+def _total_into(acc: dict, f: _Operand, g: _Operand, negate: bool) -> None:
     for pos in range(f.degree):
         _compose_into(acc, f, pos, g, negate)
 
 
-def _bracket_into(acc: dict, f: MultiOp, g: MultiOp, negate: bool) -> None:
+def _bracket_into(acc: dict, f: _Operand, g: _Operand, negate: bool) -> None:
     _total_into(acc, f, g, negate)
-    _total_into(acc, g, f, negate == ((f.reduced_degree * g.reduced_degree) % 2 == 1))
+    _total_into(acc, g, f, negate == (((f.degree - 1) * (g.degree - 1)) % 2 == 1))
 
 
-def _composite(f: MultiOp, degree: int, fill) -> MultiOp:
-    """Fill one raw sum and wrap it once, dropping what cancelled."""
+def _composite(ops: tuple, fill) -> MultiOp:
+    """Flatten each operation once, fill one raw sum from their operands and
+    wrap it once, dropping what cancelled."""
     acc: dict = {}
-    fill(acc)
-    return MultiOp._make(f.dim, degree, f.mode, {
+    fill(acc, *map(_operand, ops))
+    f = ops[0]
+    return MultiOp._make(f.dim, sum(op.reduced_degree for op in ops) + 1, f.mode, {
         key: value for key, raw in acc.items() if (value := _wrap(f.mode, raw))})
 
 
@@ -165,20 +179,17 @@ def partial_compose(f: MultiOp, pos: int, g: MultiOp) -> MultiOp:
     The composite picks up (-1)^(pos * |g|) where |g| is g's reduced degree,
     and every entry is a sum of products with the f-entry on the left.
     """
-    return _composite(f, f.degree + g.reduced_degree,
-                      lambda acc: _compose_into(acc, f, pos, g, False))
+    return _composite((f, g), lambda acc, f, g: _compose_into(acc, f, pos, g, False))
 
 
 def total_compose(f: MultiOp, g: MultiOp) -> MultiOp:
     """Sum of all partial compositions of g into f."""
-    return _composite(f, f.degree + g.reduced_degree,
-                      lambda acc: _total_into(acc, f, g, False))
+    return _composite((f, g), lambda acc, f, g: _total_into(acc, f, g, False))
 
 
 def bracket(f: MultiOp, g: MultiOp) -> MultiOp:
     """Graded commutator f o g - (-1)^(|f||g|) g o f."""
-    return _composite(f, f.degree + g.reduced_degree,
-                      lambda acc: _bracket_into(acc, f, g, False))
+    return _composite((f, g), lambda acc, f, g: _bracket_into(acc, f, g, False))
 
 
 def jacobi_defect(f: MultiOp, g: MultiOp, h: MultiOp) -> MultiOp:
@@ -186,11 +197,11 @@ def jacobi_defect(f: MultiOp, g: MultiOp, h: MultiOp) -> MultiOp:
 
     [x, [y, z]] has the sign (-1)^(|x||z|); the outer brackets share one sum.
     """
-    def fill(acc):
-        for x, y, z in ((f, g, h), (g, h, f), (h, f, g)):
-            odd = (x.reduced_degree * z.reduced_degree) % 2 == 1
-            _bracket_into(acc, x, bracket(y, z), odd)
-    return _composite(f, f.degree + g.reduced_degree + h.reduced_degree, fill)
+    def fill(acc, *operands):
+        for x, (y, z) in zip(operands, ((g, h), (h, f), (f, g))):
+            _bracket_into(acc, x, _operand(bracket(y, z)),
+                          ((x.degree - 1) * z.reduced_degree) % 2 == 1)
+    return _composite((f, g, h), fill)
 
 
 def antisymmetric_binary(dim: int, mode: str, pair_entries: dict) -> MultiOp:

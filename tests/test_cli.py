@@ -249,7 +249,6 @@ def test_planted_fault_reports_are_byte_identical(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
 
 
-
 @pytest.mark.parametrize("suite, name, key, text, check_id", [
     ("jacobi-quantum", "IX", (1, 2, 1), "Ah+", "jacobi-quantum.IX"),
     ("theorem-9-1", "V", (2, 3, 1), "ph", "theorem-9-1.special.V"),
@@ -271,6 +270,26 @@ def test_a_planted_jacobi_fault_fails_its_suite(capsys, monkeypatch, suite, name
                if c["status"] == "fail"}
     assert list(failing) == [check_id]
     assert failing[check_id] != "0"
+
+
+#: sha256 of ``verify all --format json`` stdout with both planted Jacobi faults
+#: above, so the pinned bytes cover a failing jacobi-quantum and theorem-9-1 report
+PLANTED_JACOBI_FAULT_REPORT_SHA256 = \
+    "716c0fad589a75e8f31d356ae8630bd3108362d9d60f11ebc3938297a6c8d69a"
+
+
+def test_planted_jacobi_fault_report_is_byte_identical(capsys, monkeypatch):
+    quantum = bianchi.quantum_table()
+    for name, key, text in (("IX", (1, 2, 1), "Ah+"), ("V", (2, 3, 1), "ph")):
+        quantum[name] = quantum[name] + antisymmetric_binary(
+            3, QUANTUM, {key: parse_operator(text, QUANTUM)})
+    monkeypatch.setattr(bianchi, "quantum_table", lambda: quantum)
+    code, out, _ = run_cli(capsys, "verify", "all", "--format", "json")
+    assert code == 1
+    failing = [c["id"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert {"jacobi-quantum.IX", "theorem-9-1.special.V"} <= set(failing)
+    assert hashlib.sha256(out.encode()).hexdigest() == PLANTED_JACOBI_FAULT_REPORT_SHA256
+
 
 def test_suites_check_an_imported_document_like_the_builtin_tables():
     builtin = bianchi.builtin_tables()

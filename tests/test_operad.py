@@ -262,9 +262,12 @@ def test_shape_and_slot_errors():
     with pytest.raises(ValueError):
         f + random_scalar_op(rng, 2, 1)  # shape mismatch on addition
     for other in (g, quantum):
+        # (f, f, other) and (f, other, f) first meet the mismatch inside an
+        # inner bracket, (other, f, f) in the outer one
         for build in (bracket, total_compose, lambda x, y: jacobi_defect(x, x, y),
+                      lambda x, y: jacobi_defect(x, y, x),
                       lambda x, y: jacobi_defect(y, x, x)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="mismatch"):
                 build(f, other)
 
 
@@ -354,18 +357,18 @@ def compose_by_entry_products(f, pos, g):
 
 
 @st.composite
-def product_ops(draw, mode):
-    """A dimension-2 operation of degree 1-3 whose entries' words may end in p
-    or start with q, so quantum compositions cross a p q junction."""
+def product_ops(draw, mode, dim=2, min_entries=0, max_entries=6):
+    """An operation of degree 1-3 whose entries' words may end in p or start
+    with q, so quantum compositions cross a p q junction."""
     degree = draw(st.integers(1, 3))
     words = st.tuples(st.sampled_from(((), (Q,))), st.lists(
         st.sampled_from((Q, P, AP, AM)), max_size=2), st.sampled_from(((), (P,))))
     terms = st.lists(st.tuples(words.map(lambda w: w[0] + tuple(w[1]) + w[2]),
                                leibniz_coeffs), min_size=1, max_size=2)
-    keys = st.tuples(*[st.integers(0, 1)] * (degree + 1))
-    entries = draw(st.dictionaries(keys, terms, max_size=6))
-    return MultiOp(2, degree, mode, {key: OperatorExpr(mode, value)
-                                     for key, value in entries.items()})
+    keys = st.tuples(*[st.integers(0, dim - 1)] * (degree + 1))
+    entries = draw(st.dictionaries(keys, terms, min_size=min_entries, max_size=max_entries))
+    return MultiOp(dim, degree, mode, {key: OperatorExpr(mode, value)
+                                       for key, value in entries.items()})
 
 
 @pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
@@ -380,3 +383,37 @@ def test_partial_compose_is_the_signed_sum_of_entry_products(mode, data):
         for value in got.entries.values():
             assert value and all(coeff.terms and all(coeff.terms.values())
                                  for coeff in value.terms.values())
+
+
+def bracket_by_entry_products(f, g):
+    """[f, g] summed from the entry-product oracle, so no operand row or sign
+    of the composition path enters it."""
+    zero = MultiOp(f.dim, f.degree + g.reduced_degree, f.mode)
+    fg = sum((compose_by_entry_products(f, pos, g) for pos in range(f.degree)), zero)
+    gf = sum((compose_by_entry_products(g, pos, f) for pos in range(g.degree)), zero)
+    return fg + gf if (f.reduced_degree * g.reduced_degree) % 2 else fg - gf
+
+
+@st.composite
+def jacobi_triples(draw, mode):
+    """Three operations of dimension 2-3, or the repeated triples (f, f, g) and
+    (f, f, f); [f, f] cancels to zero for an even f."""
+    dim = draw(st.integers(2, 3))
+    f, g, h = (draw(product_ops(mode, dim, 1, 3)) for _ in range(3))
+    return draw(st.sampled_from(((f, g, h), (f, f, g), (f, f, f))))
+
+
+@pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_jacobi_defect_is_the_signed_cyclic_sum_of_public_brackets(mode, data):
+    f, g, h = data.draw(jacobi_triples(mode))
+    want = None
+    for x, y, z in ((f, g, h), (g, h, f), (h, f, g)):
+        inner = bracket(y, z)
+        assert inner == bracket_by_entry_products(y, z)
+        term = bracket(x, inner)
+        if (x.reduced_degree * z.reduced_degree) % 2:
+            term = -term
+        want = term if want is None else want + term
+    assert jacobi_defect(f, g, h) == want
