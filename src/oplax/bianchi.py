@@ -241,7 +241,6 @@ class FamilyParams(namedtuple("FamilyParams", "beta gamma a b")):
 #: quantum table's (1,2)->3 entry for that type is -1 and the family table
 #: sets that entry to b (the alternative b = 1 would contradict it); the
 #: tables suite carries a flag check recording this choice.
-FAMILY_TYPE_NAMES = ("V", "IV", "VII_a", "III_a1", "VI_a")
 _FAMILY_PARAMS = {
     "V": (0, 0, 1, 0),
     "IV": (0, 0, 1, 1),
@@ -249,6 +248,7 @@ _FAMILY_PARAMS = {
     "III_a1": (1, 1, 1, -1),
     "VI_a": (1, 1, _A, -1),
 }
+FAMILY_TYPE_NAMES = tuple(_FAMILY_PARAMS)
 
 
 def family_params(name: str) -> FamilyParams:
@@ -303,10 +303,7 @@ def check_tables_consistency(tables, hbar_zero: bool = False) -> VerificationRep
             f"type {row.name}: derived operation vs stored table{advisory}",
         ))
     for row in rows:
-        stored = dynamical[row.name]
-        initial = MultiOp(3, 2, CLASSICAL, {
-            key: at_initial(value) for key, value in stored.entries.items()
-        })
+        initial = dynamical[row.name].map_values(at_initial)
         report.add(multiop_check(
             f"tables.initial.{row.name}",
             "initial-state evaluation of the dynamical table",

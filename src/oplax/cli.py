@@ -89,7 +89,9 @@ def _parse_vector(text: str, flag: str):
         raise ValueError(f"{flag}: '_' and non-ASCII characters are not accepted")
     try:
         return jacobi.rational_vec(Fraction(part.strip()) for part in parts)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise ValueError(f"{flag}: zero denominator") from None
+    except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
 
 

@@ -14,6 +14,7 @@ from collections import namedtuple
 
 from .bianchi import (
     FAMILY_TYPE_NAMES,
+    TYPE_NAMES,
     FamilyParams,
     family_params,
     family_structure_op,
@@ -200,7 +201,7 @@ def verify_closed_form_specializations(quantum,
         hbar_zero)
 
 
-_QUANTUM_LIE_TYPES = ("I", "II", "VII", "VI", "IX", "VIII")
+_QUANTUM_LIE_TYPES = tuple(name for name in TYPE_NAMES if name not in FAMILY_TYPE_NAMES)
 
 
 def verify_quantum_lie_types(quantum, hbar_zero: bool = False) -> VerificationReport:

@@ -13,14 +13,16 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .scalars import add_term
+from .scalars import SparseSum, add_term
 from .weyl import OperatorExpr, _check_mode, _mul_rows_into, _rows, _wrap
 
 
-class MultiOp:
-    """Degree-n multilinear operation with OperatorExpr structure constants."""
+class MultiOp(SparseSum):
+    """Degree-n multilinear operation: a sparse sum of OperatorExpr entries."""
 
     __slots__ = ("dim", "degree", "mode", "entries")
+
+    terms = property(lambda self: self.entries)
 
     def __init__(self, dim: int, degree: int, mode: str, entries=None):
         if dim < 1:
@@ -57,6 +59,16 @@ class MultiOp:
         op.entries = entries
         return op
 
+    def _like(self, entries: dict) -> "MultiOp":
+        return MultiOp._make(self.dim, self.degree, self.mode, entries)
+
+    def _coerce(self, value) -> "MultiOp":
+        if not isinstance(value, MultiOp):
+            raise TypeError(f"cannot interpret {type(value).__name__} as an operation")
+        if (value.dim, value.degree, value.mode) != (self.dim, self.degree, self.mode):
+            raise ValueError("cannot add operations of different shape")
+        return value
+
     @property
     def reduced_degree(self) -> int:
         return self.degree - 1
@@ -66,45 +78,6 @@ class MultiOp:
 
     def sorted_entries(self):
         return sorted(self.entries.items())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def same_shape(self, other: "MultiOp") -> bool:
-        return (self.dim == other.dim and self.degree == other.degree
-                and self.mode == other.mode)
-
-    def __add__(self, other: "MultiOp") -> "MultiOp":
-        if not self.same_shape(other):
-            raise ValueError("cannot add operations of different shape")
-        acc = dict(self.entries)
-        for key, value in other.entries.items():
-            add_term(acc, key, value)
-        return MultiOp._make(self.dim, self.degree, self.mode, acc)
-
-    def __neg__(self) -> "MultiOp":
-        return MultiOp._make(self.dim, self.degree, self.mode,
-                             {key: -value for key, value in self.entries.items()})
-
-    def __sub__(self, other: "MultiOp") -> "MultiOp":
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiOp):
-            return NotImplemented
-        return self.same_shape(other) and self.entries == other.entries
-
-    __hash__ = None
-
-    def map_entries(self, fn) -> "MultiOp":
-        acc = {}
-        mode = self.mode
-        for key, value in self.entries.items():
-            image = fn(value)
-            mode = image.mode
-            add_term(acc, key, image)
-        return MultiOp._make(self.dim, self.degree, mode, acc)
 
     def is_antisymmetric(self) -> bool:
         """For degree 2: swapping the inputs negates every entry."""

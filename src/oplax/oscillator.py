@@ -109,7 +109,7 @@ def rotation_op() -> MultiOp:
 def lax_defect(mu: MultiOp) -> MultiOp:
     """d(mu)/dt - [M, mu] for a classical operation of any degree; degree 1
     is the matrix Lax equation, degree 2 the operadic one."""
-    return mu.map_entries(ddt) - bracket(rotation_op(), mu)
+    return mu.map_values(ddt) - bracket(rotation_op(), mu)
 
 
 def det3(x, y, z):

@@ -18,7 +18,7 @@ import operator
 import re
 from fractions import Fraction
 
-#: Fixed alphabet; index order is also the rendering / sorting order.
+#: Fixed alphabet, also the parser's; index order is the rendering / sorting order.
 SYMBOLS = (
     "w", "hbar", "s", "a", "beta", "gamma", "b",
     "x1", "x2", "x3", "y1", "y2", "y3", "z1", "z2", "z3",
@@ -193,8 +193,8 @@ def mul_terms_into(acc: dict, t1: dict, t2: dict) -> None:
 
 
 class SparseSum:
-    """A sum stored as ``terms``, a dict of nonzero values: the additive group
-    and the equality shared by ScalarPoly and OperatorExpr.
+    """A sum stored as ``terms``, a dict of nonzero values: the additive group,
+    the equality and the value map shared by ScalarPoly, OperatorExpr and MultiOp.
 
     Subclasses supply ``_coerce(value)``, which returns an operand of their own
     kind or raises TypeError (ValueError for an operand that can never be
@@ -247,6 +247,11 @@ class SparseSum:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def map_values(self, fn):
+        """The sum with each value replaced by ``fn(value)``, zero images dropped."""
+        return self._like({key: image for key, value in self.terms.items()
+                           if (image := fn(value))})
 
 
 def _check_exponents(exp: tuple) -> None:
@@ -452,7 +457,7 @@ def render_sum(signed_bodies) -> str:
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)"
-    r"|(?P<sym>hbar|beta|gamma|[xyz][123]|[wsab])"
+    r"|(?P<sym>" + "|".join(sorted(SYMBOLS, key=len, reverse=True)) + ")"
     r"(?:\s*\^\s*(?P<neg>-)?\s*(?P<exp>\d+))?"
     r"|(?P<op>[i()*+-]))?"
 )

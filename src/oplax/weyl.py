@@ -192,10 +192,7 @@ class OperatorExpr(SparseSum):
 
     def subst_params(self, bindings: dict) -> "OperatorExpr":
         """Substitute commuting symbols inside every coefficient."""
-        acc: dict = {}
-        for word, coeff in self.terms.items():
-            add_term(acc, word, coeff.subst(bindings))
-        return OperatorExpr._make(self.mode, acc)
+        return self.map_values(lambda coeff: coeff.subst(bindings))
 
     def subst_generators(self, images: dict) -> "OperatorExpr":
         """Replace generators by whole expressions, preserving word order."""

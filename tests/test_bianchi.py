@@ -240,3 +240,15 @@ def test_import_rejects_malformed_documents(doc, named):
 def test_import_defaults_a_missing_note_to_empty():
     rows = import_tables(json.dumps(_without(["classification", "VI_a", "note"]))).rows
     assert next(row for row in rows if row.name == "VI_a").note == ""
+
+
+@pytest.mark.parametrize("lookup, error, match", [
+    (lambda: BianchiRow(name="short", alpha=ZERO, n=(ZERO, ZERO), mu0=(ZERO,) * 9),
+     ValueError, "three n-values"),
+    (lambda: BianchiRow(name="short", alpha=ZERO, n=(ZERO,) * 3, mu0=(ZERO,) * 8),
+     ValueError, "nine constants"),
+    (lambda: row_by_name("X"), KeyError, "unknown type 'X'"),
+], ids=("n-length", "mu0-length", "unknown-name"))
+def test_a_malformed_row_or_an_unknown_name_is_rejected(lookup, error, match):
+    with pytest.raises(error, match=match):
+        lookup()

@@ -323,3 +323,13 @@ def test_type_filter_prints_that_types_lines_of_the_full_suite(capsys):
              if line.split()[1].startswith("operadic-lax.VII.")]
     assert len(lines) == 27
     assert narrowed == "".join(lines)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/0,0,0", "--x: zero denominator\n"),
+    ("a,b,c", "--x: Invalid literal for Fraction"),
+], ids=("zero-denominator", "not-a-number"))
+def test_a_rejected_vector_exits_2_and_names_its_flag(capsys, text, message):
+    code, out, err = run_cli(capsys, "compute", "jacobi", "--type", "V",
+                             "--x", text, "--y", "0,1,0", "--z", "0,0,1")
+    assert code == 2 and out == "" and err.startswith(message)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oplax.scalars import GaussRat, ScalarPoly, parse_scalar, parse_terms, symbol
+from oplax.scalars import SYMBOLS, GaussRat, ScalarPoly, parse_scalar, parse_terms, symbol
 from oplax.weyl import AP, CLASSICAL, P, Q, QUANTUM, OperatorExpr, parse_operator
 
 X1 = symbol("x1")
@@ -84,3 +84,10 @@ def test_operator_terms_use_the_mode_names():
                        ("qh -", QUANTUM)):
         with pytest.raises(ValueError):
             parse_operator(text, mode)
+
+
+@pytest.mark.parametrize("name", SYMBOLS)
+def test_every_symbol_parses_back_from_its_rendering(name):
+    for power in (1, 2, -1) if name == "s" else (1, 2):
+        value = ScalarPoly.monomial(3, {name: power})
+        assert parse_scalar(value.render()) == value

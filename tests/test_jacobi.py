@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oplax import bianchi
 from oplax.jacobi import (
+    _QUANTUM_LIE_TYPES,
     _contract,
     basis_vec,
     closed_form_jacobi,
@@ -223,3 +224,16 @@ def test_shape_validation():
         jacobi_op(E1, E2, E3, wrong_degree)
     with pytest.raises(ValueError):
         basis_vec(4)
+
+
+@pytest.mark.parametrize("prefix", ("w", "x1", ""))
+def test_symbolic_vectors_take_only_the_component_symbols(prefix):
+    with pytest.raises(ValueError, match="x, y or z"):
+        symbolic_vec(prefix)
+
+
+def test_the_family_and_the_quantum_lie_types_partition_the_types():
+    assert _QUANTUM_LIE_TYPES == ("I", "II", "VII", "VI", "IX", "VIII")
+    assert bianchi.FAMILY_TYPE_NAMES == ("V", "IV", "VII_a", "III_a1", "VI_a")
+    assert sorted(_QUANTUM_LIE_TYPES + bianchi.FAMILY_TYPE_NAMES) == \
+        sorted(bianchi.TYPE_NAMES)

@@ -417,3 +417,29 @@ def test_jacobi_defect_is_the_signed_cyclic_sum_of_public_brackets(mode, data):
             term = -term
         want = term if want is None else want + term
     assert jacobi_defect(f, g, h) == want
+
+
+_ONE = OperatorExpr.scalar(CLASSICAL, 1)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: MultiOp(0, 2, CLASSICAL), "dimension must be positive"),
+    (lambda: MultiOp(2, 0, CLASSICAL), "degree must be at least 1"),
+    (lambda: MultiOp(2, 2, CLASSICAL, {(0, 1): _ONE}), "does not match degree 2"),
+    (lambda: MultiOp(2, 2, CLASSICAL, {(0, 2, 1): _ONE}), "out of range for dim 2"),
+    (lambda: MultiOp(2, 2, CLASSICAL, {(0, 1, 1): OperatorExpr.scalar(QUANTUM, 1)}),
+     "entry mode does not match"),
+    (lambda: MultiOp(2, 1, CLASSICAL).is_antisymmetric(), "degree-2 operations"),
+], ids=("dim", "degree", "key-length", "key-range", "entry-mode", "antisymmetry-degree"))
+def test_multiop_rejects_a_malformed_operation(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 0, 1): _ONE},
+    {(0, 1, 0): _ONE},
+    {(0, 1, 0): _ONE, (1, 0, 0): _ONE},
+], ids=("diagonal", "no-flipped-entry", "flipped-entry-same-sign"))
+def test_a_non_antisymmetric_operation_is_detected(entries):
+    assert not MultiOp(2, 2, CLASSICAL, entries).is_antisymmetric()

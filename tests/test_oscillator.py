@@ -253,3 +253,14 @@ def test_round_trip_through_initial_state():
             value = at_initial(mu.entry((i - 1, j - 1), k - 1))
             assert value == OperatorExpr.scalar(CLASSICAL, row.mu0[column]), \
                 (row.name, (i, j, k))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: DeformationCoeffs((1,) * 8), ValueError, "nine coefficients"),
+    (lambda: DeformationCoeffs((1,) * 9)[0], IndexError, "1 to 9"),
+    (lambda: DeformationCoeffs((1,) * 9)[10], IndexError, "1 to 9"),
+    (lambda: at_initial(OperatorExpr.generator(QUANTUM, Q)), ValueError, "classical only"),
+], ids=("length", "index-0", "index-10", "quantum-at-initial"))
+def test_deformation_inputs_are_checked(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

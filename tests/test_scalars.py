@@ -224,3 +224,13 @@ def test_render_is_deterministic_and_sorted():
     # an exponent is an integer, so a "/" after one is out of place
     with pytest.raises(ValueError, match="unexpected character '/'"):
         parse_scalar("x1^1/0")
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: ScalarPoly({(1, 0): 1}), ValueError, "exponent vector must have length 16"),
+    (lambda: ScalarPoly.monomial(1, {"s": 1}) ** Fraction(1, 2), TypeError, "integer"),
+    (lambda: ScalarPoly.monomial(1, {"s": 1}) ** 2.0, TypeError, "integer"),
+], ids=("exponent-length", "fraction-power", "float-power"))
+def test_a_malformed_exponent_is_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -419,3 +419,10 @@ def test_factored_rendering_with_symbolic_content():
     negated = -expr
     assert render_factored(negated) == \
         "-2*s^-2*a^2 * (x1 * Ah+ Ah- - y1 * Ah- Ah+)"
+
+
+@pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
+@pytest.mark.parametrize("gen", (4, -1, "q"))
+def test_an_unknown_generator_is_rejected(mode, gen):
+    with pytest.raises(ValueError, match="unknown generator"):
+        OperatorExpr.generator(mode, gen)
