@@ -42,7 +42,7 @@ from .oscillator import (
     verify_matrix_lax,
     verify_operadic_lax,
 )
-from .report import Check, VerificationReport
+from .report import Check
 from .scalars import GaussRat, ScalarPoly, parse_scalar, symbol
 from .weyl import CLASSICAL, QUANTUM, OperatorExpr, commutator, parse_operator
 

@@ -25,7 +25,7 @@ from .oscillator import (
     inv_sqrt_2p0,
     p0,
 )
-from .report import Check, VerificationReport, first_nonzero_check, flag_check
+from .report import Check, first_nonzero_check, flag_check
 from .scalars import ScalarPoly, parse_scalar, symbol
 from .weyl import AM, AP, CLASSICAL, P, Q, QUANTUM, OperatorExpr, parse_operator
 
@@ -105,13 +105,13 @@ def row_by_name(name: str) -> BianchiRow:
     raise KeyError(f"unknown type {name!r}")
 
 
-def initial_structure_op(row: BianchiRow, mode: str = CLASSICAL) -> MultiOp:
-    """The row's constant antisymmetric binary operation."""
+def initial_structure_op(row: BianchiRow) -> MultiOp:
+    """The row's constant antisymmetric binary operation, classical."""
     entries = {
-        key: OperatorExpr.scalar(mode, value)
+        key: OperatorExpr.scalar(CLASSICAL, value)
         for key, value in zip(STRUCTURE_COLUMNS, row.mu0)
     }
-    return antisymmetric_binary(3, mode, entries)
+    return antisymmetric_binary(3, CLASSICAL, entries)
 
 
 # -- stored dynamical / quantum tables -----------------------------------------
@@ -288,15 +288,15 @@ def multiop_check(check_id: str, ref: str, got: MultiOp, want: MultiOp,
     ), detail, hbar_zero)
 
 
-def check_tables_consistency(tables, hbar_zero: bool = False) -> VerificationReport:
+def check_tables_consistency(tables, hbar_zero: bool = False) -> list[Check]:
     """Cross-check every table in ``tables`` against its derivation route."""
     rows, dynamical, quantum = tables
-    report = VerificationReport()
+    checks = []
     for row in rows:
         coeffs = coeffs_from_initial(row.mu0)
         advisory = "" if coeffs_nondegenerate(coeffs) else \
             "; nondegeneracy sum of squares vanishes (advisory)"
-        report.add(multiop_check(
+        checks.append(multiop_check(
             f"tables.derive.{row.name}",
             "structure constants solved from initial data",
             deformed_structure_op(coeffs), dynamical[row.name],
@@ -304,7 +304,7 @@ def check_tables_consistency(tables, hbar_zero: bool = False) -> VerificationRep
         ))
     for row in rows:
         initial = dynamical[row.name].map_values(at_initial)
-        report.add(multiop_check(
+        checks.append(multiop_check(
             f"tables.initial.{row.name}",
             "initial-state evaluation of the dynamical table",
             initial, initial_structure_op(row),
@@ -312,7 +312,7 @@ def check_tables_consistency(tables, hbar_zero: bool = False) -> VerificationRep
             "classification constants",
         ))
     for row in rows:
-        report.add(multiop_check(
+        checks.append(multiop_check(
             f"tables.quantize.{row.name}",
             "quantization of the dynamical table",
             quantize(dynamical[row.name]), quantum[row.name],
@@ -320,14 +320,14 @@ def check_tables_consistency(tables, hbar_zero: bool = False) -> VerificationRep
             hbar_zero=hbar_zero,
         ))
     for name in FAMILY_TYPE_NAMES:
-        report.add(multiop_check(
+        checks.append(multiop_check(
             f"tables.family.{name}",
             "four-parameter family against the quantum table",
             family_structure_op(family_params(name)), quantum[name],
             f"type {name}: family operation at its parameter values",
             hbar_zero=hbar_zero,
         ))
-    report.add(flag_check(
+    checks.append(flag_check(
         "tables.family.III_a1.b-value",
         "parameter value reconciliation for III_a1",
         True,
@@ -335,7 +335,7 @@ def check_tables_consistency(tables, hbar_zero: bool = False) -> VerificationRep
         "table entry (1,2)->3 = -1; the alternative b = 1 contradicts that "
         "entry",
     ))
-    return report
+    return checks
 
 
 # -- JSON export / import --------------------------------------------------------

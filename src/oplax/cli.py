@@ -14,33 +14,22 @@ import sys
 from fractions import Fraction
 
 from . import bianchi, jacobi, oscillator
-from .report import VerificationReport
+from .report import render_json, render_text
 from .weyl import render_factored
-
-
-def _operadic_lax(tables, hbar_zero: bool) -> VerificationReport:
-    report = VerificationReport()
-    for name, mu in tables.dynamical.items():
-        report.extend(oscillator.verify_operadic_lax(mu, label=name))
-    return report
-
-
-def _theorem(tables, hbar_zero: bool) -> VerificationReport:
-    report = jacobi.verify_closed_form(hbar_zero=hbar_zero)
-    report.extend(jacobi.verify_closed_form_specializations(tables.quantum, hbar_zero))
-    return report
-
 
 #: suite name -> fn(tables, hbar_zero), in the order ``verify all`` runs
 #: them; each check is looked up in its module at call time
 SUITES = {
     "matrix-lax": lambda tables, hbar_zero: oscillator.verify_matrix_lax(),
-    "operadic-lax": _operadic_lax,
+    "operadic-lax": lambda tables, _: [
+        check for name, mu in tables.dynamical.items()
+        for check in oscillator.verify_operadic_lax(mu, name)],
     "tables": lambda tables, hbar_zero: bianchi.check_tables_consistency(tables, hbar_zero),
     "jacobi-classical": lambda tables, _: jacobi.verify_classical_lie_rows(tables.rows),
     "jacobi-quantum": lambda tables, hbar_zero:
         jacobi.verify_quantum_lie_types(tables.quantum, hbar_zero),
-    "theorem-9-1": _theorem,
+    "theorem-9-1": lambda tables, hbar_zero: jacobi.verify_closed_form(hbar_zero)
+        + jacobi.verify_closed_form_specializations(tables.quantum, hbar_zero),
 }
 
 
@@ -103,13 +92,10 @@ def _run_verify(args) -> int:
     tables = bianchi.builtin_tables()
     if args.type_name is not None:
         tables = tables._replace(dynamical={args.type_name: tables.dynamical[args.type_name]})
-    report = VerificationReport()
-    for name, suite in SUITES.items():
-        if args.suite in ("all", name):
-            report.extend(suite(tables, hbar_zero))
-    rendered = report.render_json() if args.fmt == "json" else report.render_text()
-    sys.stdout.write(rendered)
-    return 0 if report.all_passed else 1
+    checks = [check for name, suite in SUITES.items() if args.suite in ("all", name)
+              for check in suite(tables, hbar_zero)]
+    sys.stdout.write(render_json(checks) if args.fmt == "json" else render_text(checks))
+    return 0 if all(c.passed for c in checks) else 1
 
 
 def _run_compute(args) -> int:

@@ -22,7 +22,7 @@ from .bianchi import (
 )
 from .operad import MultiOp, partial_compose
 from .oscillator import det3, inv_2p0, inv_sqrt_2p0, p0
-from .report import VerificationReport, first_nonzero_check, flag_check
+from .report import Check, first_nonzero_check, flag_check
 from .scalars import GaussRat, ScalarPoly, add_term, symbol
 from .weyl import AM, AP, P, Q, QUANTUM, OperatorExpr, commutator
 
@@ -146,16 +146,16 @@ def closed_form_jacobi(x: Vec3, y: Vec3, z: Vec3,
     )
 
 
-def verify_closed_form(hbar_zero: bool = False) -> VerificationReport:
+def verify_closed_form(hbar_zero: bool = False) -> list[Check]:
     """Fully symbolic check that the computed Jacobi operator of the family
     equals its closed form, and that the result does not involve b."""
     x, y, z = symbolic_vec("x"), symbolic_vec("y"), symbolic_vec("z")
     params = FamilyParams.symbolic()
     computed = jacobi_op(x, y, z, family_structure_op(params))
     closed = closed_form_jacobi(x, y, z, params)
-    report = VerificationReport()
+    checks = []
     for idx, residual in enumerate(computed - closed, start=1):
-        report.add(first_nonzero_check(
+        checks.append(first_nonzero_check(
             f"theorem-9-1.J{idx}",
             "closed form of the family Jacobi operator",
             [(None, residual)],
@@ -163,35 +163,35 @@ def verify_closed_form(hbar_zero: bool = False) -> VerificationReport:
             hbar_zero,
         ))
     offending = next((c for c in computed if c.has_symbol("b")), None)
-    report.add(flag_check(
+    checks.append(flag_check(
         "theorem-9-1.b-independence",
         "closed-form independence of the b parameter",
         offending is None,
         "the computed Jacobi operator carries no power of b",
         residual=offending.render() if offending is not None else None,
     ))
-    return report
+    return checks
 
 
 def _jacobi_checks(prefix: str, ref: str, detail: str, cases,
-                   hbar_zero: bool) -> VerificationReport:
+                   hbar_zero: bool) -> list[Check]:
     """One check per case ``(name, mu, params)``: the Jacobi operator of mu on
     symbolic vectors, less the family's closed form at ``params`` unless they
     are None, vanishes."""
     x, y, z = symbolic_vec("x"), symbolic_vec("y"), symbolic_vec("z")
-    report = VerificationReport()
+    checks = []
     for name, mu, params in cases:
         result = jacobi_op(x, y, z, mu)
         if params is not None:
             result = result - closed_form_jacobi(x, y, z, params)
-        report.add(first_nonzero_check(f"{prefix}.{name}", ref,
-                                       ((None, c) for c in result),
-                                       f"type {name}: {detail}", hbar_zero))
-    return report
+        checks.append(first_nonzero_check(f"{prefix}.{name}", ref,
+                                          ((None, c) for c in result),
+                                          f"type {name}: {detail}", hbar_zero))
+    return checks
 
 
 def verify_closed_form_specializations(quantum,
-                                       hbar_zero: bool = False) -> VerificationReport:
+                                       hbar_zero: bool = False) -> list[Check]:
     """The family rows of the quantum table reproduce the closed form at
     their parameter values."""
     return _jacobi_checks(
@@ -204,7 +204,7 @@ def verify_closed_form_specializations(quantum,
 _QUANTUM_LIE_TYPES = tuple(name for name in TYPE_NAMES if name not in FAMILY_TYPE_NAMES)
 
 
-def verify_quantum_lie_types(quantum, hbar_zero: bool = False) -> VerificationReport:
+def verify_quantum_lie_types(quantum, hbar_zero: bool = False) -> list[Check]:
     """The six quantum types that stay Lie algebras: symbolic Jacobi operator
     vanishes, hbar kept symbolic."""
     return _jacobi_checks(
@@ -213,7 +213,7 @@ def verify_quantum_lie_types(quantum, hbar_zero: bool = False) -> VerificationRe
         ((name, quantum[name], None) for name in _QUANTUM_LIE_TYPES), hbar_zero)
 
 
-def verify_classical_lie_rows(rows) -> VerificationReport:
+def verify_classical_lie_rows(rows) -> list[Check]:
     """Every classification row is a Lie algebra: the classical Jacobi
     operator vanishes for symbolic vectors."""
     return _jacobi_checks(

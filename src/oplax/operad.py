@@ -101,7 +101,7 @@ _Operand = namedtuple("_Operand", "dim degree mode rows by_out")
 def _operand(op: MultiOp) -> _Operand:
     """``op`` flattened once per public call: its rows per entry key, keyed by
     sign (the negated ones made on first use), and ``(inputs, rows)`` by output index."""
-    rows = {key: _rows(value.terms, False) for key, value in op.entries.items()}
+    rows = {key: _rows(value.terms) for key, value in op.entries.items()}
     by_out: dict = {}
     for key, xs in rows.items():
         by_out.setdefault(key[-1], []).append((key[:-1], xs))

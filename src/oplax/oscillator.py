@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .operad import MultiOp, antisymmetric_binary, bracket
-from .report import VerificationReport, first_nonzero_check
+from .report import Check, first_nonzero_check
 from .scalars import ScalarPoly, symbol
 from .weyl import AM, AP, CLASSICAL, OperatorExpr, P, Q
 
@@ -122,33 +122,33 @@ def det3(x, y, z):
     )
 
 
-def verify_matrix_lax() -> VerificationReport:
+def verify_matrix_lax() -> list[Check]:
     """Entrywise dL/dt = ML - LM, plus the isospectral/energy identities."""
     l_matrix = lax_pair().l_matrix
     defect = lax_defect(l_matrix)
-    report = VerificationReport()
+    checks = []
     for i in range(3):
         for j in range(3):
-            report.add(first_nonzero_check(
+            checks.append(first_nonzero_check(
                 f"matrix-lax.entry.{i + 1}{j + 1}",
                 "matrix Lax equation for the oscillator",
                 [(None, defect.entry((j,), i))],
                 f"entry ({i + 1},{j + 1}) of dL/dt - (ML - LM)",
             ))
     det = det3(*([l_matrix.entry((j,), i) for j in range(3)] for i in range(3)))
-    report.add(first_nonzero_check(
+    checks.append(first_nonzero_check(
         "matrix-lax.ddt-det",
         "isospectral invariant of the Lax matrix",
         [(None, ddt(det))],
         "d/dt of det L",
     ))
-    report.add(first_nonzero_check(
+    checks.append(first_nonzero_check(
         "matrix-lax.det-energy",
         "determinant of the Lax matrix against the energy",
         [(None, det + hamiltonian() + hamiltonian())],
         "det L + 2H",
     ))
-    return report
+    return checks
 
 
 # -- the nine-parameter deformation family -------------------------------------
@@ -260,20 +260,18 @@ def at_initial(expr: OperatorExpr) -> OperatorExpr:
     })
 
 
-def verify_operadic_lax(mu: MultiOp, label: str = "") -> VerificationReport:
-    """Entrywise d(mu)/dt = [M, mu] for a classical binary operation."""
+def verify_operadic_lax(mu: MultiOp, label: str) -> list[Check]:
+    """Entrywise d(mu)/dt = [M, mu] for a classical binary operation; the
+    check ids read ``operadic-lax.<label>.<ijk>``."""
     if mu.mode != CLASSICAL or mu.dim != 3 or mu.degree != 2:
         raise ValueError("expected a classical binary operation on dimension 3")
     defect = lax_defect(mu)
-    prefix = f"operadic-lax.{label}" if label else "operadic-lax"
-    report = VerificationReport()
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                report.add(first_nonzero_check(
-                    f"{prefix}.{i + 1}{j + 1}{k + 1}",
-                    "operadic Lax equation",
-                    [(None, defect.entry((i, j), k))],
-                    f"entry ({i + 1},{j + 1})->{k + 1} of d(mu)/dt - [M, mu]",
-                ))
-    return report
+    return [
+        first_nonzero_check(
+            f"operadic-lax.{label}.{i + 1}{j + 1}{k + 1}",
+            "operadic Lax equation",
+            [(None, defect.entry((i, j), k))],
+            f"entry ({i + 1},{j + 1})->{k + 1} of d(mu)/dt - [M, mu]",
+        )
+        for i in range(3) for j in range(3) for k in range(3)
+    ]

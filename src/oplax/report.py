@@ -1,9 +1,9 @@
 """Check results and their text/JSON serialization.
 
 Every residual verdict comes from `first_nonzero_check`: a check passes
-exactly when each of its residuals is the zero of its canonical form.  Reports
-are deterministic: check order is fixed by the caller and the JSON layout
-never depends on runtime state.
+exactly when each of its residuals is the zero of its canonical form.  A
+report is a list of checks in the caller's order; `render_json` and
+`render_text` render it, and their layout never depends on runtime state.
 """
 
 from __future__ import annotations
@@ -48,54 +48,17 @@ def first_nonzero_check(check_id: str, ref: str, residuals, detail: str = "",
     return flag_check(check_id, ref, True, detail, "0")
 
 
-class VerificationReport:
-    """Ordered collection of checks with a pass/fail summary."""
+def render_json(checks) -> str:
+    """The JSON report: each check's fields in `Check` order, leaving out a
+    residual of None, then the pass/fail summary."""
+    entries = [{key: value for key, value in c._asdict().items()
+                if key != "residual" or value is not None} for c in checks]
+    passed = sum(c.passed for c in checks)
+    summary = {"total": len(checks), "passed": passed, "failed": len(checks) - passed}
+    return json.dumps({"checks": entries, "summary": summary}, indent=2) + "\n"
 
-    def __init__(self, checks=None):
-        self.checks: list[Check] = list(checks) if checks else []
 
-    def add(self, check: Check) -> None:
-        self.checks.append(check)
-
-    def extend(self, other: "VerificationReport") -> None:
-        self.checks.extend(other.checks)
-
-    @property
-    def total(self) -> int:
-        return len(self.checks)
-
-    @property
-    def passed(self) -> int:
-        return sum(1 for c in self.checks if c.passed)
-
-    @property
-    def failed(self) -> int:
-        return self.total - self.passed
-
-    @property
-    def all_passed(self) -> bool:
-        return self.failed == 0
-
-    def to_dict(self) -> dict:
-        checks = []
-        for c in self.checks:
-            entry = {"id": c.id, "paper_ref": c.paper_ref, "status": c.status}
-            if c.residual is not None:
-                entry["residual"] = c.residual
-            entry["detail"] = c.detail
-            checks.append(entry)
-        return {
-            "checks": checks,
-            "summary": {"total": self.total, "passed": self.passed,
-                        "failed": self.failed},
-        }
-
-    def render_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    def render_text(self) -> str:
-        lines = []
-        for c in self.checks:
-            tag = "PASS" if c.passed else "FAIL"
-            lines.append(f"[{tag}] {c.id} — {c.paper_ref}")
-        return "\n".join(lines) + "\n"
+def render_text(checks) -> str:
+    """The text report: one ``[PASS]`` or ``[FAIL]`` line per check."""
+    return "\n".join(f"[{'PASS' if c.passed else 'FAIL'}] {c.id} — {c.paper_ref}"
+                     for c in checks) + "\n"

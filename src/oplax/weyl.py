@@ -63,11 +63,8 @@ def _normalize_into(acc: dict, word: tuple, coeff: ScalarPoly, mode: str) -> Non
             stack.append((head + tail, c * _MINUS_I_HBAR))
 
 
-def _rows(terms: dict, negate: bool) -> list:
-    """``{word: ScalarPoly}`` terms as ``(word, exp, re, im)`` rows, negated when ``negate``."""
-    if negate:
-        return [(word, exp, -g.re, -g.im)
-                for word, coeff in terms.items() for exp, g in coeff.terms.items()]
+def _rows(terms: dict) -> list:
+    """``{word: ScalarPoly}`` terms as ``(word, exp, re, im)`` rows."""
     return [(word, exp, g.re, g.im)
             for word, coeff in terms.items() for exp, g in coeff.terms.items()]
 
@@ -91,7 +88,7 @@ def _mul_rows_into(acc: dict, xs: list, ys: list, mode: str) -> None:
                 word = w1 + w2
             else:
                 _normalize_into(words := {}, w1 + w2, ScalarPoly.const(1), QUANTUM)
-                _mul_rows_into(acc, (((), exp, re, im),), _rows(words, False), QUANTUM)
+                _mul_rows_into(acc, (((), exp, re, im),), _rows(words), QUANTUM)
                 continue
             inner = acc.setdefault(word, {})
             total = inner.get(exp)
@@ -174,7 +171,7 @@ class OperatorExpr(SparseSum):
         except TypeError:
             return NotImplemented
         acc: dict = {}
-        _mul_rows_into(acc, _rows(self.terms, False), _rows(other.terms, False), self.mode)
+        _mul_rows_into(acc, _rows(self.terms), _rows(other.terms), self.mode)
         return _wrap(self.mode, acc)
 
     def __rmul__(self, other):

@@ -175,32 +175,33 @@ def test_closed_form_is_b_independent():
 
 
 def test_verify_closed_form_report():
-    report = verify_closed_form()
-    assert report.all_passed
-    assert [c.id for c in report.checks] == [
+    checks = verify_closed_form()
+    assert all(c.passed for c in checks)
+    assert [c.id for c in checks] == [
         "theorem-9-1.J1", "theorem-9-1.J2", "theorem-9-1.J3",
         "theorem-9-1.b-independence",
     ]
 
 
 def test_verify_specializations_report():
-    report = verify_closed_form_specializations(bianchi.quantum_table())
-    assert report.all_passed
-    assert report.total == 5
+    checks = verify_closed_form_specializations(bianchi.quantum_table())
+    assert all(c.passed for c in checks)
+    assert len(checks) == 5
 
 
 def test_verify_quantum_lie_types():
-    report = verify_quantum_lie_types(bianchi.quantum_table())
-    assert report.all_passed
-    assert [c.id.rsplit(".", 1)[1] for c in report.checks] == \
+    checks = verify_quantum_lie_types(bianchi.quantum_table())
+    assert all(c.passed for c in checks)
+    assert [c.id.rsplit(".", 1)[1] for c in checks] == \
         ["I", "II", "VII", "VI", "IX", "VIII"]
-    assert verify_quantum_lie_types(bianchi.quantum_table(), hbar_zero=True).all_passed
+    assert all(c.passed for c in
+               verify_quantum_lie_types(bianchi.quantum_table(), hbar_zero=True))
 
 
 def test_verify_classical_rows():
-    report = verify_classical_lie_rows(bianchi.classification_rows())
-    assert report.all_passed
-    assert report.total == 11
+    checks = verify_classical_lie_rows(bianchi.classification_rows())
+    assert all(c.passed for c in checks)
+    assert len(checks) == 11
 
 
 def test_rational_vec_takes_exact_rationals_only():

@@ -281,9 +281,10 @@ def differential_exprs(draw, mode):
 
 def mul_rows(acc, x, y, negate, sign_on_left=True):
     """Add x*y, negated when ``negate``, into ``acc`` through the row kernel,
-    with the sign on the rows of x or of y."""
-    _mul_rows_into(acc, _rows(x.terms, negate and sign_on_left),
-                   _rows(y.terms, negate and not sign_on_left), x.mode)
+    with the sign on x or on y."""
+    if negate:
+        x, y = (-x, y) if sign_on_left else (x, -y)
+    _mul_rows_into(acc, _rows(x.terms), _rows(y.terms), x.mode)
 
 
 @pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
