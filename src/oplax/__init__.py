@@ -19,7 +19,6 @@ from .bianchi import (
     quantum_table,
 )
 from .jacobi import (
-    JacobiTriple,
     closed_form_jacobi,
     det3,
     jacobi_op,

@@ -319,7 +319,7 @@ def check_tables_consistency(tables, hbar_zero: bool = False) -> list[Check]:
             f"type {row.name}: hatted dynamical operation vs stored quantum table",
             hbar_zero=hbar_zero,
         ))
-    for name in FAMILY_TYPE_NAMES:
+    for name in [n for n in quantum if n in FAMILY_TYPE_NAMES]:
         checks.append(multiop_check(
             f"tables.family.{name}",
             "four-parameter family against the quantum table",
@@ -327,14 +327,15 @@ def check_tables_consistency(tables, hbar_zero: bool = False) -> list[Check]:
             f"type {name}: family operation at its parameter values",
             hbar_zero=hbar_zero,
         ))
-    checks.append(flag_check(
-        "tables.family.III_a1.b-value",
-        "parameter value reconciliation for III_a1",
-        True,
-        "stored b = -1 for III_a1 so the family table matches the quantum "
-        "table entry (1,2)->3 = -1; the alternative b = 1 contradicts that "
-        "entry",
-    ))
+    if "III_a1" in quantum:
+        checks.append(flag_check(
+            "tables.family.III_a1.b-value",
+            "parameter value reconciliation for III_a1",
+            True,
+            "stored b = -1 for III_a1 so the family table matches the quantum "
+            "table entry (1,2)->3 = -1; the alternative b = 1 contradicts that "
+            "entry",
+        ))
     return checks
 
 
@@ -398,8 +399,8 @@ def export_tables() -> str:
 def import_tables(text: str) -> BianchiTables:
     """Inverse of export_tables; round-trips bit-exactly.
 
-    Malformed JSON, a missing or mistyped field and malformed expression text
-    all raise ValueError.
+    Malformed JSON, a missing or mistyped field, malformed expression text and
+    parts that do not name the same types all raise ValueError.
     """
     try:
         doc = _expect(json.loads(text), dict, "the document")
@@ -418,5 +419,14 @@ def import_tables(text: str) -> BianchiTables:
                       for key in _ENTRY_KEYS),
             note=_expect(data.get("note", ""), str, f"{where} 'note'"),
         ))
-    return BianchiTables(tuple(rows), _ops_from_strings(doc, "dynamical", CLASSICAL),
-                         _ops_from_strings(doc, "quantum", QUANTUM))
+    dynamical = _ops_from_strings(doc, "dynamical", CLASSICAL)
+    quantum = _ops_from_strings(doc, "quantum", QUANTUM)
+    names = [row.name for row in rows]
+    for part, ops in (("dynamical", dynamical), ("quantum", quantum)):
+        for name in [*names, *ops]:
+            if name not in ops:
+                raise ValueError(f"table document: {part} has no type {name!r}")
+            if name not in names:
+                raise ValueError(f"table document: classification has no type {name!r} "
+                                 f"of {part}")
+    return BianchiTables(tuple(rows), dynamical, quantum)

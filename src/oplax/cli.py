@@ -120,7 +120,7 @@ def _run_compute(args) -> int:
     mu = bianchi.quantum_table()[args.type_name]
     result = jacobi.jacobi_op(*vectors, mu)
     if args.hbar == "0":
-        result = result.subst_params({"hbar": 0})
+        result = tuple(c.subst_params({"hbar": 0}) for c in result)
     try:
         if args.fmt == "json":
             import json

@@ -10,11 +10,8 @@ ordering convention fixes every product below.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .bianchi import (
     FAMILY_TYPE_NAMES,
-    TYPE_NAMES,
     FamilyParams,
     family_params,
     family_structure_op,
@@ -67,35 +64,15 @@ def _contract(mu: MultiOp, v: Vec3, w: tuple) -> tuple:
     return tuple(components)
 
 
-def _lift(mu: MultiOp, v: Vec3) -> tuple:
-    return tuple(OperatorExpr.scalar(mu.mode, c) for c in v)
-
-
 def vector_bracket(x: Vec3, y: Vec3, mu: MultiOp) -> tuple:
     """Bracket of two vectors with commuting components."""
     _require_binary3(mu)
-    return _contract(mu, x, _lift(mu, y))
+    return _contract(mu, x, tuple(OperatorExpr.scalar(mu.mode, c) for c in y))
 
 
-class JacobiTriple(namedtuple("JacobiTriple", "j1 j2 j3")):
-    """The three components of the Jacobi operator (all higher ones vanish)."""
-
-    __slots__ = ()
-
-    def __sub__(self, other: "JacobiTriple") -> "JacobiTriple":
-        return JacobiTriple(self.j1 - other.j1, self.j2 - other.j2,
-                            self.j3 - other.j3)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.j1.is_zero and self.j2.is_zero and self.j3.is_zero
-
-    def subst_params(self, bindings: dict) -> "JacobiTriple":
-        return JacobiTriple(*(c.subst_params(bindings) for c in self))
-
-
-def jacobi_op(x: Vec3, y: Vec3, z: Vec3, mu: MultiOp) -> JacobiTriple:
-    """Cyclic sum [x,[y,z]] + [y,[z,x]] + [z,[x,y]] for the given bracket.
+def jacobi_op(x: Vec3, y: Vec3, z: Vec3, mu: MultiOp) -> tuple:
+    """Cyclic sum [x,[y,z]] + [y,[z,x]] + [z,[x,y]] for the given bracket, as
+    its three operator components (all higher ones vanish).
 
     The composite T = mu o_1 mu has entry (a,b,c,k) = -sum_i mu[(a,i)->k] *
     mu[(b,c)->i], so the sum is -sum S[(a,b,c)->k] x^a y^b z^c with the cyclic
@@ -114,11 +91,11 @@ def jacobi_op(x: Vec3, y: Vec3, z: Vec3, mu: MultiOp) -> JacobiTriple:
             continue
         for word, coeff in entry.terms.items():
             add_term(total[k], word, coeff * weight)
-    return JacobiTriple(*(OperatorExpr._make(mu.mode, t) for t in total))
+    return tuple(OperatorExpr._make(mu.mode, t) for t in total)
 
 
 def closed_form_jacobi(x: Vec3, y: Vec3, z: Vec3,
-                       params: FamilyParams) -> JacobiTriple:
+                       params: FamilyParams) -> tuple:
     """The family's Jacobi operator in closed form.
 
     The first two components are multiples of the operators
@@ -139,7 +116,7 @@ def closed_form_jacobi(x: Vec3, y: Vec3, z: Vec3,
     obstruction_minus = (params.beta * w * gen_q * gen_ap
                          - params.gamma * (gen_p + p0()) * gen_am)
     front = -(params.a * delta * inv_p0 * inv_sqrt_2p0())
-    return JacobiTriple(
+    return (
         front * obstruction_plus,
         front * obstruction_minus,
         (params.a * params.a * delta * inv_p0) * commutator(gen_ap, gen_am),
@@ -154,11 +131,11 @@ def verify_closed_form(hbar_zero: bool = False) -> list[Check]:
     computed = jacobi_op(x, y, z, family_structure_op(params))
     closed = closed_form_jacobi(x, y, z, params)
     checks = []
-    for idx, residual in enumerate(computed - closed, start=1):
+    for idx, (got, want) in enumerate(zip(computed, closed), start=1):
         checks.append(first_nonzero_check(
             f"theorem-9-1.J{idx}",
             "closed form of the family Jacobi operator",
-            [(None, residual)],
+            [(None, got - want)],
             f"component {idx}, computed minus closed form, all parameters symbolic",
             hbar_zero,
         ))
@@ -183,7 +160,7 @@ def _jacobi_checks(prefix: str, ref: str, detail: str, cases,
     for name, mu, params in cases:
         result = jacobi_op(x, y, z, mu)
         if params is not None:
-            result = result - closed_form_jacobi(x, y, z, params)
+            result = (c - d for c, d in zip(result, closed_form_jacobi(x, y, z, params)))
         checks.append(first_nonzero_check(f"{prefix}.{name}", ref,
                                           ((None, c) for c in result),
                                           f"type {name}: {detail}", hbar_zero))
@@ -192,25 +169,24 @@ def _jacobi_checks(prefix: str, ref: str, detail: str, cases,
 
 def verify_closed_form_specializations(quantum,
                                        hbar_zero: bool = False) -> list[Check]:
-    """The family rows of the quantum table reproduce the closed form at
-    their parameter values."""
+    """The family types of the quantum table, in its order, reproduce the
+    closed form at their parameter values."""
     return _jacobi_checks(
         "theorem-9-1.special", "closed form specialized to a table row",
         "Jacobi operator of the stored quantum table vs closed form at its parameters",
-        ((name, quantum[name], family_params(name)) for name in FAMILY_TYPE_NAMES),
+        ((name, mu, family_params(name)) for name, mu in quantum.items()
+         if name in FAMILY_TYPE_NAMES),
         hbar_zero)
 
 
-_QUANTUM_LIE_TYPES = tuple(name for name in TYPE_NAMES if name not in FAMILY_TYPE_NAMES)
-
-
 def verify_quantum_lie_types(quantum, hbar_zero: bool = False) -> list[Check]:
-    """The six quantum types that stay Lie algebras: symbolic Jacobi operator
-    vanishes, hbar kept symbolic."""
+    """The quantum table's types outside the family stay Lie algebras: their
+    symbolic Jacobi operator vanishes, hbar kept symbolic."""
     return _jacobi_checks(
         "jacobi-quantum", "quantum Jacobi identity",
         "Jacobi operator with symbolic vectors",
-        ((name, quantum[name], None) for name in _QUANTUM_LIE_TYPES), hbar_zero)
+        ((name, mu, None) for name, mu in quantum.items()
+         if name not in FAMILY_TYPE_NAMES), hbar_zero)
 
 
 def verify_classical_lie_rows(rows) -> list[Check]:

@@ -17,7 +17,7 @@ exactly when their term maps coincide.  Values are immutable once built.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import (GaussRat, ScalarPoly, SparseSum, add_exponents, add_term, parse_terms,
                       render_sum, render_term)
@@ -263,13 +263,8 @@ def render_factored(expr: OperatorExpr) -> str:
     coeffs = [coeff for _, _, coeff in flat]
     if any(c.im != 0 for c in coeffs):
         return expr.render()
-    num_gcd = Fraction(0)
-    for c in coeffs:
-        num_gcd = Fraction(
-            gcd(num_gcd.numerator * c.re.denominator,
-                c.re.numerator * num_gcd.denominator),
-            num_gcd.denominator * c.re.denominator,
-        )
+    num_gcd = Fraction(gcd(*(c.re.numerator for c in coeffs)),
+                       lcm(*(c.re.denominator for c in coeffs)))
     exps = [exp for _, exp, _ in flat]
     common = tuple(min(e[idx] for e in exps) for idx in range(len(exps[0])))
     if num_gcd == 1 and not any(common):

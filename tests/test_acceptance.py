@@ -126,7 +126,7 @@ def test_a7_closed_form_specializations():
     want = (jacobi.det3(x, y, z) * ScalarPoly.monomial(2, {"s": -2})) * \
         commutator(OperatorExpr.generator(QUANTUM, AP),
                    OperatorExpr.generator(QUANTUM, AM))
-    ok = ok and result.j1.is_zero and result.j2.is_zero and result.j3 == want
+    ok = ok and result[0].is_zero and result[1].is_zero and result[2] == want
     _conclude("A7 closed form specialized to the five family types", ok)
 
 

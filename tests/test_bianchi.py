@@ -216,6 +216,12 @@ def _without(path):
     return doc
 
 
+def _with_quantum_copy(name, of):
+    doc = json.loads(export_tables())
+    doc["quantum"][name] = doc["quantum"][of]
+    return doc
+
+
 def _with_note(name, note):
     doc = json.loads(export_tables())
     doc["classification"][name]["note"] = note
@@ -231,6 +237,11 @@ def _with_note(name, note):
     pytest.param("[" * 100000, "nested too deeply", id="deep-list"),
     pytest.param('{"classification": ' * 50000, "nested too deeply", id="deep-object"),
     (_with_note("II", [1, 2]), "classification row 'II' 'note' is not a string"),
+    # the three parts must name the same types
+    (_without(["quantum", "II"]), "quantum has no type 'II'"),
+    (_without(["dynamical", "V"]), "dynamical has no type 'V'"),
+    (_without(["classification", "IX"]), "classification has no type 'IX' of dynamical"),
+    (_with_quantum_copy("X", "II"), "classification has no type 'X' of quantum"),
 ])
 def test_import_rejects_malformed_documents(doc, named):
     with pytest.raises(ValueError, match=named):

@@ -262,7 +262,7 @@ def test_a_planted_jacobi_fault_fails_its_suite(capsys, monkeypatch, suite, name
     clean = jacobi.jacobi_op(*symbolic, quantum[name])
     quantum[name] = quantum[name] + antisymmetric_binary(
         3, QUANTUM, {key: parse_operator(text, QUANTUM)})
-    assert not (jacobi.jacobi_op(*symbolic, quantum[name]) - clean).is_zero
+    assert jacobi.jacobi_op(*symbolic, quantum[name]) != clean
     monkeypatch.setattr(bianchi, "quantum_table", lambda: quantum)
     code, out, _ = run_cli(capsys, "verify", suite, "--format", "json")
     assert code == 1
@@ -302,6 +302,37 @@ def test_suites_check_an_imported_document_like_the_builtin_tables():
             lambda t: jacobi.verify_classical_lie_rows(t.rows),
         ):
             assert suite(imported) == suite(builtin)
+
+
+def _edited_document(edit):
+    """The exported tables with ``edit`` applied to each of the three parts."""
+    doc = json.loads(bianchi.export_tables())
+    for part in doc.values():
+        edit(part)
+    return bianchi.import_tables(json.dumps(doc))
+
+
+def _drop_ii_and_v(part):
+    del part["II"], part["V"]
+
+
+def test_every_suite_checks_only_the_types_of_its_document():
+    tables = _edited_document(_drop_ii_and_v)
+    held = {row.name for row in tables.rows}
+    assert held == set(bianchi.TYPE_NAMES) - {"II", "V"}
+    for name, suite in cli.SUITES.items():
+        checks = suite(tables, False)
+        assert checks and all(c.passed for c in checks), name
+        for check in checks:
+            assert set(check.id.split(".")) & set(bianchi.TYPE_NAMES) <= held, check.id
+
+
+def test_a_type_the_document_adds_is_checked():
+    tables = _edited_document(lambda part: part.update(X=part["II"]))
+    checks = cli.SUITES["jacobi-quantum"](tables, False)
+    assert [c.id for c in checks][-1] == "jacobi-quantum.X"
+    assert all(c.passed for c in checks)
+    assert "tables.quantize.X" in [c.id for c in cli.SUITES["tables"](tables, False)]
 
 
 def test_verify_all_builds_each_table_once(capsys, monkeypatch):
