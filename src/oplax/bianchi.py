@@ -17,6 +17,7 @@ from collections import namedtuple
 from .operad import MultiOp, antisymmetric_binary
 from .oscillator import (
     STRUCTURE_COLUMNS,
+    W,
     at_initial,
     coeffs_from_initial,
     coeffs_nondegenerate,
@@ -27,7 +28,7 @@ from .oscillator import (
 )
 from .report import Check, first_nonzero_check, flag_check
 from .scalars import ScalarPoly, parse_scalar, symbol
-from .weyl import AM, AP, CLASSICAL, P, Q, QUANTUM, OperatorExpr, parse_operator
+from .weyl import CLASSICAL, QUANTUM, OperatorExpr, generators, parse_operator
 
 _ZERO = ScalarPoly.zero()
 _ONE = ScalarPoly.const(1)
@@ -122,19 +123,15 @@ def _table_entries(mode: str) -> dict:
     The same text describes the classical table and its quantum counterpart;
     only the generator hats differ, which is exactly the mode switch.
     """
-    gen_q = OperatorExpr.generator(mode, Q)
-    gen_p = OperatorExpr.generator(mode, P)
-    gen_ap = OperatorExpr.generator(mode, AP)
-    gen_am = OperatorExpr.generator(mode, AM)
-    w = symbol("w")
+    gen_q, gen_p, gen_ap, gen_am = generators(mode)
     one = OperatorExpr.scalar(mode, 1)
 
     p_plus = (gen_p + p0()) * inv_2p0()          # (p + p0) / (2 p0)
     p_minus_flip = (p0() - gen_p) * inv_2p0()    # (p - p0) / (-2 p0)
-    wq_over_2p0 = w * gen_q * inv_2p0()
+    wq_over_2p0 = W * gen_q * inv_2p0()
     over_p0 = 2 * inv_2p0()
     p_over_p0 = gen_p * over_p0
-    wq_over_p0 = w * gen_q * over_p0
+    wq_over_p0 = W * gen_q * over_p0
     ap_s = gen_ap * inv_sqrt_2p0()               # A+ / sqrt(2 p0)
     am_s = gen_am * inv_sqrt_2p0()
 
@@ -240,7 +237,7 @@ class FamilyParams(namedtuple("FamilyParams", "beta gamma a b")):
 #: stored parameter values per family type; III_a1 carries b = -1 because the
 #: quantum table's (1,2)->3 entry for that type is -1 and the family table
 #: sets that entry to b (the alternative b = 1 would contradict it); the
-#: tables suite carries a flag check recording this choice.
+#: tables suite's flag check compares this b with that entry.
 _FAMILY_PARAMS = {
     "V": (0, 0, 1, 0),
     "IV": (0, 0, 1, 1),
@@ -259,12 +256,10 @@ def family_params(name: str) -> FamilyParams:
 
 def family_structure_op(params: FamilyParams) -> MultiOp:
     """The quantum family operation in terms of (beta, gamma, a, b)."""
-    gen_q = OperatorExpr.generator(QUANTUM, Q)
-    gen_p = OperatorExpr.generator(QUANTUM, P)
-    ap_s = OperatorExpr.generator(QUANTUM, AP) * inv_sqrt_2p0()
-    am_s = OperatorExpr.generator(QUANTUM, AM) * inv_sqrt_2p0()
-    w = symbol("w")
-    beta_wq = params.beta * w * gen_q * inv_2p0()
+    gen_q, gen_p, gen_ap, gen_am = generators(QUANTUM)
+    ap_s = gen_ap * inv_sqrt_2p0()
+    am_s = gen_am * inv_sqrt_2p0()
+    beta_wq = params.beta * W * gen_q * inv_2p0()
     return antisymmetric_binary(3, QUANTUM, {
         (1, 2, 1): params.a * am_s,
         (1, 2, 2): -(params.a * ap_s),
@@ -331,7 +326,8 @@ def check_tables_consistency(tables, hbar_zero: bool = False) -> list[Check]:
         checks.append(flag_check(
             "tables.family.III_a1.b-value",
             "parameter value reconciliation for III_a1",
-            True,
+            quantum["III_a1"].entry((0, 1), 2)
+            == OperatorExpr.scalar(QUANTUM, family_params("III_a1").b),
             "stored b = -1 for III_a1 so the family table matches the quantum "
             "table entry (1,2)->3 = -1; the alternative b = 1 contradicts that "
             "entry",
@@ -359,6 +355,16 @@ def _expect(value, kind, what: str):
     if not isinstance(value, kind):
         raise ValueError(f"table document: {what} is not {_KINDS[kind]}")
     return value
+
+
+def _unique_keys(pairs) -> dict:
+    """The JSON object of ``pairs``; a repeated key raises ValueError naming it."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"table document: repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _field(data: dict, key: str, where: str, kind=dict):
@@ -399,11 +405,13 @@ def export_tables() -> str:
 def import_tables(text: str) -> BianchiTables:
     """Inverse of export_tables; round-trips bit-exactly.
 
-    Malformed JSON, a missing or mistyped field, malformed expression text and
-    parts that do not name the same types all raise ValueError.
+    Malformed JSON, a repeated key, a missing or mistyped field, malformed
+    expression text and parts that do not name the same types all raise
+    ValueError.
     """
     try:
-        doc = _expect(json.loads(text), dict, "the document")
+        doc = _expect(json.loads(text, object_pairs_hook=_unique_keys), dict,
+                      "the document")
     except RecursionError:
         raise ValueError("table document: nested too deeply") from None
     rows = []

@@ -18,10 +18,10 @@ from .bianchi import (
     initial_structure_op,
 )
 from .operad import MultiOp, partial_compose
-from .oscillator import det3, inv_2p0, inv_sqrt_2p0, p0
+from .oscillator import W, det3, inv_2p0, inv_sqrt_2p0, p0
 from .report import Check, first_nonzero_check, flag_check
 from .scalars import GaussRat, ScalarPoly, add_term, symbol
-from .weyl import AM, AP, P, Q, QUANTUM, OperatorExpr, commutator
+from .weyl import QUANTUM, OperatorExpr, commutator, generators
 
 Vec3 = tuple  # three ScalarPoly components
 
@@ -103,17 +103,13 @@ def closed_form_jacobi(x: Vec3, y: Vec3, z: Vec3,
     commutator of A+ and A-; the multiple carries the component determinant
     and the parameter a but never b.
     """
-    gen_q = OperatorExpr.generator(QUANTUM, Q)
-    gen_p = OperatorExpr.generator(QUANTUM, P)
-    gen_ap = OperatorExpr.generator(QUANTUM, AP)
-    gen_am = OperatorExpr.generator(QUANTUM, AM)
-    w = symbol("w")
+    gen_q, gen_p, gen_ap, gen_am = generators(QUANTUM)
     inv_p0 = 2 * inv_2p0()
 
     delta = det3(x, y, z)
-    obstruction_plus = (params.beta * w * gen_q * gen_am
+    obstruction_plus = (params.beta * W * gen_q * gen_am
                         + params.gamma * (gen_p - p0()) * gen_ap)
-    obstruction_minus = (params.beta * w * gen_q * gen_ap
+    obstruction_minus = (params.beta * W * gen_q * gen_ap
                          - params.gamma * (gen_p + p0()) * gen_am)
     front = -(params.a * delta * inv_p0 * inv_sqrt_2p0())
     return (

@@ -17,26 +17,10 @@ from fractions import Fraction
 from .operad import MultiOp, antisymmetric_binary, bracket
 from .report import Check, first_nonzero_check
 from .scalars import ScalarPoly, symbol
-from .weyl import AM, AP, CLASSICAL, OperatorExpr, P, Q
+from .weyl import AM, AP, CLASSICAL, OperatorExpr, P, Q, generators
 
 W = symbol("w")
 S = symbol("s")
-
-
-def q() -> OperatorExpr:
-    return OperatorExpr.generator(CLASSICAL, Q)
-
-
-def p() -> OperatorExpr:
-    return OperatorExpr.generator(CLASSICAL, P)
-
-
-def a_plus() -> OperatorExpr:
-    return OperatorExpr.generator(CLASSICAL, AP)
-
-
-def a_minus() -> OperatorExpr:
-    return OperatorExpr.generator(CLASSICAL, AM)
 
 
 def p0() -> ScalarPoly:
@@ -90,9 +74,10 @@ LaxPair = namedtuple("LaxPair", "l_matrix m_matrix")
 
 
 def lax_pair() -> LaxPair:
+    q, p, _, _ = generators(CLASSICAL)
     return LaxPair(MultiOp(3, 1, CLASSICAL, {
-        (0, 0): p(), (1, 0): W * q(),
-        (0, 1): W * q(), (1, 1): -p(),
+        (0, 0): p, (1, 0): W * q,
+        (0, 1): W * q, (1, 1): -p,
         (2, 2): OperatorExpr.scalar(CLASSICAL, 1),
     }), rotation_op())
 
@@ -153,48 +138,31 @@ def verify_matrix_lax() -> list[Check]:
 
 # -- the nine-parameter deformation family -------------------------------------
 
-class DeformationCoeffs:
-    """The nine scalar parameters of the deformed bracket, indexed 1..9."""
+class DeformationCoeffs(namedtuple("DeformationCoeffs", "c1 c2 c3 c4 c5 c6 c7 c8 c9")):
+    """The nine scalar parameters c1..c9 of the deformed bracket."""
 
-    __slots__ = ("values",)
+    __slots__ = ()
 
-    def __init__(self, values):
-        values = tuple(ScalarPoly._coerce(v) for v in values)
-        if len(values) != 9:
-            raise ValueError("expected nine coefficients")
-        self.values = values
-
-    def __getitem__(self, nu: int) -> ScalarPoly:
-        if not 1 <= nu <= 9:
-            raise IndexError("coefficient index runs from 1 to 9")
-        return self.values[nu - 1]
-
-    def __eq__(self, other):
-        if not isinstance(other, DeformationCoeffs):
-            return NotImplemented
-        return self.values == other.values
-
-    __hash__ = None
-
-    def __repr__(self):
-        inner = ", ".join(v.render() for v in self.values)
-        return f"DeformationCoeffs({inner})"
+    @classmethod
+    def of(cls, *values) -> "DeformationCoeffs":
+        return cls(*(ScalarPoly._coerce(v) for v in values))
 
 
 def deformed_structure_op(c: DeformationCoeffs) -> MultiOp:
     """The antisymmetric binary operation whose structure constants are the
     nine-parameter combinations of p, w q, A+ and A-."""
-    wq = W * q()
+    q, p, a_plus, a_minus = generators(CLASSICAL)
+    wq = W * q
     return antisymmetric_binary(3, CLASSICAL, {
-        (2, 3, 1): c[2] * p() - c[3] * wq - c[4],
-        (1, 3, 2): c[2] * p() - c[3] * wq + c[4],
-        (3, 1, 1): c[2] * wq + c[3] * p() - c[1],
-        (2, 3, 2): c[2] * wq + c[3] * p() + c[1],
-        (1, 2, 1): c[5] * a_plus() + c[6] * a_minus(),
-        (1, 2, 2): c[5] * a_minus() - c[6] * a_plus(),
-        (1, 3, 3): c[7] * a_plus() + c[8] * a_minus(),
-        (2, 3, 3): c[7] * a_minus() - c[8] * a_plus(),
-        (1, 2, 3): OperatorExpr.scalar(CLASSICAL, c[9]),
+        (2, 3, 1): c.c2 * p - c.c3 * wq - c.c4,
+        (1, 3, 2): c.c2 * p - c.c3 * wq + c.c4,
+        (3, 1, 1): c.c2 * wq + c.c3 * p - c.c1,
+        (2, 3, 2): c.c2 * wq + c.c3 * p + c.c1,
+        (1, 2, 1): c.c5 * a_plus + c.c6 * a_minus,
+        (1, 2, 2): c.c5 * a_minus - c.c6 * a_plus,
+        (1, 3, 3): c.c7 * a_plus + c.c8 * a_minus,
+        (2, 3, 3): c.c7 * a_minus - c.c8 * a_plus,
+        (1, 2, 3): OperatorExpr.scalar(CLASSICAL, c.c9),
     })
 
 
@@ -204,16 +172,6 @@ STRUCTURE_COLUMNS = (
     (2, 3, 1), (2, 3, 2), (2, 3, 3),
     (3, 1, 1), (3, 1, 2), (3, 1, 3),
 )
-_COLUMN_INDEX = {key: pos for pos, key in enumerate(STRUCTURE_COLUMNS)}
-
-
-def structure_lookup(values, i: int, j: int, k: int) -> ScalarPoly:
-    """Antisymmetric lookup into a nine-entry column tuple."""
-    if i == j:
-        return ScalarPoly.zero()
-    if (i, j, k) in _COLUMN_INDEX:
-        return ScalarPoly._coerce(values[_COLUMN_INDEX[(i, j, k)]])
-    return -ScalarPoly._coerce(values[_COLUMN_INDEX[(j, i, k)]])
 
 
 def coeffs_from_initial(initial) -> DeformationCoeffs:
@@ -221,29 +179,28 @@ def coeffs_from_initial(initial) -> DeformationCoeffs:
 
     ``initial`` holds the nine independent constants in STRUCTURE_COLUMNS
     order.  The start state has q = 0, p = p0 > 0, A+ = sqrt(2 p0), A- = 0.
+    The (1,3)->k constants are the negated (3,1)->k columns.
     """
-    def m(i, j, k):
-        return structure_lookup(initial, i, j, k)
-
+    m = dict(zip(STRUCTURE_COLUMNS, initial))
     half = Fraction(1, 2)
-    return DeformationCoeffs((
-        (m(2, 3, 2) - m(3, 1, 1)) * half,
-        (m(1, 3, 2) + m(2, 3, 1)) * inv_2p0(),
-        (m(2, 3, 2) + m(3, 1, 1)) * inv_2p0(),
-        (m(1, 3, 2) - m(2, 3, 1)) * half,
-        m(1, 2, 1) * inv_sqrt_2p0(),
-        -(m(1, 2, 2) * inv_sqrt_2p0()),
-        m(1, 3, 3) * inv_sqrt_2p0(),
-        -(m(2, 3, 3) * inv_sqrt_2p0()),
-        m(1, 2, 3),
-    ))
+    return DeformationCoeffs.of(
+        (m[2, 3, 2] - m[3, 1, 1]) * half,
+        (m[2, 3, 1] - m[3, 1, 2]) * inv_2p0(),
+        (m[2, 3, 2] + m[3, 1, 1]) * inv_2p0(),
+        -(m[3, 1, 2] + m[2, 3, 1]) * half,
+        m[1, 2, 1] * inv_sqrt_2p0(),
+        -(m[1, 2, 2] * inv_sqrt_2p0()),
+        -(m[3, 1, 3] * inv_sqrt_2p0()),
+        -(m[2, 3, 3] * inv_sqrt_2p0()),
+        m[1, 2, 3],
+    )
 
 
 def coeffs_nondegenerate(c: DeformationCoeffs) -> bool:
     """Sum-of-squares nondegeneracy test on the six non-constant parameters."""
     total = ScalarPoly.zero()
-    for nu in (2, 3, 5, 6, 7, 8):
-        total = total + c[nu] * c[nu]
+    for value in (c.c2, c.c3, c.c5, c.c6, c.c7, c.c8):
+        total = total + value * value
     return not total.is_zero
 
 

@@ -245,6 +245,11 @@ class OperatorExpr(SparseSum):
         return f"<OperatorExpr {self.mode} {self.render()}>"
 
 
+def generators(mode: str) -> tuple:
+    """The mode's generators q, p, A+, A- as expressions, in GENERATORS order."""
+    return tuple(OperatorExpr.generator(mode, gen) for gen in GENERATORS)
+
+
 def commutator(u: OperatorExpr, v: OperatorExpr) -> OperatorExpr:
     return u * v - v * u
 

@@ -167,6 +167,15 @@ def test_condition_flag_is_advisory():
     assert "advisory" not in by_id["tables.derive.II"].detail
 
 
+def test_the_iii_a1_flag_reads_the_quantum_table():
+    doc = json.loads(export_tables())
+    doc["quantum"]["III_a1"]["12^3"] = "1"
+    by_id = {c.id: c for c in check_tables_consistency(import_tables(json.dumps(doc)))}
+    assert not by_id["tables.family.III_a1.b-value"].passed
+    assert by_id["tables.family.III_a1.b-value"].residual is None
+    assert not by_id["tables.family.III_a1"].passed
+
+
 def test_quantizing_commutes_with_initial_state_evaluation():
     from oplax.oscillator import at_initial, p0
 
@@ -222,6 +231,21 @@ def _with_quantum_copy(name, of):
     return doc
 
 
+def _repeating(markers, insert):
+    """The exported text with ``insert`` placed where the markers, found one
+    after the other, end: a key written twice, the inserted copy first, which a
+    decoder that keeps the last copy would silently drop."""
+    text, at = export_tables(), 0
+    for marker in markers:
+        at = text.index(marker, at) + len(marker)
+    return text[:at] + insert + text[at:]
+
+
+def _edited_quantum_ii():
+    doc = json.loads(export_tables())
+    return json.dumps({**doc["quantum"]["II"], "23^1": "0"})
+
+
 def _with_note(name, note):
     doc = json.loads(export_tables())
     doc["classification"][name]["note"] = note
@@ -242,6 +266,13 @@ def _with_note(name, note):
     (_without(["dynamical", "V"]), "dynamical has no type 'V'"),
     (_without(["classification", "IX"]), "classification has no type 'IX' of dynamical"),
     (_with_quantum_copy("X", "II"), "classification has no type 'X' of quantum"),
+    # a key written twice, the edited copy first
+    pytest.param(_repeating(['"quantum": {'], f'"II": {_edited_quantum_ii()},'),
+                 "repeated key 'II'", id="repeated-type"),
+    pytest.param(_repeating(['"dynamical": {', '"II": {'], '"23^1": "0",'),
+                 r"repeated key '23\^1'", id="repeated-entry"),
+    pytest.param(_repeating(["{"], '"quantum": {},'), "repeated key 'quantum'",
+                 id="repeated-part"),
 ])
 def test_import_rejects_malformed_documents(doc, named):
     with pytest.raises(ValueError, match=named):
