@@ -16,15 +16,16 @@ from collections import namedtuple
 
 from .operad import MultiOp, antisymmetric_binary
 from .oscillator import (
+    INV_2P0,
+    INV_P0,
+    INV_SQRT_2P0,
+    P0,
     STRUCTURE_COLUMNS,
     W,
     at_initial,
     coeffs_from_initial,
     coeffs_nondegenerate,
     deformed_structure_op,
-    inv_2p0,
-    inv_sqrt_2p0,
-    p0,
 )
 from .report import Check, first_nonzero_check, flag_check
 from .scalars import ScalarPoly, parse_scalar, symbol
@@ -35,62 +36,43 @@ _ONE = ScalarPoly.const(1)
 _A = symbol("a")
 
 
-class BianchiRow(namedtuple("BianchiRow", "name alpha n mu0 note", defaults=("",))):
-    """One classification row: its parameters and initial structure constants.
+class BianchiRow(namedtuple("BianchiRow", "name alpha n note", defaults=("",))):
+    """One classification row: the type's alpha and n = (n1, n2, n3).
 
-    ``mu0`` lists the nine independent constants in STRUCTURE_COLUMNS order.
-    Construction checks them against the structure equations
+    They fix the structure equations
     [e1,e2] = -alpha e2 + n3 e3, [e2,e3] = n1 e1, [e3,e1] = n2 e2 + alpha e3.
     """
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if len(self.n) != 3 or len(self.mu0) != 9:
-            raise ValueError("expected three n-values and nine constants")
+    @classmethod
+    def of(cls, name, alpha, n, note="") -> "BianchiRow":
+        n = tuple(ScalarPoly._coerce(v) for v in n)
+        if len(n) != 3:
+            raise ValueError(f"row {name}: expected three n-values, got {len(n)}")
+        return cls(name, ScalarPoly._coerce(alpha), n, note)
+
+    @property
+    def mu0(self) -> tuple:
+        """The nine initial structure constants in STRUCTURE_COLUMNS order."""
         n1, n2, n3 = self.n
-        expected = (_ZERO, -self.alpha, n3, n1, _ZERO, _ZERO, _ZERO, n2, self.alpha)
-        for column, (want, got) in enumerate(zip(expected, self.mu0)):
-            if want != got:
-                i, j, k = STRUCTURE_COLUMNS[column]
-                raise ValueError(
-                    f"row {self.name}: constant ({i},{j})->{k} is {got.render()}, "
-                    f"structure equations require {want.render()}"
-                )
-        return self
-
-
-def _row(name, alpha, n, entries, note=""):
-    mu0 = tuple(entries.get(key, _ZERO) for key in STRUCTURE_COLUMNS)
-    return BianchiRow(name=name, alpha=ScalarPoly._coerce(alpha),
-                      n=tuple(ScalarPoly._coerce(v) for v in n),
-                      mu0=mu0, note=note)
+        return (_ZERO, -self.alpha, n3, n1, _ZERO, _ZERO, _ZERO, n2, self.alpha)
 
 
 def classification_rows() -> tuple:
-    """The eleven types with their initial structure constants."""
+    """The eleven types with their alpha and n."""
     return (
-        _row("I", 0, (0, 0, 0), {}),
-        _row("II", 0, (_ONE, 0, 0), {(2, 3, 1): _ONE}),
-        _row("VII", 0, (_ONE, _ONE, 0), {(2, 3, 1): _ONE, (3, 1, 2): _ONE}),
-        _row("VI", 0, (_ONE, -_ONE, 0), {(2, 3, 1): _ONE, (3, 1, 2): -_ONE}),
-        _row("IX", 0, (_ONE, _ONE, _ONE),
-             {(1, 2, 3): _ONE, (2, 3, 1): _ONE, (3, 1, 2): _ONE}),
-        _row("VIII", 0, (_ONE, _ONE, -_ONE),
-             {(1, 2, 3): -_ONE, (2, 3, 1): _ONE, (3, 1, 2): _ONE}),
-        _row("V", _ONE, (0, 0, 0), {(1, 2, 2): -_ONE, (3, 1, 3): _ONE}),
-        _row("IV", _ONE, (0, 0, _ONE),
-             {(1, 2, 2): -_ONE, (1, 2, 3): _ONE, (3, 1, 3): _ONE}),
-        _row("VII_a", _A, (0, _ONE, _ONE),
-             {(1, 2, 2): -_A, (1, 2, 3): _ONE, (3, 1, 2): _ONE, (3, 1, 3): _A},
-             note="a > 0"),
-        _row("III_a1", _ONE, (0, _ONE, -_ONE),
-             {(1, 2, 2): -_ONE, (1, 2, 3): -_ONE, (3, 1, 2): _ONE, (3, 1, 3): _ONE},
-             note="a = 1"),
-        _row("VI_a", _A, (0, _ONE, -_ONE),
-             {(1, 2, 2): -_A, (1, 2, 3): -_ONE, (3, 1, 2): _ONE, (3, 1, 3): _A},
-             note="a > 0, a != 1"),
+        BianchiRow.of("I", 0, (0, 0, 0)),
+        BianchiRow.of("II", 0, (1, 0, 0)),
+        BianchiRow.of("VII", 0, (1, 1, 0)),
+        BianchiRow.of("VI", 0, (1, -1, 0)),
+        BianchiRow.of("IX", 0, (1, 1, 1)),
+        BianchiRow.of("VIII", 0, (1, 1, -1)),
+        BianchiRow.of("V", 1, (0, 0, 0)),
+        BianchiRow.of("IV", 1, (0, 0, 1)),
+        BianchiRow.of("VII_a", _A, (0, 1, 1), "a > 0"),
+        BianchiRow.of("III_a1", 1, (0, 1, -1), "a = 1"),
+        BianchiRow.of("VI_a", _A, (0, 1, -1), "a > 0, a != 1"),
     )
 
 
@@ -126,14 +108,13 @@ def _table_entries(mode: str) -> dict:
     gen_q, gen_p, gen_ap, gen_am = generators(mode)
     one = OperatorExpr.scalar(mode, 1)
 
-    p_plus = (gen_p + p0()) * inv_2p0()          # (p + p0) / (2 p0)
-    p_minus_flip = (p0() - gen_p) * inv_2p0()    # (p - p0) / (-2 p0)
-    wq_over_2p0 = W * gen_q * inv_2p0()
-    over_p0 = 2 * inv_2p0()
-    p_over_p0 = gen_p * over_p0
-    wq_over_p0 = W * gen_q * over_p0
-    ap_s = gen_ap * inv_sqrt_2p0()               # A+ / sqrt(2 p0)
-    am_s = gen_am * inv_sqrt_2p0()
+    p_plus = (gen_p + P0) * INV_2P0          # (p + p0) / (2 p0)
+    p_minus_flip = (P0 - gen_p) * INV_2P0    # (p - p0) / (-2 p0)
+    wq_over_2p0 = W * gen_q * INV_2P0
+    p_over_p0 = gen_p * INV_P0
+    wq_over_p0 = W * gen_q * INV_P0
+    ap_s = gen_ap * INV_SQRT_2P0             # A+ / sqrt(2 p0)
+    am_s = gen_am * INV_SQRT_2P0
 
     def av_pattern(b):
         entries = {
@@ -257,18 +238,18 @@ def family_params(name: str) -> FamilyParams:
 def family_structure_op(params: FamilyParams) -> MultiOp:
     """The quantum family operation in terms of (beta, gamma, a, b)."""
     gen_q, gen_p, gen_ap, gen_am = generators(QUANTUM)
-    ap_s = gen_ap * inv_sqrt_2p0()
-    am_s = gen_am * inv_sqrt_2p0()
-    beta_wq = params.beta * W * gen_q * inv_2p0()
+    ap_s = gen_ap * INV_SQRT_2P0
+    am_s = gen_am * INV_SQRT_2P0
+    beta_wq = params.beta * W * gen_q * INV_2P0
     return antisymmetric_binary(3, QUANTUM, {
         (1, 2, 1): params.a * am_s,
         (1, 2, 2): -(params.a * ap_s),
         (1, 2, 3): OperatorExpr.scalar(QUANTUM, params.b),
-        (2, 3, 1): -(params.gamma * (gen_p - p0()) * inv_2p0()),
+        (2, 3, 1): -(params.gamma * (gen_p - P0) * INV_2P0),
         (2, 3, 2): -beta_wq,
         (2, 3, 3): -(params.a * am_s),
         (3, 1, 1): -beta_wq,
-        (3, 1, 2): params.gamma * (gen_p + p0()) * inv_2p0(),
+        (3, 1, 2): params.gamma * (gen_p + P0) * INV_2P0,
         (3, 1, 3): params.a * ap_s,
     })
 
@@ -406,7 +387,8 @@ def import_tables(text: str) -> BianchiTables:
     """Inverse of export_tables; round-trips bit-exactly.
 
     Malformed JSON, a repeated key, a missing or mistyped field, malformed
-    expression text and parts that do not name the same types all raise
+    expression text, classification constants that contradict the row's
+    alpha and n, and parts that do not name the same types all raise
     ValueError.
     """
     try:
@@ -418,15 +400,21 @@ def import_tables(text: str) -> BianchiTables:
     for name, data in _field(doc, "classification", "the document").items():
         where = f"classification row {name!r}"
         mu = _field(_expect(data, dict, where), "mu", where)
-        rows.append(BianchiRow(
-            name=name,
-            alpha=parse_scalar(_field(data, "alpha", where, str)),
-            n=tuple(parse_scalar(_expect(v, str, f"{where} 'n' entry"))
-                    for v in _field(data, "n", where, list)),
-            mu0=tuple(parse_scalar(_field(mu, key, f"{where} 'mu'", str))
-                      for key in _ENTRY_KEYS),
-            note=_expect(data.get("note", ""), str, f"{where} 'note'"),
-        ))
+        row = BianchiRow.of(
+            name,
+            parse_scalar(_field(data, "alpha", where, str)),
+            [parse_scalar(_expect(v, str, f"{where} 'n' entry"))
+             for v in _field(data, "n", where, list)],
+            _expect(data.get("note", ""), str, f"{where} 'note'"),
+        )
+        for key, (i, j, k), want in zip(_ENTRY_KEYS, STRUCTURE_COLUMNS, row.mu0):
+            got = parse_scalar(_field(mu, key, f"{where} 'mu'", str))
+            if got != want:
+                raise ValueError(
+                    f"row {name}: constant ({i},{j})->{k} is {got.render()}, "
+                    f"structure equations require {want.render()}"
+                )
+        rows.append(row)
     dynamical = _ops_from_strings(doc, "dynamical", CLASSICAL)
     quantum = _ops_from_strings(doc, "quantum", QUANTUM)
     names = [row.name for row in rows]

@@ -18,7 +18,7 @@ from .bianchi import (
     initial_structure_op,
 )
 from .operad import MultiOp, partial_compose
-from .oscillator import W, det3, inv_2p0, inv_sqrt_2p0, p0
+from .oscillator import INV_P0, INV_SQRT_2P0, P0, W, det3
 from .report import Check, first_nonzero_check, flag_check
 from .scalars import GaussRat, ScalarPoly, add_term, symbol
 from .weyl import QUANTUM, OperatorExpr, commutator, generators
@@ -104,18 +104,16 @@ def closed_form_jacobi(x: Vec3, y: Vec3, z: Vec3,
     and the parameter a but never b.
     """
     gen_q, gen_p, gen_ap, gen_am = generators(QUANTUM)
-    inv_p0 = 2 * inv_2p0()
-
     delta = det3(x, y, z)
     obstruction_plus = (params.beta * W * gen_q * gen_am
-                        + params.gamma * (gen_p - p0()) * gen_ap)
+                        + params.gamma * (gen_p - P0) * gen_ap)
     obstruction_minus = (params.beta * W * gen_q * gen_ap
-                         - params.gamma * (gen_p + p0()) * gen_am)
-    front = -(params.a * delta * inv_p0 * inv_sqrt_2p0())
+                         - params.gamma * (gen_p + P0) * gen_am)
+    front = -(params.a * delta * INV_P0 * INV_SQRT_2P0)
     return (
         front * obstruction_plus,
         front * obstruction_minus,
-        (params.a * params.a * delta * inv_p0) * commutator(gen_ap, gen_am),
+        (params.a * params.a * delta * INV_P0) * commutator(gen_ap, gen_am),
     )
 
 

@@ -21,19 +21,11 @@ from .weyl import AM, AP, CLASSICAL, OperatorExpr, P, Q, generators
 
 W = symbol("w")
 S = symbol("s")
-
-
-def p0() -> ScalarPoly:
-    """Initial momentum, encoded via s^2 = 2*p0."""
-    return ScalarPoly.monomial(Fraction(1, 2), {"s": 2})
-
-
-def inv_2p0() -> ScalarPoly:
-    return ScalarPoly.monomial(1, {"s": -2})
-
-
-def inv_sqrt_2p0() -> ScalarPoly:
-    return ScalarPoly.monomial(1, {"s": -1})
+#: the initial momentum p0, encoded via s^2 = 2*p0, and its inverse powers
+P0 = ScalarPoly.monomial(Fraction(1, 2), {"s": 2})
+INV_2P0 = ScalarPoly.monomial(1, {"s": -2})
+INV_P0 = 2 * INV_2P0
+INV_SQRT_2P0 = ScalarPoly.monomial(1, {"s": -1})
 
 
 def hamiltonian() -> OperatorExpr:
@@ -181,17 +173,19 @@ def coeffs_from_initial(initial) -> DeformationCoeffs:
     order.  The start state has q = 0, p = p0 > 0, A+ = sqrt(2 p0), A- = 0.
     The (1,3)->k constants are the negated (3,1)->k columns.
     """
+    if len(initial) != 9:
+        raise ValueError(f"expected nine structure constants, got {len(initial)}")
     m = dict(zip(STRUCTURE_COLUMNS, initial))
     half = Fraction(1, 2)
     return DeformationCoeffs.of(
         (m[2, 3, 2] - m[3, 1, 1]) * half,
-        (m[2, 3, 1] - m[3, 1, 2]) * inv_2p0(),
-        (m[2, 3, 2] + m[3, 1, 1]) * inv_2p0(),
+        (m[2, 3, 1] - m[3, 1, 2]) * INV_2P0,
+        (m[2, 3, 2] + m[3, 1, 1]) * INV_2P0,
         -(m[3, 1, 2] + m[2, 3, 1]) * half,
-        m[1, 2, 1] * inv_sqrt_2p0(),
-        -(m[1, 2, 2] * inv_sqrt_2p0()),
-        -(m[3, 1, 3] * inv_sqrt_2p0()),
-        -(m[2, 3, 3] * inv_sqrt_2p0()),
+        m[1, 2, 1] * INV_SQRT_2P0,
+        -(m[1, 2, 2] * INV_SQRT_2P0),
+        -(m[3, 1, 3] * INV_SQRT_2P0),
+        -(m[2, 3, 3] * INV_SQRT_2P0),
         m[1, 2, 3],
     )
 
@@ -211,7 +205,7 @@ def at_initial(expr: OperatorExpr) -> OperatorExpr:
     zero = OperatorExpr.zero(CLASSICAL)
     return expr.subst_generators({
         Q: zero,
-        P: OperatorExpr.scalar(CLASSICAL, p0()),
+        P: OperatorExpr.scalar(CLASSICAL, P0),
         AP: OperatorExpr.scalar(CLASSICAL, S),
         AM: zero,
     })

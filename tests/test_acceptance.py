@@ -16,6 +16,7 @@ from fractions import Fraction
 from oplax import bianchi, cli, jacobi
 from oplax.operad import MultiOp, bracket, jacobi_defect
 from oplax.oscillator import (
+    INV_2P0,
     STRUCTURE_COLUMNS,
     at_initial,
     coeffs_from_initial,
@@ -23,7 +24,6 @@ from oplax.oscillator import (
     deformed_structure_op,
     det3,
     hamiltonian,
-    inv_2p0,
     lax_pair,
     rotation_op,
     verify_matrix_lax,
@@ -62,7 +62,7 @@ def test_a2_operadic_lax_all_rows():
     mu_ii = bianchi.dynamical_table()["II"]
     lhs = ddt(mu_ii.entry((1, 2), 0))
     rhs = bracket(rotation_op(), mu_ii).entry((1, 2), 0)
-    oracle = -(w * w) * o_q * inv_2p0()
+    oracle = -(w * w) * o_q * INV_2P0
     ok = lhs == oracle and rhs == oracle
     total = 0
     for name, mu in bianchi.dynamical_table().items():

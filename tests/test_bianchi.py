@@ -19,7 +19,7 @@ from oplax.bianchi import (
     quantum_table,
     row_by_name,
 )
-from oplax.oscillator import inv_2p0, inv_sqrt_2p0, p0, verify_operadic_lax
+from oplax.oscillator import INV_2P0, INV_SQRT_2P0, P0, verify_operadic_lax
 from oplax.scalars import ScalarPoly, symbol
 from oplax.weyl import AM, AP, CLASSICAL, P, Q, QUANTUM, OperatorExpr
 
@@ -52,9 +52,16 @@ def test_eleven_types_in_fixed_order():
 
 
 def test_structure_equations_enforced():
-    with pytest.raises(ValueError):
-        BianchiRow(name="bad", alpha=ZERO, n=(ONE, ZERO, ZERO),
-                   mu0=(ZERO,) * 9)  # (2,3)->1 must equal n1
+    # a document's constants must agree with its alpha and n: (2,3)->1 is n1
+    edited_mu = json.loads(export_tables())
+    edited_mu["classification"]["II"]["mu"]["23^1"] = "0"
+    edited_n = json.loads(export_tables())
+    edited_n["classification"]["II"]["n"] = ["0", "0", "0"]
+    for doc, got, want in ((edited_mu, "0", "1"), (edited_n, "1", "0")):
+        message = (rf"^row II: constant \(2,3\)->1 is {got}, "
+                   rf"structure equations require {want}$")
+        with pytest.raises(ValueError, match=message):
+            import_tables(json.dumps(doc))
 
 
 def test_derived_dynamical_matches_stored_table():
@@ -72,10 +79,10 @@ def test_dynamical_entries_match_hand_transcription():
     w = symbol("w")
 
     ii = table["II"]
-    assert ii.entry((1, 2), 0) == (gen_p + p0()) * inv_2p0()
-    assert ii.entry((1, 2), 1) == w * gen_q * inv_2p0()
-    assert ii.entry((2, 0), 0) == w * gen_q * inv_2p0()
-    assert ii.entry((2, 0), 1) == (p0() - gen_p) * inv_2p0()
+    assert ii.entry((1, 2), 0) == (gen_p + P0) * INV_2P0
+    assert ii.entry((1, 2), 1) == w * gen_q * INV_2P0
+    assert ii.entry((2, 0), 0) == w * gen_q * INV_2P0
+    assert ii.entry((2, 0), 1) == (P0 - gen_p) * INV_2P0
     assert ii.entry((0, 1), 2).is_zero
 
     vii = table["VII"]
@@ -83,10 +90,10 @@ def test_dynamical_entries_match_hand_transcription():
     assert vii.entry((2, 0), 1) == OperatorExpr.scalar(CLASSICAL, 1)
 
     v = table["V"]
-    assert v.entry((0, 1), 0) == gen_am * inv_sqrt_2p0()
-    assert v.entry((0, 1), 1) == -(gen_ap * inv_sqrt_2p0())
-    assert v.entry((1, 2), 2) == -(gen_am * inv_sqrt_2p0())
-    assert v.entry((2, 0), 2) == gen_ap * inv_sqrt_2p0()
+    assert v.entry((0, 1), 0) == gen_am * INV_SQRT_2P0
+    assert v.entry((0, 1), 1) == -(gen_ap * INV_SQRT_2P0)
+    assert v.entry((1, 2), 2) == -(gen_am * INV_SQRT_2P0)
+    assert v.entry((2, 0), 2) == gen_ap * INV_SQRT_2P0
 
 
 def test_every_dynamical_row_solves_the_lax_equation():
@@ -99,13 +106,13 @@ def test_quantize_examples():
     hatted = quantize(table["II"])
     assert hatted.mode == QUANTUM
     gen_ph = OperatorExpr.generator(QUANTUM, P)
-    assert hatted.entry((1, 2), 0) == (gen_ph + p0()) * inv_2p0()
+    assert hatted.entry((1, 2), 0) == (gen_ph + P0) * INV_2P0
     assert hatted == quantum_table()["II"]
     # constant rows are unchanged apart from the mode tag
     assert quantize(table["IX"]) == quantum_table()["IX"]
     v_hat = quantize(table["V"])
     assert v_hat.entry((0, 1), 0) == \
-        OperatorExpr.generator(QUANTUM, AM) * inv_sqrt_2p0()
+        OperatorExpr.generator(QUANTUM, AM) * INV_SQRT_2P0
     with pytest.raises(ValueError):
         quantize(quantum_table()["II"])
 
@@ -137,8 +144,8 @@ def test_family_symbolic_entries():
     gen_ph = OperatorExpr.generator(QUANTUM, P)
     gen_qh = OperatorExpr.generator(QUANTUM, Q)
     w = symbol("w")
-    assert op.entry((1, 2), 0) == -(gamma * (gen_ph - p0()) * inv_2p0())
-    assert op.entry((1, 2), 1) == -(beta * w * gen_qh * inv_2p0())
+    assert op.entry((1, 2), 0) == -(gamma * (gen_ph - P0) * INV_2P0)
+    assert op.entry((1, 2), 1) == -(beta * w * gen_qh * INV_2P0)
     assert op.entry((0, 1), 2) == OperatorExpr.scalar(QUANTUM, symbol("b"))
     assert op.is_antisymmetric()
 
@@ -177,11 +184,11 @@ def test_the_iii_a1_flag_reads_the_quantum_table():
 
 
 def test_quantizing_commutes_with_initial_state_evaluation():
-    from oplax.oscillator import at_initial, p0
+    from oplax.oscillator import P0, at_initial
 
     start_images = {
         Q: OperatorExpr.zero(QUANTUM),
-        P: OperatorExpr.scalar(QUANTUM, p0()),
+        P: OperatorExpr.scalar(QUANTUM, P0),
         AP: OperatorExpr.scalar(QUANTUM, ScalarPoly.monomial(1, {"s": 1})),
         AM: OperatorExpr.zero(QUANTUM),
     }
@@ -285,10 +292,9 @@ def test_import_defaults_a_missing_note_to_empty():
 
 
 @pytest.mark.parametrize("lookup, error, match", [
-    (lambda: BianchiRow(name="short", alpha=ZERO, n=(ZERO, ZERO), mu0=(ZERO,) * 9),
-     ValueError, "three n-values"),
-    (lambda: BianchiRow(name="short", alpha=ZERO, n=(ZERO,) * 3, mu0=(ZERO,) * 8),
-     ValueError, "nine constants"),
+    (lambda: BianchiRow.of("short", 0, (0, 0)), ValueError, "three n-values, got 2"),
+    (lambda: import_tables(json.dumps(_without(["classification", "II", "mu", "31^3"]))),
+     ValueError, r"classification row 'II' 'mu' has no '31\^3'"),
     (lambda: row_by_name("X"), KeyError, "unknown type 'X'"),
 ], ids=("n-length", "mu0-length", "unknown-name"))
 def test_a_malformed_row_or_an_unknown_name_is_rejected(lookup, error, match):

@@ -212,6 +212,17 @@ def test_compute_jacobi_is_byte_identical(capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == COMPUTE_JACOBI_SHA256
 
 
+#: sha256 of the built-in table document; its classification constants are
+#: computed from each row's alpha and n
+EXPORT_TABLES_SHA256 = "f837d42c287a32ac11eeeb28c1457015ea2d65a190ba3ec3a86a3a66985ceb3d"
+
+
+def test_export_tables_is_byte_identical():
+    text = bianchi.export_tables()
+    assert len(text) == 8754
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_TABLES_SHA256
+
+
 #: four planted faults, each added with its antisymmetric flip:
 #: (table, type, 1-based (i, j, k) entry, added operator text)
 PLANTED_FAULTS = (

@@ -19,7 +19,7 @@ from oplax.jacobi import (
     verify_closed_form_specializations,
     verify_quantum_lie_types,
 )
-from oplax.oscillator import inv_2p0, inv_sqrt_2p0, p0
+from oplax.oscillator import INV_2P0, INV_SQRT_2P0, P0
 from oplax.scalars import ScalarPoly, symbol
 from oplax.weyl import AM, AP, P, Q, QUANTUM, OperatorExpr, commutator
 
@@ -46,8 +46,8 @@ def test_vector_bracket_in_type_ii():
     b1, b2, b3 = vector_bracket(E2, E3, mu)
     gen_ph = OperatorExpr.generator(QUANTUM, P)
     gen_qh = OperatorExpr.generator(QUANTUM, Q)
-    assert b1 == (gen_ph + p0()) * inv_2p0()
-    assert b2 == symbol("w") * gen_qh * inv_2p0()
+    assert b1 == (gen_ph + P0) * INV_2P0
+    assert b2 == symbol("w") * gen_qh * INV_2P0
     assert b3.is_zero
 
 
@@ -60,8 +60,8 @@ def test_vector_bracket_in_the_family():
     mu = bianchi.family_structure_op(bianchi.FamilyParams.symbolic())
     b1, b2, b3 = vector_bracket(E1, E2, mu)
     a = symbol("a")
-    assert b1 == a * OperatorExpr.generator(QUANTUM, AM) * inv_sqrt_2p0()
-    assert b2 == -(a * OperatorExpr.generator(QUANTUM, AP) * inv_sqrt_2p0())
+    assert b1 == a * OperatorExpr.generator(QUANTUM, AM) * INV_SQRT_2P0
+    assert b2 == -(a * OperatorExpr.generator(QUANTUM, AP) * INV_SQRT_2P0)
     assert b3 == OperatorExpr.scalar(QUANTUM, symbol("b"))
 
 

@@ -6,6 +6,8 @@ import pytest
 from oplax import bianchi
 from oplax.operad import partial_compose
 from oplax.oscillator import (
+    INV_2P0,
+    P0,
     STRUCTURE_COLUMNS,
     DeformationCoeffs,
     at_initial,
@@ -15,9 +17,7 @@ from oplax.oscillator import (
     deformed_structure_op,
     det3,
     hamiltonian,
-    inv_2p0,
     lax_pair,
-    p0,
     rotation_op,
     verify_matrix_lax,
     verify_operadic_lax,
@@ -37,7 +37,7 @@ def gen(g):
 def test_hamiltonian_value_at_start_is_energy():
     # E = p0^2 / 2 once p0 is the initial momentum
     assert at_initial(hamiltonian()) == \
-        OperatorExpr.scalar(CLASSICAL, p0() * p0() * Fraction(1, 2))
+        OperatorExpr.scalar(CLASSICAL, P0 * P0 * Fraction(1, 2))
 
 
 def test_hamiltonian_is_even_in_each_variable():
@@ -182,7 +182,7 @@ def test_deformed_structure_op_entries():
     c = coeffs_from_initial(_initial(**{"231": ONE}))
     mu = deformed_structure_op(c)
     # (2,3)->1 entry is (p + p0)/(2 p0)
-    assert mu.entry((1, 2), 0) == (gen(P) + p0()) * inv_2p0()
+    assert mu.entry((1, 2), 0) == (gen(P) + P0) * INV_2P0
     assert mu.is_antisymmetric()
     zero_op = deformed_structure_op(DeformationCoeffs.of(*[ZERO] * 9))
     assert zero_op.is_zero
@@ -199,10 +199,10 @@ def test_deformed_structure_op_antisymmetry_random():
 
 
 def test_at_initial_examples():
-    assert at_initial((gen(P) + p0()) * inv_2p0()) == \
+    assert at_initial((gen(P) + P0) * INV_2P0) == \
         OperatorExpr.scalar(CLASSICAL, 1)
     assert at_initial(gen(AM) * ScalarPoly.monomial(1, {"s": -1})).is_zero
-    assert at_initial(W * gen(Q) * inv_2p0()).is_zero
+    assert at_initial(W * gen(Q) * INV_2P0).is_zero
 
 
 def test_operadic_lax_entry_oracle_type_ii():
@@ -210,7 +210,7 @@ def test_operadic_lax_entry_oracle_type_ii():
     both sides equal -w^2 q / (2 p0)."""
     mu = deformed_structure_op(coeffs_from_initial(_initial(**{"231": ONE})))
     lhs = ddt(mu.entry((1, 2), 0))
-    want = -(W * W) * gen(Q) * inv_2p0()
+    want = -(W * W) * gen(Q) * INV_2P0
     assert lhs == want
     m = rotation_op()
     rhs = OperatorExpr.zero(CLASSICAL)
@@ -253,6 +253,12 @@ def test_round_trip_through_initial_state():
             value = at_initial(mu.entry((i - 1, j - 1), k - 1))
             assert value == OperatorExpr.scalar(CLASSICAL, row.mu0[column]), \
                 (row.name, (i, j, k))
+
+
+@pytest.mark.parametrize("count", (8, 10))
+def test_coeffs_from_initial_takes_exactly_nine_constants(count):
+    with pytest.raises(ValueError, match=f"nine structure constants, got {count}"):
+        coeffs_from_initial((ONE,) * count)
 
 
 @pytest.mark.parametrize("call, error, match", [
