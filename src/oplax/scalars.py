@@ -14,6 +14,7 @@ maps coincide.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from fractions import Fraction
@@ -455,27 +456,37 @@ def render_sum(signed_bodies) -> str:
 # term multiply, while inside parentheses the last one counts.  Words are
 # spellings the caller names (the operator generators); scalar text has none.
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)"
-    r"|(?P<sym>" + "|".join(sorted(SYMBOLS, key=len, reverse=True)) + ")"
-    r"(?:\s*\^\s*(?P<neg>-)?\s*(?P<exp>\d+))?"
-    r"|(?P<op>[i()*+-]))?"
-)
+@functools.cache
+def _token_pattern(words: tuple) -> re.Pattern:
+    """The token regex for one word set, compiled on first use.  Each name list
+    is longest first; with no words the word group is empty and reads as no token."""
+    def names(spellings):
+        return "|".join(map(re.escape, sorted(spellings, key=len, reverse=True)))
+    return re.compile(
+        r"\s*(?:(?P<num>\d+)(?:/(?P<den>\d+))?"
+        r"|(?P<sym>" + names(SYMBOLS) + ")"
+        r"(?:\s*\^\s*(?P<neg>-)?\s*(?P<exp>\d+))?"
+        r"|(?P<op>[i()*+-])"
+        r"|(?P<word>" + names(words) + "))?"
+    )
 
 
 def _tokenize(text: str, words) -> list:
-    """(kind, value) pairs: ("num", GaussRat) for a number or ``i``,
-    ("sym", (index, exponent)), ("word", index into words), or (character,
-    None) for ``( ) * + -``."""
+    """(kind, value) pairs, one regex match each: ("num", GaussRat) for ``i`` or
+    a number, read as ``int`` or ``Fraction(int, int)``, ("sym", (index,
+    exponent)), ("word", index into words), or (character, None) for ``( ) * + -``."""
+    words = tuple(words)
+    match_at = _token_pattern(words).match
     tokens = []
     pos, end = 0, len(text)
     while True:
-        match = _TOKEN.match(text, pos)
+        match = match_at(text, pos)
         pos = match.end()
-        num, sym, neg, exp, op = match.groups()
+        num, den, sym, neg, exp, op, word = match.groups()
         if num:
             try:
-                tokens.append(("num", GaussRat(Fraction(num))))
+                tokens.append(("num", GaussRat(
+                    Fraction(int(num), int(den)) if den else int(num))))
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {text!r}") from None
         elif sym:
@@ -483,15 +494,12 @@ def _tokenize(text: str, words) -> list:
             tokens.append(("sym", (SYMBOL_INDEX[sym], power)))
         elif op:
             tokens.append(("num", GR_I) if op == "i" else (op, None))
+        elif word:
+            tokens.append(("word", words.index(word)))
         elif pos == end:
             return tokens
         else:
-            word = next((k for k, name in enumerate(words)
-                         if text.startswith(name, pos)), None)
-            if word is None:
-                raise ValueError(f"unexpected character {text[pos]!r} in {text!r}")
-            tokens.append(("word", word))
-            pos += len(words[word])
+            raise ValueError(f"unexpected character {text[pos]!r} in {text!r}")
 
 
 def _parse_gauss(tokens: list, pos: int, text: str) -> tuple:
@@ -528,9 +536,9 @@ def _term(coeff: GaussRat, exp: list, sign: int) -> ScalarPoly:
 def parse_terms(text: str, words=()) -> list:
     """The (word, coefficient) terms of ``text`` in the grammar above.
 
-    ``words`` lists the word spellings, none a prefix of another; a term's
-    word is the tuple of their indices in reading order.  Malformed text
-    raises ValueError.
+    ``words`` lists the word spellings, which the token pattern carries
+    longest first; a term's word is the tuple of their indices in reading
+    order.  Malformed text raises ValueError.
     """
     tokens = _tokenize(text, words)
     terms = []
@@ -571,7 +579,8 @@ def parse_terms(text: str, words=()) -> list:
 
 def parse_scalar(text: str) -> ScalarPoly:
     """Parse the canonical scalar rendering back into a ScalarPoly."""
-    total = ScalarPoly.zero()
-    for _, coeff in parse_terms(text):
-        total = total + coeff
-    return total
+    acc: dict = {}
+    for _, term in parse_terms(text):
+        for exp, coeff in term.terms.items():
+            add_term(acc, exp, coeff)
+    return ScalarPoly._make(acc)

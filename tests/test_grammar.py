@@ -1,5 +1,7 @@
 """The one expression grammar behind parse_scalar and parse_operator."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -57,6 +59,49 @@ def test_parsers_return_or_raise_value_error(text):
 ])
 def test_scalar_forms(text, value):
     assert parse_scalar(text) == value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.from_regex(r"0*[0-9]{1,12}(/0*[0-9]{1,6})?", fullmatch=True))
+@example("4/2")
+@example("0006/0004")
+@example("000/000")
+def test_number_literals_read_as_the_fraction_of_their_text(text):
+    _, _, den = text.partition("/")
+    if den and int(den) == 0:
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_scalar(text)
+        return
+    value = Fraction(text)
+    parsed = parse_scalar(text)
+    assert parsed == ScalarPoly.const(value)
+    # an integral value is stored as int, any other as a reduced Fraction
+    want = [] if value == 0 else [int if value.denominator == 1 else Fraction]
+    assert [type(coeff.re) for coeff in parsed.terms.values()] == want
+
+
+def test_integral_literals_are_stored_as_int():
+    (two,) = parse_scalar("4/2").terms.values()
+    assert type(two.re) is int and two.re == 2
+    (three_halves,) = parse_scalar("0006/0004").terms.values()
+    assert three_halves.re == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "1/" + "1" * 5000],
+                         ids=["numerator", "denominator"])
+def test_a_literal_past_the_digit_limit_is_rejected(text):
+    with pytest.raises(ValueError):
+        parse_scalar(text)
+
+
+def test_importing_the_package_compiles_no_token_pattern():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import oplax.cli, oplax.scalars as s; "
+         "print(s._token_pattern.cache_info().currsize)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 @pytest.mark.parametrize("text", [
