@@ -3,13 +3,14 @@
 ``oplax verify <suite>`` runs a named check suite and prints a report, one
 line per check in text mode or the JSON document described in the README.
 Exit status: 0 when every executed check passes, 1 when any fails, 2 on a
-usage error.  ``oplax compute jacobi`` evaluates the Jacobi operator of one
-quantum type on given (or fully symbolic) vectors.
+usage error or an unwritable stdout.  ``oplax compute jacobi`` evaluates the
+Jacobi operator of one quantum type on given (or fully symbolic) vectors.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -84,21 +85,21 @@ def _parse_vector(text: str, flag: str):
         raise ValueError(f"{flag}: {exc}") from None
 
 
-def _run_verify(args) -> int:
+def _run_verify(args) -> tuple[int, str]:
     if args.type_name is not None and args.suite != "operadic-lax":
         print("--type applies to the operadic-lax suite only", file=sys.stderr)
-        return 2
+        return 2, ""
     hbar_zero = args.hbar == "0"
     tables = bianchi.builtin_tables()
     if args.type_name is not None:
         tables = tables._replace(dynamical={args.type_name: tables.dynamical[args.type_name]})
     checks = [check for name, suite in SUITES.items() if args.suite in ("all", name)
               for check in suite(tables, hbar_zero)]
-    sys.stdout.write(render_json(checks) if args.fmt == "json" else render_text(checks))
-    return 0 if all(c.passed for c in checks) else 1
+    return (0 if all(c.passed for c in checks) else 1,
+            render_json(checks) if args.fmt == "json" else render_text(checks))
 
 
-def _run_compute(args) -> int:
+def _run_compute(args) -> tuple[int, str]:
     if args.symbolic:
         vectors = (jacobi.symbolic_vec("x"), jacobi.symbolic_vec("y"),
                    jacobi.symbolic_vec("z"))
@@ -109,14 +110,14 @@ def _run_compute(args) -> int:
         if missing:
             print(f"missing {', '.join(missing)} (or pass --symbolic)",
                   file=sys.stderr)
-            return 2
+            return 2, ""
         try:
             vectors = (_parse_vector(args.vec_x, "--x"),
                        _parse_vector(args.vec_y, "--y"),
                        _parse_vector(args.vec_z, "--z"))
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
-            return 2
+            return 2, ""
     mu = bianchi.quantum_table()[args.type_name]
     result = jacobi.jacobi_op(*vectors, mu)
     if args.hbar == "0":
@@ -132,9 +133,8 @@ def _run_compute(args) -> int:
                                for i, component in enumerate(result, start=1))
     except ValueError as exc:  # a coefficient past the int-to-str digit limit
         print(f"result too large to print: {exc}", file=sys.stderr)
-        return 2
-    sys.stdout.write(rendered)
-    return 0
+        return 2, ""
+    return 0, rendered
 
 
 def run(argv) -> int:
@@ -144,9 +144,16 @@ def run(argv) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    if args.command == "verify":
-        return _run_verify(args)
-    return _run_compute(args)
+    status, text = (_run_verify if args.command == "verify" else _run_compute)(args)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full device: the buffered rest
+        # would fail again at exit, so stdout goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write the output: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return status
 
 
 def main() -> None:

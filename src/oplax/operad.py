@@ -109,7 +109,8 @@ def _operand(op: MultiOp) -> _Operand:
 
 
 def _compose_into(acc: dict, f: _Operand, pos: int, g: _Operand, negate: bool) -> None:
-    """Add f o_pos g, negated when ``negate``, into ``acc``, a raw sum by entry key."""
+    """Add f o_pos g, negated when ``negate``, into ``acc``, a raw sum by entry key
+    that keeps no empty sum at any level."""
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     if f.mode != g.mode:
@@ -123,7 +124,13 @@ def _compose_into(acc: dict, f: _Operand, pos: int, g: _Operand, negate: bool) -
     for key, xs in f.rows[negate].items():
         head, tail = key[:pos], key[pos + 1:]
         for g_inputs, ys in g.by_out.get(key[pos], ()):
-            _mul_rows_into(acc.setdefault(head + g_inputs + tail, {}), xs, ys, f.mode)
+            out = head + g_inputs + tail
+            raw = acc.get(out)
+            if raw is None:
+                raw = acc[out] = {}
+            _mul_rows_into(raw, xs, ys, f.mode)
+            if not raw:
+                del acc[out]
 
 
 def _total_into(acc: dict, f: _Operand, g: _Operand, negate: bool) -> None:
@@ -138,12 +145,12 @@ def _bracket_into(acc: dict, f: _Operand, g: _Operand, negate: bool) -> None:
 
 def _composite(ops: tuple, fill) -> MultiOp:
     """Flatten each operation once, fill one raw sum from their operands and
-    wrap it once, dropping what cancelled."""
+    wrap it once; an entry that cancelled has left the sum and builds nothing."""
     acc: dict = {}
     fill(acc, *map(_operand, ops))
     f = ops[0]
     return MultiOp._make(f.dim, sum(op.reduced_degree for op in ops) + 1, f.mode, {
-        key: value for key, raw in acc.items() if (value := _wrap(f.mode, raw))})
+        key: _wrap(f.mode, raw) for key, raw in acc.items()})
 
 
 def partial_compose(f: MultiOp, pos: int, g: MultiOp) -> MultiOp:

@@ -19,8 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import (GaussRat, ScalarPoly, SparseSum, add_exponents, add_term, parse_terms,
-                      render_sum, render_term)
+from .scalars import (_ZERO_EXP, GaussRat, ScalarPoly, SparseSum, add_exponents, add_term,
+                      parse_terms, render_sum, render_term)
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -71,15 +71,16 @@ def _rows(terms: dict) -> list:
 
 def _mul_rows_into(acc: dict, xs: list, ys: list, mode: str) -> None:
     """The one operator-product kernel: add xs*ys into ``acc``, a raw ``{word:
-    {exp: (re, im)}}`` sum, deleting a zero sum.  A classical pair is sorted unless
-    a side is empty; a quantum p q junction is normal-ordered and comes back here."""
+    {exp: (re, im)}}`` sum that keeps no zero part pair and no empty word sum.  A
+    classical pair is sorted unless a side is empty; a quantum p q junction is
+    normal-ordered and comes back here.  ``_ZERO_EXP`` itself skips the exponent add."""
     for w1, e1, r1, i1 in xs:
         for w2, e2, r2, i2 in ys:
             if i1 or i2:
                 re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
             else:
                 re, im = r1 * r2, 0
-            exp = add_exponents(e1, e2)
+            exp = e1 if e2 is _ZERO_EXP else e2 if e1 is _ZERO_EXP else add_exponents(e1, e2)
             if not (w1 and w2):
                 word = w1 or w2
             elif mode == CLASSICAL:
@@ -90,21 +91,26 @@ def _mul_rows_into(acc: dict, xs: list, ys: list, mode: str) -> None:
                 _normalize_into(words := {}, w1 + w2, ScalarPoly.const(1), QUANTUM)
                 _mul_rows_into(acc, (((), exp, re, im),), _rows(words), QUANTUM)
                 continue
-            inner = acc.setdefault(word, {})
+            inner = acc.get(word)
+            if inner is None:
+                acc[word] = {exp: (re, im)}
+                continue
             total = inner.get(exp)
             if total is not None:
                 re, im = re + total[0], im + total[1]
                 if not (re or im):
                     del inner[exp]
+                    if not inner:
+                        del acc[word]
                     continue
             inner[exp] = (re, im)
 
 
 def _wrap(mode: str, acc: dict) -> "OperatorExpr":
-    """The OperatorExpr of a raw sum: one GaussRat per part pair, no empty word."""
+    """The OperatorExpr of a raw sum, which has no empty word: one GaussRat per part pair."""
     return OperatorExpr._make(mode, {
         word: ScalarPoly._make({exp: GaussRat(re, im) for exp, (re, im) in raw.items()})
-        for word, raw in acc.items() if raw})
+        for word, raw in acc.items()})
 
 
 class OperatorExpr(SparseSum):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -153,6 +154,50 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.count("[PASS]") == 11
+
+
+#: one command of each kind; both write their output through the same try in ``cli.run``
+WRITERS = {
+    "verify": ["verify", "matrix-lax"],
+    "compute": ["compute", "jacobi", "--type", "V", "--x", "1,0,0", "--y", "0,1,0",
+                "--z", "0,0,1"],
+}
+
+
+def run_with_stdout(stdout, command, unbuffered):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "oplax", *WRITERS[command]], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+
+
+def assert_one_line_and_exit_2(proc, reason):
+    # buffered, the rest of the output would fail again at exit ("Exception
+    # ignored", exit 120) unless stdout is sent to the null device
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"cannot write the output: {reason}\n"
+
+
+@pytest.mark.parametrize("unbuffered", (True, False), ids=("unbuffered", "buffered"))
+@pytest.mark.parametrize("command", WRITERS)
+def test_a_closed_pipe_exits_2_with_one_line(command, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes, so the write meets EPIPE
+    try:
+        proc = run_with_stdout(write_end, command, unbuffered)
+    finally:
+        os.close(write_end)
+    assert_one_line_and_exit_2(proc, "Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", (True, False), ids=("unbuffered", "buffered"))
+@pytest.mark.parametrize("command", WRITERS)
+def test_a_full_device_exits_2_with_one_line(command, unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = run_with_stdout(full, command, unbuffered)
+    assert_one_line_and_exit_2(proc, "No space left on device")
 
 
 def test_cli_import_skips_dataclasses_and_inspect():

@@ -1,10 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oplax import operad
 from oplax.bianchi import dynamical_table
 from oplax.operad import (
     MultiOp,
@@ -417,6 +419,105 @@ def test_jacobi_defect_is_the_signed_cyclic_sum_of_public_brackets(mode, data):
             term = -term
         want = term if want is None else want + term
     assert jacobi_defect(f, g, h) == want
+
+
+def assert_no_empty_sum(acc):
+    """A raw ``{key: {word: {exp: (re, im)}}}`` sum holds no empty dict at any
+    level and no zero part pair."""
+    for raw in acc.values():
+        assert raw
+        for parts in raw.values():
+            assert parts and all(re or im for re, im in parts.values())
+
+
+@pytest.fixture
+def raw_sums(monkeypatch):
+    """Check the raw sum after every ``_compose_into``; ``seen`` lists the raw
+    sums in call order and ``wraps`` counts the entry sums that are wrapped."""
+    record = SimpleNamespace(seen=[], wraps=0)
+    compose, wrap = operad._compose_into, operad._wrap
+
+    def checked_compose(acc, *args):
+        compose(acc, *args)
+        assert_no_empty_sum(acc)
+        record.seen.append(acc)
+
+    def counted_wrap(mode, raw):
+        record.wraps += 1
+        return wrap(mode, raw)
+
+    monkeypatch.setattr(operad, "_compose_into", checked_compose)
+    monkeypatch.setattr(operad, "_wrap", counted_wrap)
+    return record
+
+
+@pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
+@pytest.mark.parametrize("degree", (1, 3))
+def test_the_self_bracket_of_an_even_operation_wraps_nothing(raw_sums, mode, degree):
+    # [f, f] = f o f - f o f for an even reduced degree: every entry cancels
+    f = random_operator_op(random.Random(degree), mode, 2, degree, density=0.7)
+    assert len(f.entries) >= 3 and not total_compose(f, f).is_zero
+    raw_sums.wraps = 0
+    assert bracket(f, f).entries == {}
+    assert raw_sums.seen[-1] == {} and raw_sums.wraps == 0
+
+
+@pytest.mark.parametrize("name", ("IX", "VI_a"))
+def test_the_zero_jacobi_defect_wraps_only_its_inner_brackets(raw_sums, name):
+    mu = dynamical_table()[name]
+    inner = len(bracket(mu, mu).entries)
+    assert inner
+    raw_sums.wraps = 0
+    assert jacobi_defect(mu, mu, mu).entries == {}
+    # the three inner brackets are public calls; the outer sum cancels entry by
+    # entry and builds no OperatorExpr
+    assert raw_sums.seen[-1] == {} and raw_sums.wraps == 3 * inner
+
+
+def composite_by_the_old_route(ops, fill):
+    """What ``_composite`` returned before cancelled sums left the raw sum: wrap
+    every entry key through the constructors, then drop the zero values."""
+    acc: dict = {}
+    fill(acc, *map(operad._operand, ops))
+    f = ops[0]
+    entries = {}
+    for key, raw in acc.items():
+        value = OperatorExpr(f.mode, [
+            (word, ScalarPoly({exp: GaussRat(re, im) for exp, (re, im) in parts.items()}))
+            for word, parts in raw.items()])
+        if value:
+            entries[key] = value
+    return MultiOp(f.dim, sum(op.reduced_degree for op in ops) + 1, f.mode, entries)
+
+
+@st.composite
+def constant_ops(draw, dim=2):
+    degree = draw(st.integers(1, 3))
+    keys = st.tuples(*[st.integers(0, dim - 1)] * (degree + 1))
+    values = st.sampled_from((1, -1, 2, Fraction(1, 2), GaussRat(0, 1)))
+    return MultiOp(dim, degree, CLASSICAL, {
+        key: OperatorExpr.scalar(CLASSICAL, v)
+        for key, v in draw(st.dictionaries(keys, values, max_size=6)).items()})
+
+
+@pytest.mark.parametrize("kind", ("constant", "symbolic", "quantum"))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_composite_matches_wrapping_every_key_then_dropping_zeros(kind, data):
+    ops = {"constant": constant_ops(), "symbolic": product_ops(CLASSICAL),
+           "quantum": product_ops(QUANTUM)}[kind]
+    f = data.draw(ops)
+    # f with itself, so an even f's self-bracket cancels
+    g = data.draw(ops) if data.draw(st.booleans()) else f
+    fills = [lambda acc, x, y, pos=pos: operad._compose_into(acc, x, pos, y, False)
+             for pos in range(f.degree)]
+    fills += [lambda acc, x, y: operad._total_into(acc, x, y, False),
+              lambda acc, x, y: operad._bracket_into(acc, x, y, False)]
+    for fill in fills:
+        got = operad._composite((f, g), fill)
+        want = composite_by_the_old_route((f, g), fill)
+        assert got.degree == want.degree and got.entries == want.entries
+        assert all(got.entries.values())
 
 
 _ONE = OperatorExpr.scalar(CLASSICAL, 1)

@@ -4,7 +4,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oplax.scalars import GaussRat, ScalarPoly, add_term, symbol
+from oplax.scalars import NSYMBOLS, _ZERO_EXP, GaussRat, ScalarPoly, add_term, parse_scalar, symbol
 from oplax.weyl import (
     AM,
     AP,
@@ -373,7 +373,7 @@ def test_row_kernel_wraps_an_integral_fraction_sum_as_int(mode):
     y = OperatorExpr(mode, [((P,), 1), ((Q,), 1)])
     acc: dict = {}
     mul_rows(acc, x, y, False)
-    raw = acc[(Q, P)][(0,) * 16]
+    raw = acc[(Q, P)][_ZERO_EXP]
     assert raw == (1, -1) and type(raw[0]) is Fraction and type(raw[1]) is Fraction
     for product in (_wrap(mode, acc), x * y):
         (g,) = product.terms[(Q, P)].terms.values()
@@ -381,6 +381,61 @@ def test_row_kernel_wraps_an_integral_fraction_sum_as_int(mode):
         for coeff in product.terms.values():
             assert_canonical_terms(coeff.terms)
     assert x * y == constructor_product(x, y)
+
+
+def assert_no_empty_word_sum(acc):
+    """A raw ``{word: {exp: (re, im)}}`` sum holds no empty dict and no zero part pair."""
+    for parts in acc.values():
+        assert parts and all(re or im for re, im in parts.values())
+
+
+@pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
+def test_a_cancelled_word_leaves_the_raw_sum(mode):
+    a = OperatorExpr(mode, [((Q,), 1), ((AP,), GaussRat(Fraction(1, 2), 1))])
+    b = OperatorExpr(mode, [((P,), ScalarPoly.monomial(2, {"s": -1})), ((), 3)])
+    acc: dict = {}
+    # (a + b)(a - b) = a^2 - b^2 classically: the cross words q p, p A+, q and A+
+    # of a*b and b*a cancel
+    mul_rows(acc, a + b, a - b, False)
+    assert_no_empty_word_sum(acc)
+    if mode == CLASSICAL:
+        assert set(acc) == {(Q, Q), (Q, AP), (AP, AP), (P, P), (P,), ()}
+    assert _wrap(mode, acc) == (a + b) * (a - b)
+    # the same product with the other sign cancels every word
+    mul_rows(acc, a + b, a - b, True)
+    assert acc == {}
+
+
+@pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
+def test_an_equal_zero_exponent_gives_the_same_product_as_zero_exp_itself(mode):
+    # the kernel skips the exponent add when a side is the _ZERO_EXP object; a
+    # zero vector that is only equal to it must take the add and land on the same key
+    (parsed,) = parse_scalar("2").terms
+    zeros = (tuple([0] * NSYMBOLS), parsed)
+    for zero in zeros:
+        assert zero == _ZERO_EXP and zero is not _ZERO_EXP
+    y = OperatorExpr(mode, [((Q,), 1), ((Q, AM), ScalarPoly.monomial(GaussRat(0, 2), {"s": -2})),
+                            ((), ScalarPoly.monomial(-1, {"w": 1}))])
+    ys = _rows(y.terms)
+    assert any(exp is _ZERO_EXP for _, exp, _, _ in ys)
+    for word in ((), (P,), (AP,)):
+        want_left: dict = {}
+        _mul_rows_into(want_left, [(word, _ZERO_EXP, 2, 0)], ys, mode)
+        want_right: dict = {}
+        _mul_rows_into(want_right, ys, [(word, _ZERO_EXP, 2, 0)], mode)
+        for zero in zeros:
+            for xs, zs, want in (([(word, zero, 2, 0)], ys, want_left),
+                                 (ys, [(word, zero, 2, 0)], want_right)):
+                got: dict = {}
+                _mul_rows_into(got, xs, zs, mode)
+                assert got == want
+            # one product through the shortcut, its negation through the add
+            acc: dict = {}
+            _mul_rows_into(acc, [(word, _ZERO_EXP, 2, 0)], ys, mode)
+            _mul_rows_into(acc, [(word, zero, -2, 0)], ys, mode)
+            assert acc == {}
+    two = OperatorExpr(mode, [((P,), parse_scalar("2"))])
+    assert two * y == OperatorExpr(mode, [((P,), 2)]) * y
 
 
 @settings(max_examples=150, deadline=None)
