@@ -19,8 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import (_ZERO_EXP, GaussRat, ScalarPoly, SparseSum, add_exponents, add_term,
-                      parse_terms, render_sum, render_term)
+from .scalars import (_ZERO_EXP, SYMBOL_INDEX, GaussRat, ScalarPoly, SparseSum, add_exponents,
+                      add_term, parse_terms, render_sum, render_term)
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -32,13 +32,37 @@ GENERATOR_NAMES = {
     QUANTUM: ("qh", "ph", "Ah+", "Ah-"),
 }
 
-#: coefficient picked up when an adjacent p q pair is reordered
-_MINUS_I_HBAR = ScalarPoly.monomial(GaussRat(0, -1), {"hbar": 1})
+#: (re, im) of (-i)^k for k mod 4, the phase of k contractions p q -> -i hbar
+_MINUS_I_POWERS = ((1, 0), (0, -1), (-1, 0), (0, 1))
+_HBAR = SYMBOL_INDEX["hbar"]
+_LETTERS = frozenset(GENERATORS)
 
 
 def _check_mode(mode: str) -> None:
     if mode not in (CLASSICAL, QUANTUM):
         raise ValueError(f"unknown mode {mode!r}")
+
+
+def _normal_rows(word: tuple):
+    """The quantum normal form of ``word`` as ``(w, exp, re, im)`` rows.  The leftmost
+    p q -> q p rewrite and its contraction are walked on words alone; the n leaves
+    that reach a normal word w give it n (-i hbar)^k once, k = (len(word) - len(w)) / 2."""
+    counts: dict = {}
+    stack = [word]
+    while stack:
+        w = stack.pop()
+        for j in range(len(w) - 1):
+            if w[j] == P and w[j + 1] == Q:
+                head, tail = w[:j], w[j + 2:]
+                stack += (head + (Q, P) + tail, head + tail)
+                break
+        else:
+            counts[w] = counts.get(w, 0) + 1
+    for w, n in counts.items():
+        k = (len(word) - len(w)) // 2
+        re, im = _MINUS_I_POWERS[k % 4]
+        yield (w, _ZERO_EXP[:_HBAR] + (k,) + _ZERO_EXP[_HBAR + 1:] if k else _ZERO_EXP,
+               n * re, n * im)
 
 
 def _normalize_into(acc: dict, word: tuple, coeff: ScalarPoly, mode: str) -> None:
@@ -47,20 +71,15 @@ def _normalize_into(acc: dict, word: tuple, coeff: ScalarPoly, mode: str) -> Non
     if mode == CLASSICAL:
         add_term(acc, tuple(sorted(word)), coeff)
         return
-    stack = [(word, coeff)]
-    while stack:
-        w, c = stack.pop()
-        swap_at = None
-        for j in range(len(w) - 1):
-            if w[j] == P and w[j + 1] == Q:
-                swap_at = j
-                break
-        if swap_at is None:
-            add_term(acc, w, c)
-        else:
-            head, tail = w[:swap_at], w[swap_at + 2:]
-            stack.append((head + (Q, P) + tail, c))
-            stack.append((head + tail, c * _MINUS_I_HBAR))
+    for j in range(len(word) - 1):
+        if word[j] == P and word[j + 1] == Q:
+            break
+    else:
+        add_term(acc, word, coeff)  # already normal: cheaper than the walk's set-up
+        return
+    for w, exp, re, im in _normal_rows(word):
+        add_term(acc, w, coeff * ScalarPoly._make({exp: GaussRat(re, im)})
+                 if exp is not _ZERO_EXP else coeff)
 
 
 def _rows(terms: dict) -> list:
@@ -88,8 +107,7 @@ def _mul_rows_into(acc: dict, xs: list, ys: list, mode: str) -> None:
             elif w1[-1] != P or w2[0] != Q:
                 word = w1 + w2
             else:
-                _normalize_into(words := {}, w1 + w2, ScalarPoly.const(1), QUANTUM)
-                _mul_rows_into(acc, (((), exp, re, im),), _rows(words), QUANTUM)
+                _mul_rows_into(acc, _normal_rows(w1 + w2), (((), exp, re, im),), QUANTUM)
                 continue
             inner = acc.get(word)
             if inner is None:
@@ -125,7 +143,9 @@ class OperatorExpr(SparseSum):
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for word, coeff in items:
-                _normalize_into(acc, tuple(word), ScalarPoly._coerce(coeff), mode)
+                if not _LETTERS.issuperset(word := tuple(word)):
+                    raise ValueError(f"unknown generator in word {word!r}")
+                _normalize_into(acc, word, ScalarPoly._coerce(coeff), mode)
         self.terms = acc
 
     @classmethod

@@ -346,12 +346,51 @@ def block_terms(b, c):
             for k in range(min(b, c) + 1)]
 
 
-@pytest.mark.parametrize("b", range(6))
-@pytest.mark.parametrize("c", range(6))
+@pytest.mark.parametrize("b", range(8))
+@pytest.mark.parametrize("c", range(8))
 def test_normal_ordering_matches_the_closed_form(b, c):
     word = (P,) * b + (Q,) * c
     want = dict(block_terms(b, c))
     assert OperatorExpr(QUANTUM, [(word, 1)]).terms == want
+
+
+#: non-constant Gaussian coefficients: a fixed one and drawn ones with hbar, s^-1,
+#: a parameter and non-real parts
+symbolic_coeffs = st.one_of(
+    st.just(ScalarPoly.monomial(GaussRat(1, 2), {"x1": 1, "s": -1})),
+    kernel_scalars().filter(lambda c: any(map(any, c.terms))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(words, symbolic_coeffs, st.randoms(use_true_random=False))
+def test_the_counted_walk_matches_the_per_swap_rewrite(word, coeff, rng):
+    # the constructor counts the leaves per normal word and multiplies once; the
+    # oracle multiplies by -i hbar at every swap, at positions drawn by rng
+    assert OperatorExpr(QUANTUM, [(word, coeff)]).terms == \
+        _normalize_choosing(word, coeff, rng.choice)
+
+
+def test_the_counted_walk_makes_one_scalar_product_per_contracted_word(monkeypatch):
+    coeff = ScalarPoly.monomial(GaussRat(1, 2), {"x1": 1, "s": -1})
+    want = {w: coeff * c for w, c in block_terms(4, 4)}
+    products = []
+    mul = ScalarPoly.__mul__
+
+    def counting_mul(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(ScalarPoly, "__mul__", counting_mul)
+    got = OperatorExpr(QUANTUM, [((P,) * 4 + (Q,) * 4, coeff)])
+    contracted = [w for w in got.terms if len(w) < 8]
+    assert len(contracted) == 4
+    assert 0 < len(products) <= len(contracted)
+    products.clear()
+    for normal in ((Q,) * 4 + (P,) * 4, (Q, P, AM, Q, Q, P), (AP, P, P, AM, Q)):
+        assert list(OperatorExpr(QUANTUM, [(normal, coeff)]).terms) == [normal]
+    assert products == []
+    monkeypatch.undo()
+    assert got.terms == want
 
 
 @pytest.mark.parametrize("middle", (AP, AM))
@@ -482,3 +521,14 @@ def test_factored_rendering_with_symbolic_content():
 def test_an_unknown_generator_is_rejected(mode, gen):
     with pytest.raises(ValueError, match="unknown generator"):
         OperatorExpr.generator(mode, gen)
+
+
+@pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
+@pytest.mark.parametrize("word", ((7, 1), ("q",), (1, -1)),
+                         ids=("past-the-alphabet", "a-name", "negative"))
+def test_a_word_with_an_unknown_generator_is_rejected(mode, word):
+    # a letter outside GENERATORS fails at construction, not later in render
+    with pytest.raises(ValueError, match="unknown generator"):
+        OperatorExpr(mode, [(word, 1)])
+    with pytest.raises(ValueError, match="unknown generator"):
+        OperatorExpr(mode, {word: ScalarPoly.const(1)})
