@@ -40,6 +40,8 @@ class MultiOp(SparseSum):
                 key = tuple(key)
                 if len(key) != degree + 1:
                     raise ValueError(f"entry key {key} does not match degree {degree}")
+                if not {int}.issuperset(map(type, key)):
+                    raise ValueError(f"entry key {key} holds an index that is not an int")
                 if any(not 0 <= idx < dim for idx in key):
                     raise ValueError(f"entry key {key} out of range for dim {dim}")
                 if not isinstance(value, OperatorExpr):
@@ -99,18 +101,18 @@ _Operand = namedtuple("_Operand", "dim degree mode rows by_out")
 
 
 def _operand(op: MultiOp) -> _Operand:
-    """``op`` flattened once per public call: its rows per entry key, keyed by
-    sign (the negated ones made on first use), and ``(inputs, rows)`` by output index."""
-    rows = {key: _rows(value.terms) for key, value in op.entries.items()}
-    by_out: dict = {}
-    for key, xs in rows.items():
-        by_out.setdefault(key[-1], []).append((key[:-1], xs))
+    """``op`` flattened once per public call: its ``(key, word, exp, re, im)`` rows by sign
+    (the negated ones made on first use) and its ``(inputs, word, ...)`` rows by output index."""
+    rows, by_out = [], {}
+    for key, value in op.entries.items():
+        rows += _rows(value.terms, key)
+        by_out.setdefault(key[-1], []).extend(_rows(value.terms, key[:-1]))
     return _Operand(op.dim, op.degree, op.mode, {False: rows}, by_out)
 
 
 def _compose_into(acc: dict, f: _Operand, pos: int, g: _Operand, negate: bool) -> None:
-    """Add f o_pos g, negated when ``negate``, into ``acc``, a raw sum by entry key
-    that keeps no empty sum at any level."""
+    """Add f o_pos g, negated when ``negate``, into the raw sum ``acc`` by entry key: one
+    kernel call joins f's rows, at their key's slot ``pos``, to g's rows by output index."""
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     if f.mode != g.mode:
@@ -119,18 +121,9 @@ def _compose_into(acc: dict, f: _Operand, pos: int, g: _Operand, negate: bool) -
         raise ValueError(f"slot {pos} out of range for degree {f.degree}")
     negate ^= (pos * (g.degree - 1)) % 2 == 1
     if negate not in f.rows:
-        f.rows[True] = {key: [(word, exp, -re, -im) for word, exp, re, im in xs]
-                        for key, xs in f.rows[False].items()}
-    for key, xs in f.rows[negate].items():
-        head, tail = key[:pos], key[pos + 1:]
-        for g_inputs, ys in g.by_out.get(key[pos], ()):
-            out = head + g_inputs + tail
-            raw = acc.get(out)
-            if raw is None:
-                raw = acc[out] = {}
-            _mul_rows_into(raw, xs, ys, f.mode)
-            if not raw:
-                del acc[out]
+        f.rows[True] = [(key, word, exp, -re, -im) for key, word, exp, re, im in f.rows[False]]
+    _mul_rows_into(acc, [(key[pos], key[:pos], key[pos + 1:], word, exp, re, im)
+                         for key, word, exp, re, im in f.rows[negate]], g.by_out, f.mode)
 
 
 def _total_into(acc: dict, f: _Operand, g: _Operand, negate: bool) -> None:

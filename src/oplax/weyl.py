@@ -82,24 +82,26 @@ def _normalize_into(acc: dict, word: tuple, coeff: ScalarPoly, mode: str) -> Non
                  if exp is not _ZERO_EXP else coeff)
 
 
-def _rows(terms: dict) -> list:
-    """``{word: ScalarPoly}`` terms as ``(word, exp, re, im)`` rows."""
-    return [(word, exp, g.re, g.im)
+def _rows(terms: dict, *tag) -> list:
+    """``{word: ScalarPoly}`` terms as ``(*tag, word, exp, re, im)`` rows."""
+    return [tag + (word, exp, g.re, g.im)
             for word, coeff in terms.items() for exp, g in coeff.terms.items()]
 
 
-def _mul_rows_into(acc: dict, xs: list, ys: list, mode: str) -> None:
-    """The one operator-product kernel: add xs*ys into ``acc``, a raw ``{word:
-    {exp: (re, im)}}`` sum that keeps no zero part pair and no empty word sum.  A
-    classical pair is sorted unless a side is empty; a quantum p q junction is
-    normal-ordered and comes back here.  ``_ZERO_EXP`` itself skips the exponent add."""
-    for w1, e1, r1, i1 in xs:
-        for w2, e2, r2, i2 in ys:
+def _mul_rows_into(acc: dict, xs, ys: dict, mode: str) -> None:
+    """The one join kernel: each xs row ``(at, head, tail, word, exp, re, im)`` times each
+    ``(inputs, word, exp, re, im)`` of ``ys[at]`` lands in the raw ``{key: {word: {exp:
+    (re, im)}}}`` sum ``acc`` at ``head + inputs + tail``, which keeps no zero part pair and
+    no empty dict.  A classical pair is sorted unless a side is empty; a quantum p q junction
+    is normal-ordered and comes back here.  ``_ZERO_EXP`` itself skips the exponent add."""
+    for at, head, tail, w1, e1, r1, i1 in xs:
+        for inputs, w2, e2, r2, i2 in ys.get(at, ()):
             if i1 or i2:
                 re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
             else:
                 re, im = r1 * r2, 0
             exp = e1 if e2 is _ZERO_EXP else e2 if e1 is _ZERO_EXP else add_exponents(e1, e2)
+            key = head + inputs + tail
             if not (w1 and w2):
                 word = w1 or w2
             elif mode == CLASSICAL:
@@ -107,21 +109,25 @@ def _mul_rows_into(acc: dict, xs: list, ys: list, mode: str) -> None:
             elif w1[-1] != P or w2[0] != Q:
                 word = w1 + w2
             else:
-                _mul_rows_into(acc, _normal_rows(w1 + w2), (((), exp, re, im),), QUANTUM)
+                _mul_rows_into(acc, [(0, key, ()) + row for row in _normal_rows(w1 + w2)],
+                               {0: (((), (), exp, re, im),)}, QUANTUM)
                 continue
-            inner = acc.get(word)
-            if inner is None:
-                acc[word] = {exp: (re, im)}
-                continue
-            total = inner.get(exp)
-            if total is not None:
+            if (raw := acc.get(key)) is None:
+                acc[key] = {word: {exp: (re, im)}}
+            elif (inner := raw.get(word)) is None:
+                raw[word] = {exp: (re, im)}
+            elif (total := inner.get(exp)) is None:
+                inner[exp] = (re, im)
+            else:
                 re, im = re + total[0], im + total[1]
-                if not (re or im):
+                if re or im:
+                    inner[exp] = (re, im)
+                else:
                     del inner[exp]
                     if not inner:
-                        del acc[word]
-                    continue
-            inner[exp] = (re, im)
+                        del raw[word]
+                        if not raw:
+                            del acc[key]
 
 
 def _wrap(mode: str, acc: dict) -> "OperatorExpr":
@@ -141,9 +147,9 @@ class OperatorExpr(SparseSum):
         self.mode = mode
         acc: dict = {}
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for word, coeff in items:
-                if not _LETTERS.issuperset(word := tuple(word)):
+            for word, coeff in (terms.items() if isinstance(terms, dict) else terms):
+                word = tuple(word)
+                if not (_LETTERS.issuperset(word) and {int}.issuperset(map(type, word))):
                     raise ValueError(f"unknown generator in word {word!r}")
                 _normalize_into(acc, word, ScalarPoly._coerce(coeff), mode)
         self.terms = acc
@@ -175,7 +181,7 @@ class OperatorExpr(SparseSum):
     @classmethod
     def generator(cls, mode: str, gen: int) -> "OperatorExpr":
         _check_mode(mode)
-        if gen not in GENERATORS:
+        if type(gen) is not int or gen not in GENERATORS:
             raise ValueError(f"unknown generator {gen!r}")
         return cls._make(mode, {(gen,): ScalarPoly.const(1)})
 
@@ -197,8 +203,9 @@ class OperatorExpr(SparseSum):
         except TypeError:
             return NotImplemented
         acc: dict = {}
-        _mul_rows_into(acc, _rows(self.terms), _rows(other.terms), self.mode)
-        return _wrap(self.mode, acc)
+        _mul_rows_into(acc, _rows(self.terms, 0, (), ()), {0: _rows(other.terms, ())},
+                       self.mode)
+        return _wrap(self.mode, acc.get((), {}))
 
     def __rmul__(self, other):
         try:

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oplax import operad
+from oplax import operad, weyl
 from oplax.bianchi import dynamical_table
 from oplax.operad import (
     MultiOp,
@@ -474,6 +474,47 @@ def test_the_zero_jacobi_defect_wraps_only_its_inner_brackets(raw_sums, name):
     assert raw_sums.seen[-1] == {} and raw_sums.wraps == 3 * inner
 
 
+@pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
+def test_each_composition_makes_one_kernel_call(monkeypatch, mode):
+    """``_compose_into`` joins all of f's rows to g's in one call of the kernel;
+    only a quantum p q junction calls it again, from inside, by its name in weyl."""
+    calls = SimpleNamespace(kernel=0, compose=0, junction=0)
+    kernel, compose = operad._mul_rows_into, operad._compose_into
+
+    def counted_kernel(*args):
+        calls.kernel += 1
+        kernel(*args)
+
+    def counted_junction(*args):
+        calls.junction += 1
+        kernel(*args)
+
+    def counted_compose(*args):
+        before = calls.kernel
+        compose(*args)
+        assert calls.kernel == before + 1
+        calls.compose += 1
+
+    monkeypatch.setattr(operad, "_mul_rows_into", counted_kernel)
+    monkeypatch.setattr(operad, "_compose_into", counted_compose)
+    monkeypatch.setattr(weyl, "_mul_rows_into", counted_junction)
+    # every f-entry ends in p and every g-entry starts with q, so each quantum
+    # composite of f with g crosses a p q junction
+    f, g = (MultiOp(2, degree, mode, {key: OperatorExpr(mode, terms) for key in
+                                      itertools.product(range(2), repeat=degree + 1)})
+            for degree, terms in ((2, [((Q, P), 1), ((AP,), 2)]), (3, [((Q,), 1), ((P, AM), -1)])))
+    # a slot per input of the left operation: [f, g] has 2 + 3; the defect's
+    # inner brackets [g, g], [g, f] and [f, g] have 6, 5 and 5, and each outer
+    # one [x, [y, z]] has 7
+    for composite, slots in ((lambda: partial_compose(f, 1, g), 1),
+                             (lambda: total_compose(f, g), 2), (lambda: bracket(f, g), 5),
+                             (lambda: jacobi_defect(f, g, g), 37)):
+        calls.kernel = calls.compose = calls.junction = 0
+        composite()
+        assert calls.compose == slots and calls.kernel == slots
+        assert (calls.junction > 0) == (mode == QUANTUM)
+
+
 def composite_by_the_old_route(ops, fill):
     """What ``_composite`` returned before cancelled sums left the raw sum: wrap
     every entry key through the constructors, then drop the zero values."""
@@ -528,10 +569,13 @@ _ONE = OperatorExpr.scalar(CLASSICAL, 1)
     (lambda: MultiOp(2, 0, CLASSICAL), "degree must be at least 1"),
     (lambda: MultiOp(2, 2, CLASSICAL, {(0, 1): _ONE}), "does not match degree 2"),
     (lambda: MultiOp(2, 2, CLASSICAL, {(0, 2, 1): _ONE}), "out of range for dim 2"),
+    (lambda: MultiOp(2, 2, CLASSICAL, {(0.0, 1, 1): _ONE}), "index that is not an int"),
+    (lambda: MultiOp(2, 2, CLASSICAL, {(0, 1, True): _ONE}), "index that is not an int"),
     (lambda: MultiOp(2, 2, CLASSICAL, {(0, 1, 1): OperatorExpr.scalar(QUANTUM, 1)}),
      "entry mode does not match"),
     (lambda: MultiOp(2, 1, CLASSICAL).is_antisymmetric(), "degree-2 operations"),
-], ids=("dim", "degree", "key-length", "key-range", "entry-mode", "antisymmetry-degree"))
+], ids=("dim", "degree", "key-length", "key-range", "float-index", "bool-index", "entry-mode",
+        "antisymmetry-degree"))
 def test_multiop_rejects_a_malformed_operation(build, match):
     with pytest.raises(ValueError, match=match):
         build()

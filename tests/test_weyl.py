@@ -279,12 +279,20 @@ def differential_exprs(draw, mode):
     return OperatorExpr(mode, terms)
 
 
+def join_into(acc, xs, ys, mode):
+    """Add xs*ys, two lists of ``(word, exp, re, im)`` rows, into ``acc`` through
+    the join kernel as ``OperatorExpr.__mul__`` calls it: one join index and empty
+    head, tail and inputs, so every product lands under the key ()."""
+    _mul_rows_into(acc, [(0, (), (), *row) for row in xs], {0: [((), *row) for row in ys]},
+                   mode)
+
+
 def mul_rows(acc, x, y, negate, sign_on_left=True):
-    """Add x*y, negated when ``negate``, into ``acc`` through the row kernel,
+    """Add x*y, negated when ``negate``, into ``acc`` through the join kernel,
     with the sign on x or on y."""
     if negate:
         x, y = (-x, y) if sign_on_left else (x, -y)
-    _mul_rows_into(acc, _rows(x.terms), _rows(y.terms), x.mode)
+    join_into(acc, _rows(x.terms), _rows(y.terms), x.mode)
 
 
 @pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
@@ -300,14 +308,14 @@ def test_product_kernel_matches_the_old_route(mode, data):
     for negate in (False, True):
         acc: dict = {}
         mul_rows(acc, x, y, negate, sign_on_left)
-        got = _wrap(mode, acc)
+        got = _wrap(mode, acc.get((), {}))
         want = old_route_product(x, y, negate)
         assert {word: c.terms for word, c in got.terms.items()} == want
         for coeff in got.terms.values():
             assert_canonical_terms(coeff.terms)
-        # the same product added with the other sign deletes every key
+        # the same product added with the other sign deletes every word and the key
         mul_rows(acc, x, y, not negate, sign_on_left)
-        assert not any(acc.values()) and _wrap(mode, acc).is_zero
+        assert acc == {}
     product = x * y
     assert {word: c.terms for word, c in product.terms.items()} == \
         old_route_product(x, y, False)
@@ -412,9 +420,9 @@ def test_row_kernel_wraps_an_integral_fraction_sum_as_int(mode):
     y = OperatorExpr(mode, [((P,), 1), ((Q,), 1)])
     acc: dict = {}
     mul_rows(acc, x, y, False)
-    raw = acc[(Q, P)][_ZERO_EXP]
+    raw = acc[()][(Q, P)][_ZERO_EXP]
     assert raw == (1, -1) and type(raw[0]) is Fraction and type(raw[1]) is Fraction
-    for product in (_wrap(mode, acc), x * y):
+    for product in (_wrap(mode, acc[()]), x * y):
         (g,) = product.terms[(Q, P)].terms.values()
         assert (g.re, g.im) == (1, -1) and type(g.re) is int and type(g.im) is int
         for coeff in product.terms.values():
@@ -436,12 +444,53 @@ def test_a_cancelled_word_leaves_the_raw_sum(mode):
     # (a + b)(a - b) = a^2 - b^2 classically: the cross words q p, p A+, q and A+
     # of a*b and b*a cancel
     mul_rows(acc, a + b, a - b, False)
-    assert_no_empty_word_sum(acc)
+    assert set(acc) == {()}
+    assert_no_empty_word_sum(acc[()])
     if mode == CLASSICAL:
-        assert set(acc) == {(Q, Q), (Q, AP), (AP, AP), (P, P), (P,), ()}
-    assert _wrap(mode, acc) == (a + b) * (a - b)
-    # the same product with the other sign cancels every word
+        assert set(acc[()]) == {(Q, Q), (Q, AP), (AP, AP), (P, P), (P,), ()}
+    assert _wrap(mode, acc[()]) == (a + b) * (a - b)
+    # the same product with the other sign cancels every word, and then the key
     mul_rows(acc, a + b, a - b, True)
+    assert acc == {}
+
+
+@pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
+def test_the_join_kernel_skips_an_unmatched_row_and_deletes_each_emptied_level(mode):
+    one, s = _ZERO_EXP, next(iter(symbol("s").terms))
+    s2 = next(iter((symbol("s") * symbol("s")).terms))
+    by_p, by_am, by_one = ((5,), (P,), one, 3, 0), ((5,), (AM,), s, 1, -1), ((6,), (), one, 2, 0)
+    ys = {0: [by_p, by_am, by_one]}
+
+    def join(acc, at, exp, sign, ys):
+        # one x row q * s^exp at slot ``at`` of the key (7, ., 8)
+        _mul_rows_into(acc, [(at, (7,), (8,), (Q,), exp, sign, 0)], ys, mode)
+
+    acc: dict = {}
+    join(acc, 1, one, 1, ys)  # no ys entry at 1
+    assert acc == {}
+    for exp in (one, s):
+        join(acc, 0, exp, 1, ys)
+    # q p has no p q junction, so it is joined as it is in both modes
+    want = {(7, 5, 8): {(Q, P): {one: (3, 0), s: (3, 0)}, (Q, AM): {s: (1, -1), s2: (1, -1)}},
+            (7, 6, 8): {(Q,): {one: (2, 0), s: (2, 0)}}}
+    assert acc == want
+    join(acc, 1, s, -1, ys)
+    assert acc == want
+    # an emptied exponent leaves its word
+    join(acc, 0, s, -1, {0: [by_p]})
+    del want[(7, 5, 8)][(Q, P)][s]
+    assert acc == want
+    # an emptied word leaves its key
+    for exp in (one, s):
+        join(acc, 0, exp, -1, {0: [by_am]})
+    del want[(7, 5, 8)][(Q, AM)]
+    assert acc == want
+    # an emptied key leaves the sum
+    for exp in (one, s):
+        join(acc, 0, exp, -1, {0: [by_one]})
+    del want[(7, 6, 8)]
+    assert acc == want
+    join(acc, 0, one, -1, {0: [by_p]})
     assert acc == {}
 
 
@@ -459,19 +508,19 @@ def test_an_equal_zero_exponent_gives_the_same_product_as_zero_exp_itself(mode):
     assert any(exp is _ZERO_EXP for _, exp, _, _ in ys)
     for word in ((), (P,), (AP,)):
         want_left: dict = {}
-        _mul_rows_into(want_left, [(word, _ZERO_EXP, 2, 0)], ys, mode)
+        join_into(want_left, [(word, _ZERO_EXP, 2, 0)], ys, mode)
         want_right: dict = {}
-        _mul_rows_into(want_right, ys, [(word, _ZERO_EXP, 2, 0)], mode)
+        join_into(want_right, ys, [(word, _ZERO_EXP, 2, 0)], mode)
         for zero in zeros:
             for xs, zs, want in (([(word, zero, 2, 0)], ys, want_left),
                                  (ys, [(word, zero, 2, 0)], want_right)):
                 got: dict = {}
-                _mul_rows_into(got, xs, zs, mode)
+                join_into(got, xs, zs, mode)
                 assert got == want
             # one product through the shortcut, its negation through the add
             acc: dict = {}
-            _mul_rows_into(acc, [(word, _ZERO_EXP, 2, 0)], ys, mode)
-            _mul_rows_into(acc, [(word, zero, -2, 0)], ys, mode)
+            join_into(acc, [(word, _ZERO_EXP, 2, 0)], ys, mode)
+            join_into(acc, [(word, zero, -2, 0)], ys, mode)
             assert acc == {}
     two = OperatorExpr(mode, [((P,), parse_scalar("2"))])
     assert two * y == OperatorExpr(mode, [((P,), 2)]) * y
@@ -517,15 +566,17 @@ def test_factored_rendering_with_symbolic_content():
 
 
 @pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
-@pytest.mark.parametrize("gen", (4, -1, "q"))
+@pytest.mark.parametrize("gen", (4, -1, "q", 1.0, True))
 def test_an_unknown_generator_is_rejected(mode, gen):
+    # 1.0 and True equal the generator 1, but only an int is a letter
     with pytest.raises(ValueError, match="unknown generator"):
         OperatorExpr.generator(mode, gen)
 
 
 @pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
-@pytest.mark.parametrize("word", ((7, 1), ("q",), (1, -1)),
-                         ids=("past-the-alphabet", "a-name", "negative"))
+@pytest.mark.parametrize("word", ((7, 1), ("q",), (1, -1), (1.0,), (Q, 3.0), (True,), (P, False)),
+                         ids=("past-the-alphabet", "a-name", "negative", "float", "float-after-q",
+                              "bool", "bool-after-p"))
 def test_a_word_with_an_unknown_generator_is_rejected(mode, word):
     # a letter outside GENERATORS fails at construction, not later in render
     with pytest.raises(ValueError, match="unknown generator"):
