@@ -9,7 +9,6 @@ from .bianchi import (
     builtin_tables,
     check_tables_consistency,
     classification_rows,
-    derive_dynamical,
     dynamical_table,
     export_tables,
     family_params,
@@ -22,7 +21,6 @@ from .jacobi import (
     closed_form_jacobi,
     det3,
     jacobi_op,
-    vector_bracket,
     verify_classical_lie_rows,
     verify_closed_form,
     verify_quantum_lie_types,

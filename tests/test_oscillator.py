@@ -25,6 +25,8 @@ from oplax.oscillator import (
 from oplax.scalars import ScalarPoly, symbol
 from oplax.weyl import AM, AP, CLASSICAL, P, Q, QUANTUM, OperatorExpr
 
+from helpers import is_antisymmetric
+
 W = symbol("w")
 ZERO = ScalarPoly.zero()
 ONE = ScalarPoly.const(1)
@@ -183,7 +185,7 @@ def test_deformed_structure_op_entries():
     mu = deformed_structure_op(c)
     # (2,3)->1 entry is (p + p0)/(2 p0)
     assert mu.entry((1, 2), 0) == (gen(P) + P0) * INV_2P0
-    assert mu.is_antisymmetric()
+    assert is_antisymmetric(mu)
     zero_op = deformed_structure_op(DeformationCoeffs.of(*[ZERO] * 9))
     assert zero_op.is_zero
 
@@ -195,7 +197,7 @@ def test_deformed_structure_op_antisymmetry_random():
             ScalarPoly.monomial(rng.randint(-2, 2), {"s": rng.randint(-1, 1)})
             for _ in range(9)
         ])
-        assert deformed_structure_op(c).is_antisymmetric()
+        assert is_antisymmetric(deformed_structure_op(c))
 
 
 def test_at_initial_examples():

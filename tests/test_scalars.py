@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oplax.scalars import NSYMBOLS, GaussRat, ScalarPoly, parse_scalar, symbol
+from oplax.scalars import _ZERO_EXP, NSYMBOLS, GaussRat, ScalarPoly, parse_scalar, symbol
 
 W = symbol("w")
 HBAR = symbol("hbar")
@@ -231,7 +231,18 @@ def test_render_is_deterministic_and_sorted():
      f"exponent vector must have length {NSYMBOLS}"),
     (lambda: ScalarPoly.monomial(1, {"s": 1}) ** Fraction(1, 2), TypeError, "integer"),
     (lambda: ScalarPoly.monomial(1, {"s": 1}) ** 2.0, TypeError, "integer"),
-], ids=("exponent-length", "fraction-power", "float-power"))
+    # the type alone is at fault: s may carry a negative exponent
+    (lambda: ScalarPoly.monomial(1, {"s": -0.5}), ValueError, "not an int"),
+    (lambda: ScalarPoly.monomial(1, {"x1": Fraction(1, 2)}), ValueError, "not an int"),
+    (lambda: ScalarPoly.monomial(1, {"w": True}), ValueError, "not an int"),
+    (lambda: ScalarPoly.monomial(1, {"s": "1"}), ValueError, "not an int"),
+    (lambda: ScalarPoly({(2.0,) + _ZERO_EXP[1:]: 1}), ValueError, "not an int"),
+    (lambda: ScalarPoly({(Fraction(1, 2),) + _ZERO_EXP[1:]: 1}), ValueError, "not an int"),
+    (lambda: ScalarPoly([((True,) + _ZERO_EXP[1:], 1)]), ValueError, "not an int"),
+    (lambda: ScalarPoly({("1",) + _ZERO_EXP[1:]: 1}), ValueError, "not an int"),
+], ids=("exponent-length", "fraction-power", "float-power",
+        "monomial-float", "monomial-fraction", "monomial-bool", "monomial-str",
+        "vector-float", "vector-fraction", "vector-bool", "vector-str"))
 def test_a_malformed_exponent_is_rejected(call, error, match):
     with pytest.raises(error, match=match):
         call()
