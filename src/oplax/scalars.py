@@ -26,8 +26,14 @@ SYMBOLS = (
 )
 NSYMBOLS = len(SYMBOLS)
 SYMBOL_INDEX = {name: i for i, name in enumerate(SYMBOLS)}
-S_INDEX = SYMBOL_INDEX["s"]
 _ZERO_EXP = (0,) * NSYMBOLS
+
+
+def _symbol_index(name) -> int:
+    """The position of ``name`` in SYMBOLS; any other name raises ValueError."""
+    if name not in SYMBOL_INDEX:
+        raise ValueError(f"unknown symbol {name!r}")
+    return SYMBOL_INDEX[name]
 
 
 def _exact(value):
@@ -95,13 +101,6 @@ class GaussRat:
         )
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "GaussRat":
-        # a Fraction norm, so that int / int never gives a float
-        norm = Fraction(self.re * self.re + self.im * self.im)
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussRat(self.re / norm, -self.im / norm)
 
     def __eq__(self, other):
         if type(other) is not GaussRat:
@@ -261,7 +260,7 @@ def _check_exponents(exp: tuple) -> None:
     if len(exp) != NSYMBOLS:
         raise ValueError(f"exponent vector must have length {NSYMBOLS}")
     for idx, e in enumerate(exp):
-        if e < 0 and idx != S_INDEX:
+        if e < 0 and SYMBOLS[idx] != "s":
             raise ValueError(f"negative exponent of {SYMBOLS[idx]} is not allowed")
 
 
@@ -308,7 +307,7 @@ class ScalarPoly(SparseSum):
             raise ValueError(f"an exponent in {powers!r} is not an int")
         exp = [0] * NSYMBOLS
         for name, e in powers.items():
-            exp[SYMBOL_INDEX[name]] += e
+            exp[_symbol_index(name)] += e
         exp = tuple(exp)
         _check_exponents(exp)
         coeff = GaussRat._coerce(coeff)
@@ -335,59 +334,24 @@ class ScalarPoly(SparseSum):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
-        if n < 0:
-            return self._inverse() ** (-n)
-        result = ScalarPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def _inverse(self) -> "ScalarPoly":
-        """Inverse of a unit, i.e. a single-term monomial; validated Laurent-legal."""
-        if len(self.terms) != 1:
-            raise ValueError("only single-term monomials are invertible")
-        (exp, coeff), = self.terms.items()
-        inv_exp = tuple(-e for e in exp)
-        _check_exponents(inv_exp)
-        return ScalarPoly._make({inv_exp: coeff.inverse()})
-
     def has_symbol(self, name: str) -> bool:
-        idx = SYMBOL_INDEX[name]
+        idx = _symbol_index(name)
         return any(exp[idx] != 0 for exp in self.terms)
 
-    # -- substitution ------------------------------------------------------
-
     def subst(self, bindings: dict) -> "ScalarPoly":
-        """Simultaneous substitution of symbols by scalar polynomials.
-
-        A symbol raised to a negative power may only be replaced by an
-        invertible monomial whose inverse is again Laurent-legal; anything
-        else raises ValueError.
-        """
-        images = {SYMBOL_INDEX[name]: ScalarPoly._coerce(v) for name, v in bindings.items()}
-        result = ScalarPoly.zero()
+        """Substitute rational constants, each an ``int`` or a ``Fraction``, for symbols,
+        exactly; binding 0 to a symbol that carries a negative power raises ValueError."""
+        if not all(isinstance(value, (int, Fraction)) for value in bindings.values()):
+            raise TypeError("only an int or a Fraction may be substituted for a symbol")
+        values = {_symbol_index(name): Fraction(value) for name, value in bindings.items()}
+        acc: dict = {}
         for exp, coeff in self.terms.items():
-            term = ScalarPoly.const(coeff)
-            residual = [0] * NSYMBOLS
-            for idx, e in enumerate(exp):
-                if e == 0:
-                    continue
-                image = images.get(idx)
-                if image is None:
-                    residual[idx] = e
-                else:
-                    term = term * image ** e
-            if any(residual):
-                term = term * ScalarPoly._make({tuple(residual): GR_ONE})
-            result = result + term
-        return result
+            for idx, value in values.items():
+                if exp[idx] < 0 and not value:
+                    raise ValueError(f"{SYMBOLS[idx]}^{exp[idx]} is bound to 0")
+                coeff = coeff * value ** exp[idx]
+            add_term(acc, tuple(0 if idx in values else e for idx, e in enumerate(exp)), coeff)
+        return ScalarPoly._make(acc)
 
     # -- rendering ---------------------------------------------------------
 

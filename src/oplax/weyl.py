@@ -221,7 +221,7 @@ class OperatorExpr(SparseSum):
     # -- substitutions -----------------------------------------------------
 
     def subst_params(self, bindings: dict) -> "OperatorExpr":
-        """Substitute commuting symbols inside every coefficient."""
+        """``ScalarPoly.subst`` of rational constants in every coefficient."""
         return self.map_values(lambda coeff: coeff.subst(bindings))
 
     def subst_generators(self, images: dict) -> "OperatorExpr":
