@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .scalars import SparseSum, add_term
-from .weyl import OperatorExpr, _check_mode, _mul_rows_into, _rows, _wrap
+from .weyl import OperatorExpr, _check_mode, _mul_rows_into, _wrap
 
 
 class MultiOp(SparseSum):
@@ -90,29 +90,45 @@ _Operand = namedtuple("_Operand", "dim degree mode rows by_out")
 
 
 def _operand(op: MultiOp) -> _Operand:
-    """``op`` flattened once per public call: its ``(key, word, exp, re, im)`` rows by sign
-    (the negated ones made on first use) and its ``(inputs, word, ...)`` rows by output index."""
-    rows, by_out = [], {}
+    """``op`` flattened once per public call, each entry key coded as a base-``dim`` integer
+    (first index most significant): its ``(code, word, exp, re, im)`` rows, and those rows by
+    output index in ``(word, exp, real, pairs)`` groups of ``(inputs code, re, im)`` pairs."""
+    dim, rows, groups = op.dim, [], {}
     for key, value in op.entries.items():
-        rows += _rows(value.terms, key)
-        by_out.setdefault(key[-1], []).extend(_rows(value.terms, key[:-1]))
-    return _Operand(op.dim, op.degree, op.mode, {False: rows}, by_out)
+        code = 0
+        for idx in key:
+            code = code * dim + idx
+        by_word = groups.setdefault(key[-1], {})
+        for word, coeff in value.terms.items():
+            for exp, g in coeff.terms.items():
+                rows.append((code, word, exp, g.re, g.im))
+                by_word.setdefault((word, exp), []).append((code // dim, g.re, g.im))
+    return _Operand(dim, op.degree, op.mode, rows, {
+        at: [(word, exp, not any(im for _, _, im in pairs), pairs)
+             for (word, exp), pairs in by_word.items()]
+        for at, by_word in groups.items()})
 
 
 def _compose_into(acc: dict, f: _Operand, pos: int, g: _Operand, negate: bool) -> None:
-    """Add f o_pos g, negated when ``negate``, into the raw sum ``acc`` by entry key: one
-    kernel call joins f's rows, at their key's slot ``pos``, to g's rows by output index."""
+    """Add f o_pos g, negated when ``negate``, into the raw sum ``acc`` by entry code: one
+    kernel call joins f's rows, at their key's slot ``pos``, to g's groups by output index.
+    The ``low`` digits after the slot stay, f's head moves up past g's inputs, and g's
+    inputs move up past the low digits: ``base = head * dim^|g inputs| * low + tail``,
+    ``off = inputs * low``."""
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     if f.mode != g.mode:
         raise ValueError(f"mode mismatch: {f.mode} vs {g.mode}")
     if not 0 <= pos < f.degree:
         raise ValueError(f"slot {pos} out of range for degree {f.degree}")
-    negate ^= (pos * (g.degree - 1)) % 2 == 1
-    if negate not in f.rows:
-        f.rows[True] = [(key, word, exp, -re, -im) for key, word, exp, re, im in f.rows[False]]
-    _mul_rows_into(acc, [(key[pos], key[:pos], key[pos + 1:], word, exp, re, im)
-                         for key, word, exp, re, im in f.rows[negate]], g.by_out, f.mode)
+    sign = -1 if negate ^ ((pos * (g.degree - 1)) % 2 == 1) else 1
+    dim, low = f.dim, f.dim ** (f.degree - pos)
+    high, wide = low * dim, low * dim ** g.degree
+    _mul_rows_into(acc, [(code // low % dim, code // high * wide + code % low, word, exp, re, im)
+                         for code, word, exp, re, im in f.rows], {
+        at: [(word, exp, real, [(inputs * low, sign * re, sign * im) for inputs, re, im in pairs])
+             for word, exp, real, pairs in groups]
+        for at, groups in g.by_out.items()}, f.mode)
 
 
 def _total_into(acc: dict, f: _Operand, g: _Operand, negate: bool) -> None:
@@ -126,13 +142,17 @@ def _bracket_into(acc: dict, f: _Operand, g: _Operand, negate: bool) -> None:
 
 
 def _composite(ops: tuple, fill) -> MultiOp:
-    """Flatten each operation once, fill one raw sum from their operands and
-    wrap it once; an entry that cancelled has left the sum and builds nothing."""
+    """Flatten each operation once, fill one raw sum from their operands and wrap it
+    once; an entry whose every part cancelled builds nothing, and only the codes that
+    survive are decoded into keys, first index most significant."""
     acc: dict = {}
     fill(acc, *map(_operand, ops))
     f = ops[0]
-    return MultiOp._make(f.dim, sum(op.reduced_degree for op in ops) + 1, f.mode, {
-        key: _wrap(f.mode, raw) for key, raw in acc.items()})
+    degree = sum(op.reduced_degree for op in ops) + 1
+    powers = [f.dim ** k for k in range(degree, -1, -1)]
+    return MultiOp._make(f.dim, degree, f.mode, {
+        tuple([code // power % f.dim for power in powers]): OperatorExpr._make(f.mode, terms)
+        for code, terms in _wrap(acc).items()})
 
 
 def partial_compose(f: MultiOp, pos: int, g: MultiOp) -> MultiOp:

@@ -36,6 +36,14 @@ def _symbol_index(name) -> int:
     return SYMBOL_INDEX[name]
 
 
+def _bound_values(bindings: dict) -> dict:
+    """``subst`` bindings as ``{symbol index: Fraction}``: a name outside SYMBOLS raises
+    ValueError, a value that is not an ``int`` or a ``Fraction`` TypeError."""
+    if not all(isinstance(value, (int, Fraction)) for value in bindings.values()):
+        raise TypeError("only an int or a Fraction may be substituted for a symbol")
+    return {_symbol_index(name): Fraction(value) for name, value in bindings.items()}
+
+
 def _exact(value):
     """``value`` as an exact rational in canonical form: an ``int`` when it is
     integral, a ``Fraction`` only when its denominator is not 1."""
@@ -341,9 +349,9 @@ class ScalarPoly(SparseSum):
     def subst(self, bindings: dict) -> "ScalarPoly":
         """Substitute rational constants, each an ``int`` or a ``Fraction``, for symbols,
         exactly; binding 0 to a symbol that carries a negative power raises ValueError."""
-        if not all(isinstance(value, (int, Fraction)) for value in bindings.values()):
-            raise TypeError("only an int or a Fraction may be substituted for a symbol")
-        values = {_symbol_index(name): Fraction(value) for name, value in bindings.items()}
+        return self._subst(_bound_values(bindings))
+
+    def _subst(self, values: dict) -> "ScalarPoly":
         acc: dict = {}
         for exp, coeff in self.terms.items():
             for idx, value in values.items():

@@ -19,8 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import (_ZERO_EXP, SYMBOL_INDEX, GaussRat, ScalarPoly, SparseSum, add_exponents,
-                      add_term, parse_terms, render_sum, render_term)
+from .scalars import (_ZERO_EXP, SYMBOL_INDEX, GaussRat, ScalarPoly, SparseSum, _bound_values,
+                      _symbol_index, add_exponents, add_term, parse_terms, render_sum,
+                      render_term)
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -82,26 +83,18 @@ def _normalize_into(acc: dict, word: tuple, coeff: ScalarPoly, mode: str) -> Non
                  if exp is not _ZERO_EXP else coeff)
 
 
-def _rows(terms: dict, *tag) -> list:
-    """``{word: ScalarPoly}`` terms as ``(*tag, word, exp, re, im)`` rows."""
-    return [tag + (word, exp, g.re, g.im)
-            for word, coeff in terms.items() for exp, g in coeff.terms.items()]
-
-
 def _mul_rows_into(acc: dict, xs, ys: dict, mode: str) -> None:
-    """The one join kernel: each xs row ``(at, head, tail, word, exp, re, im)`` times each
-    ``(inputs, word, exp, re, im)`` of ``ys[at]`` lands in the raw ``{key: {word: {exp:
-    (re, im)}}}`` sum ``acc`` at ``head + inputs + tail``, which keeps no zero part pair and
-    no empty dict.  A classical pair is sorted unless a side is empty; a quantum p q junction
-    is normal-ordered and comes back here.  ``_ZERO_EXP`` itself skips the exponent add."""
-    for at, head, tail, w1, e1, r1, i1 in xs:
-        for inputs, w2, e2, r2, i2 in ys.get(at, ()):
-            if i1 or i2:
-                re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
-            else:
-                re, im = r1 * r2, 0
+    """The one join kernel: each xs row ``(at, base, word, exp, re, im)`` times each group
+    ``(word, exp, real, pairs)`` of ``ys[at]``, whose ``(off, re, im)`` pairs share a word and
+    an exponent, is added into the raw sum ``acc``, ``{(word, exp): (re_sums, im_sums)}`` of
+    ``{code: part}``, at code ``base + off``.  Word and exponent are built once per group, a
+    real row against a real group adds to ``re_sums`` alone, and zero parts stay until
+    ``_wrap``.  A classical pair is sorted unless a side is empty; at a quantum p q junction
+    the normal rows of the word, times the xs row, come back here against the group.
+    ``_ZERO_EXP`` itself skips the exponent add."""
+    for at, base, w1, e1, r1, i1 in xs:
+        for w2, e2, real, pairs in ys.get(at, ()):
             exp = e1 if e2 is _ZERO_EXP else e2 if e1 is _ZERO_EXP else add_exponents(e1, e2)
-            key = head + inputs + tail
             if not (w1 and w2):
                 word = w1 or w2
             elif mode == CLASSICAL:
@@ -109,32 +102,39 @@ def _mul_rows_into(acc: dict, xs, ys: dict, mode: str) -> None:
             elif w1[-1] != P or w2[0] != Q:
                 word = w1 + w2
             else:
-                _mul_rows_into(acc, [(0, key, ()) + row for row in _normal_rows(w1 + w2)],
-                               {0: (((), (), exp, re, im),)}, QUANTUM)
+                _mul_rows_into(acc, [(0, base, w, add_exponents(exp, e), nr * r1 - ni * i1,
+                                      nr * i1 + ni * r1) for w, e, nr, ni in _normal_rows(w1 + w2)],
+                               {0: (((), _ZERO_EXP, real, pairs),)}, QUANTUM)
                 continue
-            if (raw := acc.get(key)) is None:
-                acc[key] = {word: {exp: (re, im)}}
-            elif (inner := raw.get(word)) is None:
-                raw[word] = {exp: (re, im)}
-            elif (total := inner.get(exp)) is None:
-                inner[exp] = (re, im)
+            if (sums := acc.get(term := (word, exp))) is None:
+                sums = acc[term] = ({}, {})
+            res, ims = sums
+            if real and not i1:
+                for off, r2, _ in pairs:
+                    code = base + off
+                    res[code] = res.get(code, 0) + r1 * r2
             else:
-                re, im = re + total[0], im + total[1]
-                if re or im:
-                    inner[exp] = (re, im)
+                for off, r2, i2 in pairs:
+                    code = base + off
+                    res[code] = res.get(code, 0) + r1 * r2 - i1 * i2
+                    ims[code] = ims.get(code, 0) + r1 * i2 + i1 * r2
+
+
+def _wrap(acc: dict) -> dict:
+    """The raw sum as ``{code: {word: ScalarPoly}}`` terms: one GaussRat per part pair that
+    is not zero, so a code whose every part cancelled builds nothing."""
+    entries: dict = {}
+    for (word, exp), (res, ims) in acc.items():
+        for code in res.keys() | ims.keys() if ims else res:
+            re, im = res.get(code, 0), ims.get(code, 0)
+            if re or im:
+                if (terms := entries.get(code)) is None:
+                    entries[code] = {word: ScalarPoly._make({exp: GaussRat(re, im)})}
+                elif (coeff := terms.get(word)) is None:
+                    terms[word] = ScalarPoly._make({exp: GaussRat(re, im)})
                 else:
-                    del inner[exp]
-                    if not inner:
-                        del raw[word]
-                        if not raw:
-                            del acc[key]
-
-
-def _wrap(mode: str, acc: dict) -> "OperatorExpr":
-    """The OperatorExpr of a raw sum, which has no empty word: one GaussRat per part pair."""
-    return OperatorExpr._make(mode, {
-        word: ScalarPoly._make({exp: GaussRat(re, im) for exp, (re, im) in raw.items()})
-        for word, raw in acc.items()})
+                    coeff.terms[exp] = GaussRat(re, im)
+    return entries
 
 
 class OperatorExpr(SparseSum):
@@ -203,9 +203,12 @@ class OperatorExpr(SparseSum):
         except TypeError:
             return NotImplemented
         acc: dict = {}
-        _mul_rows_into(acc, _rows(self.terms, 0, (), ()), {0: _rows(other.terms, ())},
+        _mul_rows_into(acc, [(0, 0, word, exp, g.re, g.im)
+                             for word, coeff in self.terms.items() for exp, g in coeff.terms.items()],
+                       {0: [(word, exp, not g.im, ((0, g.re, g.im),))
+                            for word, coeff in other.terms.items() for exp, g in coeff.terms.items()]},
                        self.mode)
-        return _wrap(self.mode, acc.get((), {}))
+        return OperatorExpr._make(self.mode, _wrap(acc).get(0, {}))
 
     def __rmul__(self, other):
         try:
@@ -216,13 +219,16 @@ class OperatorExpr(SparseSum):
         return other * self
 
     def has_symbol(self, name: str) -> bool:
-        return any(coeff.has_symbol(name) for coeff in self.terms.values())
+        idx = _symbol_index(name)
+        return any(exp[idx] for coeff in self.terms.values() for exp in coeff.terms)
 
     # -- substitutions -----------------------------------------------------
 
     def subst_params(self, bindings: dict) -> "OperatorExpr":
-        """``ScalarPoly.subst`` of rational constants in every coefficient."""
-        return self.map_values(lambda coeff: coeff.subst(bindings))
+        """``ScalarPoly.subst`` of rational constants in every coefficient; the names and
+        values are checked once, first, so the zero expression rejects what any other does."""
+        values = _bound_values(bindings)
+        return self.map_values(lambda coeff: coeff._subst(values))
 
     def subst_generators(self, images: dict) -> "OperatorExpr":
         """Replace generators by whole expressions, preserving word order."""

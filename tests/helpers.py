@@ -1,8 +1,73 @@
 """Oracles shared by several test modules."""
 
+from oplax.operad import MultiOp
+from oplax.weyl import OperatorExpr
+
 
 def is_antisymmetric(mu) -> bool:
     """Swapping the two inputs of the binary operation mu negates every entry."""
     assert mu.degree == 2
     return all(i != j and mu.entry((j, i), k) == -value
                for (i, j, k), value in mu.entries.items())
+
+
+# -- a tuple-keyed reference for operad composition ----------------------------
+#
+# Entries stay keyed by index tuples, every entry pair is multiplied by the
+# normalising constructor (concatenated words, ScalarPoly coefficient products)
+# and each key's terms are summed by one more constructor call, so no row, code,
+# group or raw sum of the composition path enters the result.
+
+def _compose_terms(terms, f, pos, g, sign):
+    """Add the terms of sign * (f o_pos g), f's entry on the left of each product and
+    the slot's sign (-1)^(pos |g|), into ``terms``, ``{key: [(word, ScalarPoly)]}``."""
+    if (pos * (g.degree - 1)) % 2:
+        sign = -sign
+    for fkey, fval in f.entries.items():
+        for gkey, gval in g.entries.items():
+            if gkey[-1] == fkey[pos]:
+                terms.setdefault(fkey[:pos] + gkey[:-1] + fkey[pos + 1:], []).extend(
+                    (w1 + w2, c1 * c2 * sign)
+                    for w1, c1 in fval.terms.items() for w2, c2 in gval.terms.items())
+
+
+def _bracket_terms(terms, f, g, sign):
+    """Add the terms of sign * (f o g - (-1)^(|f||g|) g o f) into ``terms``."""
+    odd = ((f.degree - 1) * (g.degree - 1)) % 2
+    for pos in range(f.degree):
+        _compose_terms(terms, f, pos, g, sign)
+    for pos in range(g.degree):
+        _compose_terms(terms, g, pos, f, sign if odd else -sign)
+
+
+def _reference_op(f, degree, terms):
+    entries = {key: OperatorExpr(f.mode, parts) for key, parts in terms.items()}
+    return MultiOp(f.dim, degree, f.mode, {key: value for key, value in entries.items() if value})
+
+
+def reference_partial_compose(f, pos, g):
+    terms: dict = {}
+    _compose_terms(terms, f, pos, g, 1)
+    return _reference_op(f, f.degree + g.degree - 1, terms)
+
+
+def reference_total_compose(f, g):
+    terms: dict = {}
+    for pos in range(f.degree):
+        _compose_terms(terms, f, pos, g, 1)
+    return _reference_op(f, f.degree + g.degree - 1, terms)
+
+
+def reference_bracket(f, g):
+    terms: dict = {}
+    _bracket_terms(terms, f, g, 1)
+    return _reference_op(f, f.degree + g.degree - 1, terms)
+
+
+def reference_jacobi_defect(f, g, h):
+    """The sum over cyclic (x, y, z) of (-1)^(|x||z|) [x, [y, z]], all in one sum."""
+    terms: dict = {}
+    for x, y, z in ((f, g, h), (g, h, f), (h, f, g)):
+        odd = ((x.degree - 1) * (z.degree - 1)) % 2
+        _bracket_terms(terms, x, reference_bracket(y, z), -1 if odd else 1)
+    return _reference_op(f, f.degree + g.degree + h.degree - 2, terms)

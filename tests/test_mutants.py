@@ -14,13 +14,22 @@ Code-level mutants change one constant or function of the engine instead, in
 every ``oplax`` module that holds it, and must fail a given check first.  One
 survives on purpose: flipping the phase of the commutation relation is hbar ->
 -hbar, which no suite can tell apart.
+
+Join-kernel mutants recompile one function of the composition path with one
+expression changed, and must fail a named tier-1 test.  An imaginary row taken
+down the real-only path also passes every suite: no suite check depends on the
+-i hbar of a p q contraction.
 """
 
+import inspect
 import sys
+import textwrap
 
 import pytest
 
-from oplax import bianchi, cli, jacobi, oscillator, weyl
+import test_operad
+import test_weyl
+from oplax import bianchi, cli, jacobi, operad, oscillator, weyl
 from oplax.operad import antisymmetric_binary
 from oplax.oscillator import STRUCTURE_COLUMNS
 from oplax.scalars import symbol
@@ -97,6 +106,19 @@ def _double_j3(closed_form_jacobi):
     return mutant
 
 
+def _rewrite(old, new):
+    """original -> mutant: the function recompiled from its source with the one
+    occurrence of ``old`` replaced by ``new``, in the globals of its module."""
+    def make(fn):
+        source = textwrap.dedent(inspect.getsource(fn))
+        assert source.count(old) == 1, f"{old!r} is not in {fn.__name__} once"
+        namespace: dict = {}
+        exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"),
+             fn.__globals__, namespace)
+        return namespace[fn.__name__]
+    return make
+
+
 #: (home module, name, original -> mutant, the first check that fails)
 CODE_MUTANTS = {
     "ddt-image-sign": (oscillator, "_DDT_IMAGES",
@@ -110,6 +132,24 @@ CODE_MUTANTS = {
                           "tables.family.VII_a"),
     "closed-form-j3-doubled": (jacobi, "closed_form_jacobi", _double_j3, "theorem-9-1.J3"),
     "p0-doubled": (oscillator, "P0", lambda p0: p0 + p0, "tables.derive.II"),
+}
+
+#: join-kernel mutants: (home module, name, original -> mutant, a tier-1 test that
+#: fails, the first check that fails or None when every suite passes)
+KERNEL_MUTANTS = {
+    # g's inputs land one power of dim too high in the composite's code
+    "slot-shift-off-by-one-power": (
+        operad, "_compose_into", _rewrite("(inputs * low,", "(inputs * high,"),
+        test_operad.test_degree_one_composition_is_matrix_product, "matrix-lax.entry.11"),
+    # an imaginary row against a real group drops its imaginary part: p q loses
+    # its -i hbar, which no suite checks
+    "real-path-for-an-imaginary-row": (
+        weyl, "_mul_rows_into", _rewrite("if real and not i1:", "if real:"),
+        test_weyl.test_commutator_examples, None),
+    # the last index decoded as the most significant
+    "codes-decoded-in-reverse": (
+        operad, "_composite", _rewrite("range(degree, -1, -1)", "range(degree + 1)"),
+        test_operad.test_composition_index_conventions, "operadic-lax.II.113"),
 }
 
 #: (re, im) of i^k in place of (-i)^k: the contraction p q -> +i hbar
@@ -133,6 +173,16 @@ def test_a_code_mutant_fails_its_first_check(monkeypatch, home, name, make, firs
     _mutate(monkeypatch, home, name, make)
     failing = failing_ids(bianchi.builtin_tables())
     assert failing[:1] == [first], failing[:3]
+
+
+@pytest.mark.parametrize("home, name, make, test, first", KERNEL_MUTANTS.values(),
+                         ids=KERNEL_MUTANTS)
+def test_a_kernel_mutant_fails_its_tier1_test(monkeypatch, home, name, make, test, first):
+    _mutate(monkeypatch, home, name, make)
+    with pytest.raises(AssertionError):
+        test()
+    failing = failing_ids(bianchi.builtin_tables())
+    assert failing[:1] == ([first] if first else []), failing[:3]
 
 
 def test_the_commutation_phase_mutant_survives_every_suite(monkeypatch):

@@ -20,7 +20,13 @@ from oplax.oscillator import lax_defect
 from oplax.scalars import GaussRat, ScalarPoly
 from oplax.weyl import AM, AP, CLASSICAL, P, Q, QUANTUM, OperatorExpr
 
-from helpers import is_antisymmetric
+from helpers import (
+    is_antisymmetric,
+    reference_bracket,
+    reference_jacobi_defect,
+    reference_partial_compose,
+    reference_total_compose,
+)
 
 
 def scalar_op(dim, degree, values):
@@ -423,34 +429,35 @@ def test_jacobi_defect_is_the_signed_cyclic_sum_of_public_brackets(mode, data):
     assert jacobi_defect(f, g, h) == want
 
 
-def assert_no_empty_sum(acc):
-    """A raw ``{key: {word: {exp: (re, im)}}}`` sum holds no empty dict at any
-    level and no zero part pair."""
-    for raw in acc.values():
-        assert raw
-        for parts in raw.values():
-            assert parts and all(re or im for re, im in parts.values())
+def assert_no_zero_survives_the_wrap(entries):
+    """Wrapped ``{code: {word: ScalarPoly}}`` terms hold no empty entry, no empty
+    coefficient and no zero part pair."""
+    for terms in entries.values():
+        assert terms
+        for coeff in terms.values():
+            assert coeff.terms and all(coeff.terms.values())
 
 
 @pytest.fixture
 def raw_sums(monkeypatch):
-    """Check the raw sum after every ``_compose_into``; ``seen`` lists the raw
-    sums in call order and ``wraps`` counts the entry sums that are wrapped."""
+    """Check what every ``_wrap`` of a composite builds; ``seen`` lists the raw sums
+    in call order and ``wraps`` counts the entries they wrap into."""
     record = SimpleNamespace(seen=[], wraps=0)
-    compose, wrap = operad._compose_into, operad._wrap
+    wrap = operad._wrap
 
-    def checked_compose(acc, *args):
-        compose(acc, *args)
-        assert_no_empty_sum(acc)
+    def counted_wrap(acc):
+        entries = wrap(acc)
+        assert_no_zero_survives_the_wrap(entries)
         record.seen.append(acc)
+        record.wraps += len(entries)
+        return entries
 
-    def counted_wrap(mode, raw):
-        record.wraps += 1
-        return wrap(mode, raw)
-
-    monkeypatch.setattr(operad, "_compose_into", checked_compose)
     monkeypatch.setattr(operad, "_wrap", counted_wrap)
     return record
+
+
+def all_parts_zero(acc):
+    return all(not part for sums in acc.values() for parts in sums for part in parts.values())
 
 
 @pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
@@ -461,7 +468,8 @@ def test_the_self_bracket_of_an_even_operation_wraps_nothing(raw_sums, mode, deg
     assert len(f.entries) >= 3 and not total_compose(f, f).is_zero
     raw_sums.wraps = 0
     assert bracket(f, f).entries == {}
-    assert raw_sums.seen[-1] == {} and raw_sums.wraps == 0
+    # every product landed, and every part cancelled to a zero the wrap drops
+    assert raw_sums.seen[-1] and all_parts_zero(raw_sums.seen[-1]) and raw_sums.wraps == 0
 
 
 @pytest.mark.parametrize("name", ("IX", "VI_a"))
@@ -471,9 +479,9 @@ def test_the_zero_jacobi_defect_wraps_only_its_inner_brackets(raw_sums, name):
     assert inner
     raw_sums.wraps = 0
     assert jacobi_defect(mu, mu, mu).entries == {}
-    # the three inner brackets are public calls; the outer sum cancels entry by
-    # entry and builds no OperatorExpr
-    assert raw_sums.seen[-1] == {} and raw_sums.wraps == 3 * inner
+    # the three inner brackets are public calls; the outer sum cancels part by
+    # part and builds no OperatorExpr
+    assert all_parts_zero(raw_sums.seen[-1]) and raw_sums.wraps == 3 * inner
 
 
 @pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
@@ -483,9 +491,13 @@ def test_each_composition_makes_one_kernel_call(monkeypatch, mode):
     calls = SimpleNamespace(kernel=0, compose=0, junction=0)
     kernel, compose = operad._mul_rows_into, operad._compose_into
 
-    def counted_kernel(*args):
+    def counted_kernel(acc, xs, ys, mode):
+        # f's rows and g's pairs carry int codes, not tuple keys
+        assert all(type(base) is int for _, base, *_ in xs)
+        assert all(type(off) is int for groups in ys.values() for *_, pairs in groups
+                   for off, _, _ in pairs)
         calls.kernel += 1
-        kernel(*args)
+        kernel(acc, xs, ys, mode)
 
     def counted_junction(*args):
         calls.junction += 1
@@ -518,19 +530,25 @@ def test_each_composition_makes_one_kernel_call(monkeypatch, mode):
 
 
 def composite_by_the_old_route(ops, fill):
-    """What ``_composite`` returned before cancelled sums left the raw sum: wrap
-    every entry key through the constructors, then drop the zero values."""
+    """What ``_composite`` returned before zero parts stayed in the raw sum until the
+    wrap: every code's terms through the constructors, under the key at the code's
+    place in the lexicographic key order, then the zero values dropped."""
     acc: dict = {}
     fill(acc, *map(operad._operand, ops))
     f = ops[0]
+    degree = sum(op.reduced_degree for op in ops) + 1
+    keys = list(itertools.product(range(f.dim), repeat=degree + 1))
+    by_code: dict = {}
+    for (word, exp), (res, ims) in acc.items():
+        for code in set(res) | set(ims):
+            by_code.setdefault(code, []).append(
+                (word, ScalarPoly({exp: GaussRat(res.get(code, 0), ims.get(code, 0))})))
     entries = {}
-    for key, raw in acc.items():
-        value = OperatorExpr(f.mode, [
-            (word, ScalarPoly({exp: GaussRat(re, im) for exp, (re, im) in parts.items()}))
-            for word, parts in raw.items()])
+    for code, terms in by_code.items():
+        value = OperatorExpr(f.mode, terms)
         if value:
-            entries[key] = value
-    return MultiOp(f.dim, sum(op.reduced_degree for op in ops) + 1, f.mode, entries)
+            entries[keys[code]] = value
+    return MultiOp(f.dim, degree, f.mode, entries)
 
 
 @st.composite
@@ -588,3 +606,45 @@ def test_multiop_rejects_a_malformed_operation(build, match):
 ], ids=("diagonal", "no-flipped-entry", "flipped-entry-same-sign"))
 def test_a_non_antisymmetric_operation_is_detected(entries):
     assert not is_antisymmetric(MultiOp(2, 2, CLASSICAL, entries))
+
+
+#: constant entries: integral, fractional, imaginary and complex
+constant_values = st.sampled_from((1, -1, 2, Fraction(1, 2), GaussRat(0, 1), GaussRat(Fraction(-1, 2), 3)))
+
+
+@st.composite
+def reference_ops(draw, kind, dim):
+    """An operation of degree 1-4 on ``dim`` with up to five entries: constants, or
+    classical or quantum words with symbolic, partly imaginary coefficients whose
+    words may end in p or start with q, so quantum products cross a p q junction."""
+    degree = draw(st.integers(1, 4))
+    mode = QUANTUM if kind == "quantum" else CLASSICAL
+    if kind == "constant":
+        values = constant_values.map(lambda v: OperatorExpr.scalar(CLASSICAL, v))
+    else:
+        words = st.tuples(st.sampled_from(((), (Q,))), st.lists(
+            st.sampled_from((Q, P, AP, AM)), max_size=1), st.sampled_from(((), (P,))))
+        values = st.lists(st.tuples(words.map(lambda w: w[0] + tuple(w[1]) + w[2]),
+                                    leibniz_coeffs), min_size=1, max_size=2).map(
+            lambda terms: OperatorExpr(mode, terms))
+    keys = st.tuples(*[st.integers(0, dim - 1)] * (degree + 1))
+    return MultiOp(dim, degree, mode, draw(st.dictionaries(keys, values, max_size=5)))
+
+
+@pytest.mark.parametrize("kind", ("constant", "symbolic", "quantum"))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_composition_matches_the_tuple_keyed_reference(kind, data):
+    dim = data.draw(st.integers(1, 4))
+    f, g, h = (data.draw(reference_ops(kind, dim)) for _ in range(3))
+    # repeated operands: the self-bracket of an even f cancels, and so does the
+    # defect of (f, f, f)
+    g, h = data.draw(st.sampled_from(((g, h), (f, h), (f, f))))
+    results = [(partial_compose(f, pos, g), reference_partial_compose(f, pos, g))
+               for pos in range(f.degree)]
+    results += [(total_compose(f, g), reference_total_compose(f, g)),
+                (bracket(f, g), reference_bracket(f, g)),
+                (jacobi_defect(f, g, h), reference_jacobi_defect(f, g, h))]
+    for got, want in results:
+        assert (got.dim, got.degree, got.mode) == (want.dim, want.degree, want.mode)
+        assert got.entries == want.entries

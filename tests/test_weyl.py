@@ -15,7 +15,6 @@ from oplax.weyl import (
     OperatorExpr,
     _mul_rows_into,
     _normalize_into,
-    _rows,
     _wrap,
     commutator,
     parse_operator,
@@ -87,6 +86,26 @@ def test_commutator_examples():
     free = commutator(qexpr(AP), qexpr(AM))
     assert free == qexpr(AP, AM) - qexpr(AM, AP)
     assert not free.is_zero
+
+
+#: the zero expression, and a nonzero one whose coefficient carries no symbol
+SUBST_EXPRS = (OperatorExpr.zero(QUANTUM), OperatorExpr(QUANTUM, [((P, Q), 2)]))
+
+
+@pytest.mark.parametrize("expr", SUBST_EXPRS, ids=("zero", "nonzero"))
+def test_an_expression_rejects_an_unknown_symbol_or_a_non_rational_value(expr):
+    for call in (lambda: expr.has_symbol("q"), lambda: expr.subst_params({"q": 0}),
+                 lambda: expr.subst_params({"hbar": 0, "q": Fraction(1, 2)})):
+        with pytest.raises(ValueError, match="unknown symbol 'q'"):
+            call()
+    for value in (0.5, "1/2", GaussRat(2), ScalarPoly.const(2)):
+        for bindings in ({"hbar": value}, {"q": value}, {"s": 1, "w": value}):
+            with pytest.raises(TypeError, match="only an int or a Fraction"):
+                expr.subst_params(bindings)
+    # p q = q p - i hbar: the nonzero expression carries hbar, and no s
+    assert expr.has_symbol("hbar") == bool(expr) and not expr.has_symbol("s")
+    assert expr.subst_params({"s": 2, "hbar": 0}) == expr.subst_params({"hbar": 0})
+    assert not expr.subst_params({"hbar": Fraction(1, 2)}).has_symbol("hbar")
 
 
 def test_mode_mismatch_rejected():
@@ -284,12 +303,17 @@ def differential_exprs(draw, mode):
     return OperatorExpr(mode, terms)
 
 
+def rows(terms):
+    """``{word: ScalarPoly}`` terms as ``(word, exp, re, im)`` rows."""
+    return [(word, exp, g.re, g.im) for word, coeff in terms.items() for exp, g in coeff.terms.items()]
+
+
 def join_into(acc, xs, ys, mode):
     """Add xs*ys, two lists of ``(word, exp, re, im)`` rows, into ``acc`` through
-    the join kernel as ``OperatorExpr.__mul__`` calls it: one join index and empty
-    head, tail and inputs, so every product lands under the key ()."""
-    _mul_rows_into(acc, [(0, (), (), *row) for row in xs], {0: [((), *row) for row in ys]},
-                   mode)
+    the join kernel as ``OperatorExpr.__mul__`` calls it: one join index, base
+    and offset 0, and a one-pair group per ys row, so every product lands at code 0."""
+    _mul_rows_into(acc, [(0, 0, *row) for row in xs],
+                   {0: [(word, exp, not im, ((0, re, im),)) for word, exp, re, im in ys]}, mode)
 
 
 def mul_rows(acc, x, y, negate, sign_on_left=True):
@@ -297,7 +321,16 @@ def mul_rows(acc, x, y, negate, sign_on_left=True):
     with the sign on x or on y."""
     if negate:
         x, y = (-x, y) if sign_on_left else (x, -y)
-    join_into(acc, _rows(x.terms), _rows(y.terms), x.mode)
+    join_into(acc, rows(x.terms), rows(y.terms), x.mode)
+
+
+def wrapped(mode, acc):
+    """The OperatorExpr that code 0 of the raw sum ``acc`` wraps into."""
+    return OperatorExpr._make(mode, _wrap(acc).get(0, {}))
+
+
+def all_parts_zero(acc):
+    return all(not part for sums in acc.values() for parts in sums for part in parts.values())
 
 
 @pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
@@ -313,14 +346,16 @@ def test_product_kernel_matches_the_old_route(mode, data):
     for negate in (False, True):
         acc: dict = {}
         mul_rows(acc, x, y, negate, sign_on_left)
-        got = _wrap(mode, acc.get((), {}))
+        assert set(_wrap(acc)) <= {0}
+        got = wrapped(mode, acc)
         want = old_route_product(x, y, negate)
         assert {word: c.terms for word, c in got.terms.items()} == want
         for coeff in got.terms.values():
             assert_canonical_terms(coeff.terms)
-        # the same product added with the other sign deletes every word and the key
+        # the same product added with the other sign zeroes every part, which
+        # stays in the raw sum until the wrap drops it
         mul_rows(acc, x, y, not negate, sign_on_left)
-        assert acc == {}
+        assert all_parts_zero(acc) and _wrap(acc) == {}
     product = x * y
     assert {word: c.terms for word, c in product.terms.items()} == \
         old_route_product(x, y, False)
@@ -425,9 +460,10 @@ def test_row_kernel_wraps_an_integral_fraction_sum_as_int(mode):
     y = OperatorExpr(mode, [((P,), 1), ((Q,), 1)])
     acc: dict = {}
     mul_rows(acc, x, y, False)
-    raw = acc[()][(Q, P)][_ZERO_EXP]
+    res, ims = acc[(Q, P), _ZERO_EXP]
+    raw = res[0], ims[0]
     assert raw == (1, -1) and type(raw[0]) is Fraction and type(raw[1]) is Fraction
-    for product in (_wrap(mode, acc[()]), x * y):
+    for product in (wrapped(mode, acc), x * y):
         (g,) = product.terms[(Q, P)].terms.values()
         assert (g.re, g.im) == (1, -1) and type(g.re) is int and type(g.im) is int
         for coeff in product.terms.values():
@@ -435,68 +471,80 @@ def test_row_kernel_wraps_an_integral_fraction_sum_as_int(mode):
     assert x * y == constructor_product(x, y)
 
 
-def assert_no_empty_word_sum(acc):
-    """A raw ``{word: {exp: (re, im)}}`` sum holds no empty dict and no zero part pair."""
-    for parts in acc.values():
-        assert parts and all(re or im for re, im in parts.values())
+def assert_no_zero_survives_the_wrap(terms):
+    """Wrapped ``{word: ScalarPoly}`` terms hold no empty coefficient and no zero part pair."""
+    for coeff in terms.values():
+        assert coeff.terms and all(coeff.terms.values())
 
 
 @pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
-def test_a_cancelled_word_leaves_the_raw_sum(mode):
+def test_a_cancelled_word_leaves_at_the_wrap(mode):
     a = OperatorExpr(mode, [((Q,), 1), ((AP,), GaussRat(Fraction(1, 2), 1))])
     b = OperatorExpr(mode, [((P,), ScalarPoly.monomial(2, {"s": -1})), ((), 3)])
     acc: dict = {}
     # (a + b)(a - b) = a^2 - b^2 classically: the cross words q p, p A+, q and A+
-    # of a*b and b*a cancel
+    # of a*b and b*a cancel; their zero parts stay in the raw sum
     mul_rows(acc, a + b, a - b, False)
-    assert set(acc) == {()}
-    assert_no_empty_word_sum(acc[()])
+    (terms,) = _wrap(acc).values()
+    assert_no_zero_survives_the_wrap(terms)
     if mode == CLASSICAL:
-        assert set(acc[()]) == {(Q, Q), (Q, AP), (AP, AP), (P, P), (P,), ()}
-    assert _wrap(mode, acc[()]) == (a + b) * (a - b)
-    # the same product with the other sign cancels every word, and then the key
+        assert {word for word, _ in acc} > set(terms)
+        assert set(terms) == {(Q, Q), (Q, AP), (AP, AP), (P, P), (P,), ()}
+    assert wrapped(mode, acc) == (a + b) * (a - b)
+    # the same product with the other sign cancels every word, and the wrap
+    # builds nothing
     mul_rows(acc, a + b, a - b, True)
-    assert acc == {}
+    assert all_parts_zero(acc) and _wrap(acc) == {}
 
 
 @pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
-def test_the_join_kernel_skips_an_unmatched_row_and_deletes_each_emptied_level(mode):
+def test_the_join_kernel_adds_at_base_plus_offset_and_the_wrap_drops_zeros(mode):
     one, s = _ZERO_EXP, next(iter(symbol("s").terms))
     s2 = next(iter((symbol("s") * symbol("s")).terms))
-    by_p, by_am, by_one = ((5,), (P,), one, 3, 0), ((5,), (AM,), s, 1, -1), ((6,), (), one, 2, 0)
+    # a real group of p at offsets 50 and 60, a complex one of A- s at 50, and
+    # a real one of the empty word at 60
+    by_p = ((P,), one, True, ((50, 3, 0), (60, 1, 0)))
+    by_am = ((AM,), s, False, ((50, 1, -1),))
+    by_one = ((), one, True, ((60, 2, 0),))
     ys = {0: [by_p, by_am, by_one]}
 
-    def join(acc, at, exp, sign, ys):
-        # one x row q * s^exp at slot ``at`` of the key (7, ., 8)
-        _mul_rows_into(acc, [(at, (7,), (8,), (Q,), exp, sign, 0)], ys, mode)
+    def join(acc, at, exp, re, im, ys):
+        # one x row (re + i im) q s^exp at slot ``at`` with base 7
+        _mul_rows_into(acc, [(at, 7, (Q,), exp, re, im)], ys, mode)
 
     acc: dict = {}
-    join(acc, 1, one, 1, ys)  # no ys entry at 1
+    join(acc, 1, one, 1, 0, ys)  # no group at slot 1
     assert acc == {}
     for exp in (one, s):
-        join(acc, 0, exp, 1, ys)
-    # q p has no p q junction, so it is joined as it is in both modes
-    want = {(7, 5, 8): {(Q, P): {one: (3, 0), s: (3, 0)}, (Q, AM): {s: (1, -1), s2: (1, -1)}},
-            (7, 6, 8): {(Q,): {one: (2, 0), s: (2, 0)}}}
+        join(acc, 0, exp, 1, 0, ys)
+    # q p has no p q junction, so it is joined as it is in both modes; a real row
+    # against a real group leaves the imaginary sums empty
+    want = {((Q, P), one): ({57: 3, 67: 1}, {}), ((Q, P), s): ({57: 3, 67: 1}, {}),
+            ((Q, AM), s): ({57: 1}, {57: -1}), ((Q, AM), s2): ({57: 1}, {57: -1}),
+            ((Q,), one): ({67: 2}, {}), ((Q,), s): ({67: 2}, {})}
     assert acc == want
-    join(acc, 1, s, -1, ys)
+    # an imaginary row takes the complex path against a real group too
+    join(acc, 0, s, 0, 1, {0: [by_one]})
+    want[(Q,), s] = ({67: 2}, {67: 2})
     assert acc == want
-    # an emptied exponent leaves its word
-    join(acc, 0, s, -1, {0: [by_p]})
-    del want[(7, 5, 8)][(Q, P)][s]
-    assert acc == want
-    # an emptied word leaves its key
-    for exp in (one, s):
-        join(acc, 0, exp, -1, {0: [by_am]})
-    del want[(7, 5, 8)][(Q, AM)]
-    assert acc == want
-    # an emptied key leaves the sum
-    for exp in (one, s):
-        join(acc, 0, exp, -1, {0: [by_one]})
-    del want[(7, 6, 8)]
-    assert acc == want
-    join(acc, 0, one, -1, {0: [by_p]})
-    assert acc == {}
+    assert _wrap(acc) == {
+        57: {(Q, P): ScalarPoly._make({one: GaussRat(3), s: GaussRat(3)}),
+             (Q, AM): ScalarPoly._make({s: GaussRat(1, -1), s2: GaussRat(1, -1)})},
+        67: {(Q, P): ScalarPoly._make({one: GaussRat(1), s: GaussRat(1)}),
+             (Q,): ScalarPoly._make({one: GaussRat(2), s: GaussRat(2, 2)})}}
+    # zero parts stay in the raw sum; the wrap drops an emptied exponent, then an
+    # emptied word, then an emptied code
+    join(acc, 0, s, -1, 0, {0: [by_p]})
+    join(acc, 0, one, -1, 0, {0: [by_am]})
+    join(acc, 0, s, -1, 0, {0: [by_am]})
+    assert set(acc) == set(want)
+    assert _wrap(acc) == {
+        57: {(Q, P): ScalarPoly._make({one: GaussRat(3)})},
+        67: {(Q, P): ScalarPoly._make({one: GaussRat(1)}),
+             (Q,): ScalarPoly._make({one: GaussRat(2), s: GaussRat(2, 2)})}}
+    join(acc, 0, one, -1, 0, {0: [by_p, by_one]})
+    join(acc, 0, s, -1, -1, {0: [by_one]})
+    assert _wrap(acc) == {}
 
 
 @pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
@@ -509,7 +557,7 @@ def test_an_equal_zero_exponent_gives_the_same_product_as_zero_exp_itself(mode):
         assert zero == _ZERO_EXP and zero is not _ZERO_EXP
     y = OperatorExpr(mode, [((Q,), 1), ((Q, AM), ScalarPoly.monomial(GaussRat(0, 2), {"s": -2})),
                             ((), ScalarPoly.monomial(-1, {"w": 1}))])
-    ys = _rows(y.terms)
+    ys = rows(y.terms)
     assert any(exp is _ZERO_EXP for _, exp, _, _ in ys)
     for word in ((), (P,), (AP,)):
         want_left: dict = {}
@@ -526,7 +574,7 @@ def test_an_equal_zero_exponent_gives_the_same_product_as_zero_exp_itself(mode):
             acc: dict = {}
             join_into(acc, [(word, _ZERO_EXP, 2, 0)], ys, mode)
             join_into(acc, [(word, zero, -2, 0)], ys, mode)
-            assert acc == {}
+            assert all_parts_zero(acc) and _wrap(acc) == {}
     two = OperatorExpr(mode, [((P,), parse_scalar("2"))])
     assert two * y == OperatorExpr(mode, [((P,), 2)]) * y
 
