@@ -318,10 +318,13 @@ def _op_to_strings(mu: MultiOp) -> dict:
 _KINDS = {dict: "an object", list: "a list", str: "a string"}
 
 
-def _expect(value, kind, what: str):
-    """``value`` when it is a ``kind``, else ValueError naming what is wrong."""
+def _expect(value, kind, what: str, keys=None):
+    """``value`` when it is a ``kind``, and an object with no key outside ``keys``
+    when they are given; else ValueError naming what is wrong."""
     if not isinstance(value, kind):
         raise ValueError(f"table document: {what} is not {_KINDS[kind]}")
+    if keys and (unknown := [key for key in value if key not in keys]):
+        raise ValueError(f"table document: {what} has unknown key {unknown[0]!r}")
     return value
 
 
@@ -345,7 +348,7 @@ def _ops_from_strings(doc: dict, part: str, mode: str) -> dict:
     ops = {}
     for name, data in _field(doc, part, "the document").items():
         where = f"{part} table {name!r}"
-        _expect(data, dict, where)
+        _expect(data, dict, where, _ENTRY_KEYS)
         ops[name] = antisymmetric_binary(3, mode, {
             (i, j, k): parse_operator(_field(data, key, where, str), mode)
             for key, (i, j, k) in zip(_ENTRY_KEYS, STRUCTURE_COLUMNS)
@@ -373,20 +376,21 @@ def export_tables() -> str:
 def import_tables(text: str) -> BianchiTables:
     """Inverse of export_tables; round-trips bit-exactly.
 
-    Malformed JSON, a repeated key, a missing or mistyped field, malformed
-    expression text, classification constants that contradict the row's
-    alpha and n, and parts that do not name the same types all raise
+    Malformed JSON, a repeated or unknown key, a missing or mistyped field,
+    malformed expression text, classification constants that contradict the
+    row's alpha and n, and parts that do not name the same types all raise
     ValueError.
     """
     try:
         doc = _expect(json.loads(text, object_pairs_hook=_unique_keys), dict,
-                      "the document")
+                      "the document", ("classification", "dynamical", "quantum"))
     except RecursionError:
         raise ValueError("table document: nested too deeply") from None
     rows = []
     for name, data in _field(doc, "classification", "the document").items():
         where = f"classification row {name!r}"
-        mu = _field(_expect(data, dict, where), "mu", where)
+        mu = _field(_expect(data, dict, where, ("alpha", "n", "mu", "note")), "mu", where)
+        _expect(mu, dict, f"{where} 'mu'", _ENTRY_KEYS)
         row = BianchiRow.of(
             name,
             parse_scalar(_field(data, "alpha", where, str)),

@@ -434,6 +434,10 @@ def render_sum(signed_bodies) -> str:
 # term multiply, while inside parentheses the last one counts.  Words are
 # spellings the caller names (the operator generators); scalar text has none.
 
+_SPACE = " \t\n\r\f\v"   # what \s matches: the grammar is ASCII
+_EMPTY = ("",) * 7       # a match at the end, or at an unexpected character
+
+
 @functools.cache
 def _token_pattern(words: tuple) -> re.Pattern:
     """The token regex for one word set, compiled on first use.  Each name list
@@ -445,70 +449,48 @@ def _token_pattern(words: tuple) -> re.Pattern:
         r"|(?P<sym>" + names(SYMBOLS) + ")"
         r"(?:\s*\^\s*(?P<neg>-)?\s*(?P<exp>\d+))?"
         r"|(?P<op>[i()*+-])"
-        r"|(?P<word>" + names(words) + "))?"
+        r"|(?P<word>" + names(words) + "))?", re.ASCII
     )
 
 
-def _tokenize(text: str, words) -> list:
-    """(kind, value) pairs, one regex match each: ("num", GaussRat) for ``i`` or
-    a number, read as ``int`` or ``Fraction(int, int)``, ("sym", (index,
-    exponent)), ("word", index into words), or (character, None) for ``( ) * + -``."""
-    words = tuple(words)
-    match_at = _token_pattern(words).match
-    tokens = []
-    pos, end = 0, len(text)
-    while True:
-        match = match_at(text, pos)
-        pos = match.end()
-        num, den, sym, neg, exp, op, word = match.groups()
-        if num:
-            try:
-                tokens.append(("num", GaussRat(
-                    Fraction(int(num), int(den)) if den else int(num))))
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {text!r}") from None
-        elif sym:
-            power = -int(exp) if neg else int(exp or 1)
-            tokens.append(("sym", (SYMBOL_INDEX[sym], power)))
-        elif op:
-            tokens.append(("num", GR_I) if op == "i" else (op, None))
-        elif word:
-            tokens.append(("word", words.index(word)))
-        elif pos == end:
-            return tokens
-        else:
-            raise ValueError(f"unexpected character {text[pos]!r} in {text!r}")
+def _number(num: str, den: str, text: str) -> GaussRat:
+    """A number token, read as ``int`` or as ``Fraction(int, int)``."""
+    if not den:
+        return GaussRat(int(num))
+    try:
+        return GaussRat(Fraction(int(num), int(den)))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _parse_gauss(tokens: list, pos: int, text: str) -> tuple:
-    """The Gaussian rational between a "(" and its ")"; returns it and the
-    position after the ")"."""
+    """The Gaussian rational between a "(" and its ")", read from the token
+    groups at ``pos``; returns it and the position after the ")"."""
     total, sign, want_part = GR_ZERO, 1, True
-    while pos < len(tokens):
-        kind, value = tokens[pos]
+    while True:
+        num, den, _, _, _, op, _ = tokens[pos]
         pos += 1
-        if kind == "+" or kind == "-":
-            sign, want_part = (1 if kind == "+" else -1), True
+        if op == "+" or op == "-":
+            sign, want_part = (1 if op == "+" else -1), True
             continue
-        if want_part and kind == "num":
-            part = value
-            if tokens[pos:pos + 2] == [("*", None), ("num", GR_I)]:
-                part, pos = value * GR_I, pos + 2
-        elif not want_part and kind == ")":
+        if want_part and (num or op == "i"):
+            part = _number(num, den, text) if num else GR_I
+            if tokens[pos][5] == "*" and tokens[pos + 1][5] == "i":
+                part, pos = part * GR_I, pos + 2
+        elif not want_part and op == ")":
             return total, pos
         else:
-            break
+            raise ValueError(f"malformed parenthesized coefficient in {text!r}")
         total = total + part if sign == 1 else total - part
         sign, want_part = 1, False
-    raise ValueError(f"malformed parenthesized coefficient in {text!r}")
 
 
-def _term(coeff: GaussRat, exp: list, sign: int) -> ScalarPoly:
-    exp = tuple(exp)
-    _check_exponents(exp)
+def _term(coeff: GaussRat, powers: list, sign: int) -> ScalarPoly:
+    if min(powers) < 0:
+        _check_exponents(powers)
     if sign < 0:
         coeff = -coeff
-    return ScalarPoly._make({exp: coeff} if coeff else {})
+    return ScalarPoly._make({tuple(powers): coeff} if coeff else {})
 
 
 def parse_terms(text: str, words=()) -> list:
@@ -516,41 +498,56 @@ def parse_terms(text: str, words=()) -> list:
 
     ``words`` lists the word spellings, which the token pattern carries
     longest first; a term's word is the tuple of their indices in reading
-    order.  Malformed text raises ValueError.
+    order.  One ``findall`` gives the groups of every token, which one loop
+    reads.  Malformed text raises ValueError.
     """
-    tokens = _tokenize(text, words)
+    words = tuple(words)
+    pattern = _token_pattern(words)
+    body = text.rstrip(_SPACE)
+    tokens = pattern.findall(body)
+    if tokens.count(_EMPTY) > 1:
+        at = next(match.end() for match in pattern.finditer(body) if not any(match.groups()))
+        raise ValueError(f"unexpected character {body[at]!r} in {text!r}")
     terms = []
     sign, coeff = 1, None          # coeff is None until a term opens
-    pos = 0
-    while pos < len(tokens):
-        kind, value = tokens[pos]
+    pos, last = 0, len(tokens) - 1   # the last groups are the end's
+    while pos < last:
+        num, den, sym, neg, exp, op, word = tokens[pos]
         pos += 1
-        if kind == "*":
+        if sym or word:
+            if coeff is None:
+                coeff, powers, letters = GR_ONE, [0] * NSYMBOLS, []
+            if sym:
+                powers[SYMBOL_INDEX[sym]] += (-int(exp) if neg else int(exp)) if exp else 1
+            else:
+                letters.append(words.index(word))
             continue
-        if kind == "+" or kind == "-":
+        if num:
+            value = _number(num, den, text)
+        elif op == "*":
+            continue
+        elif op == "+" or op == "-":
             if coeff is not None:
-                terms.append((tuple(word), _term(coeff, exp, sign)))
+                terms.append((tuple(letters), _term(coeff, powers, sign)))
                 sign, coeff = 1, None
-            if kind == "-":
+            if op == "-":
                 sign = -sign
             continue
-        if coeff is None:
-            coeff, exp, word = GR_ONE, [0] * NSYMBOLS, []
-        if kind == "num":
-            coeff = coeff * value
-        elif kind == "sym":
-            exp[value[0]] += value[1]
-        elif kind == "word":
-            word.append(value)
-        elif kind == "(":
+        elif op == "i":
+            value = GR_I
+        elif op == "(":
             value, pos = _parse_gauss(tokens, pos, text)
-            coeff = coeff * value
         else:
             raise ValueError(f"unmatched ')' in {text!r}")
+        if coeff is None:
+            coeff, powers, letters = value, [0] * NSYMBOLS, []
+        else:
+            coeff = coeff * value
     if coeff is not None:
-        terms.append((tuple(word), _term(coeff, exp, sign)))
-    elif any(kind == "+" or kind == "-" for kind, _ in tokens):
-        # no term opened after the last sign
+        terms.append((tuple(letters), _term(coeff, powers, sign)))
+    elif "+" in text or "-" in text:
+        # with no term open, every "+" or "-" is a sign or inside a factor
+        # that a later sign closed: no term opened after the last sign
         raise ValueError(f"trailing sign in {text!r}")
     return terms
 

@@ -336,4 +336,7 @@ def parse_operator(text: str, mode: str) -> OperatorExpr:
     names as words; their positions in GENERATOR_NAMES are the generators.
     """
     _check_mode(mode)
-    return OperatorExpr(mode, parse_terms(text, GENERATOR_NAMES[mode]))
+    acc: dict = {}
+    for word, coeff in parse_terms(text, GENERATOR_NAMES[mode]):
+        _normalize_into(acc, word, coeff, mode)
+    return OperatorExpr._make(mode, acc)

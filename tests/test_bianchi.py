@@ -265,9 +265,13 @@ def _edited_quantum_ii():
     return json.dumps({**doc["quantum"]["II"], "23^1": "0"})
 
 
-def _with_note(name, note):
+def _with(path, value):
     doc = json.loads(export_tables())
-    doc["classification"][name]["note"] = note
+    *parents, last = path
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    holder[last] = value
     return doc
 
 
@@ -279,7 +283,8 @@ def _with_note(name, note):
     # raw texts: nesting deeper than the JSON decoder's recursion limit
     pytest.param("[" * 100000, "nested too deeply", id="deep-list"),
     pytest.param('{"classification": ' * 50000, "nested too deeply", id="deep-object"),
-    (_with_note("II", [1, 2]), "classification row 'II' 'note' is not a string"),
+    (_with(["classification", "II", "note"], [1, 2]),
+     "classification row 'II' 'note' is not a string"),
     # the three parts must name the same types
     (_without(["quantum", "II"]), "quantum has no type 'II'"),
     (_without(["dynamical", "V"]), "dynamical has no type 'V'"),
@@ -292,6 +297,12 @@ def _with_note(name, note):
                  r"repeated key '23\^1'", id="repeated-entry"),
     pytest.param(_repeating(["{"], '"quantum": {},'), "repeated key 'quantum'",
                  id="repeated-part"),
+    # a key the document does not define
+    (_with(["dynamical", "II", "13^1"], "5*q"), r"dynamical table 'II' has unknown key '13\^1'"),
+    (_with(["classification", "VI_a", "mu", "22^1"], "0"),
+     r"classification row 'VI_a' 'mu' has unknown key '22\^1'"),
+    (_with(["classification", "IX", "beta"], "1"), "classification row 'IX' has unknown key 'beta'"),
+    (_with(["jacobi"], {}), "the document has unknown key 'jacobi'"),
 ])
 def test_import_rejects_malformed_documents(doc, named):
     with pytest.raises(ValueError, match=named):

@@ -18,7 +18,8 @@ survives on purpose: flipping the phase of the commutation relation is hbar ->
 Join-kernel mutants recompile one function of the composition path with one
 expression changed, and must fail a named tier-1 test.  An imaginary row taken
 down the real-only path also passes every suite: no suite check depends on the
--i hbar of a p q contraction.
+-i hbar of a p q contraction.  Parser mutants recompile one function of the
+text route the same way and must fail a named tier-1 test.
 """
 
 import inspect
@@ -27,9 +28,10 @@ import textwrap
 
 import pytest
 
+import test_grammar
 import test_operad
 import test_weyl
-from oplax import bianchi, cli, jacobi, operad, oscillator, weyl
+from oplax import bianchi, cli, jacobi, operad, oscillator, scalars, weyl
 from oplax.operad import antisymmetric_binary
 from oplax.oscillator import STRUCTURE_COLUMNS
 from oplax.scalars import symbol
@@ -152,6 +154,19 @@ KERNEL_MUTANTS = {
         test_operad.test_composition_index_conventions, "operadic-lax.II.113"),
 }
 
+#: parser mutants: (home module, name, original -> mutant, a tier-1 test that fails)
+PARSER_MUTANTS = {
+    # "(1+2*i)" is read as a malformed coefficient
+    "times-i-lookahead-dropped": (
+        scalars, "_parse_gauss",
+        _rewrite('tokens[pos][5] == "*" and tokens[pos + 1][5] == "i"', "False"),
+        test_grammar.test_the_parser_agrees_with_the_oracle),
+    # "x1 -" is read as x1
+    "trailing-sign-check-dropped": (
+        scalars, "parse_terms", _rewrite('elif "+" in text or "-" in text:', "elif False:"),
+        test_grammar.test_the_parser_agrees_with_the_oracle),
+}
+
 #: (re, im) of i^k in place of (-i)^k: the contraction p q -> +i hbar
 PHASE_FLIPPED = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
@@ -183,6 +198,13 @@ def test_a_kernel_mutant_fails_its_tier1_test(monkeypatch, home, name, make, tes
         test()
     failing = failing_ids(bianchi.builtin_tables())
     assert failing[:1] == ([first] if first else []), failing[:3]
+
+
+@pytest.mark.parametrize("home, name, make, test", PARSER_MUTANTS.values(), ids=PARSER_MUTANTS)
+def test_a_parser_mutant_fails_its_tier1_test(monkeypatch, home, name, make, test):
+    _mutate(monkeypatch, home, name, make)
+    with pytest.raises(AssertionError):
+        test()
 
 
 def test_the_commutation_phase_mutant_survives_every_suite(monkeypatch):
