@@ -182,8 +182,8 @@ def quantize(mu: MultiOp) -> MultiOp:
     """Generator-wise hatting: same words, same coefficients, quantum mode."""
     if mu.mode != CLASSICAL:
         raise ValueError("quantize expects a classical operation")
-    return MultiOp(mu.dim, mu.degree, QUANTUM,
-                   {key: value.to_quantum() for key, value in mu.entries.items()})
+    return MultiOp._make(mu.dim, mu.degree, QUANTUM,
+                         {key: value.to_quantum() for key, value in mu.entries.items()})
 
 
 # -- the four-parameter family --------------------------------------------------

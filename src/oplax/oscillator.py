@@ -44,6 +44,9 @@ _DDT_IMAGES = {
     AM: ((AP,), W * Fraction(1, 2)),
 }
 
+#: values of the generators at the start state
+_START_VALUES = {Q: 0, P: P0, AP: S, AM: 0}
+
 
 def ddt(expr: OperatorExpr) -> OperatorExpr:
     """Time derivative: the Leibniz extension of q->p, p->-w^2 q,
@@ -199,16 +202,16 @@ def coeffs_nondegenerate(c: DeformationCoeffs) -> bool:
 
 
 def at_initial(expr: OperatorExpr) -> OperatorExpr:
-    """Evaluate at the start state q = 0, p = p0, A+ = sqrt(2 p0), A- = 0."""
+    """Evaluate at the start state q = 0, p = p0, A+ = sqrt(2 p0), A- = 0: each
+    coefficient times its letters' ``_START_VALUES``, summed as scalars."""
     if expr.mode != CLASSICAL:
         raise ValueError("initial-state evaluation is classical only")
-    zero = OperatorExpr.zero(CLASSICAL)
-    return expr.subst_generators({
-        Q: zero,
-        P: OperatorExpr.scalar(CLASSICAL, P0),
-        AP: OperatorExpr.scalar(CLASSICAL, S),
-        AM: zero,
-    })
+    value = ScalarPoly.zero()
+    for word, coeff in expr.terms.items():
+        for gen in word:
+            coeff = coeff * _START_VALUES[gen]
+        value = value + coeff
+    return OperatorExpr.scalar(CLASSICAL, value)
 
 
 def verify_operadic_lax(mu: MultiOp, label: str) -> list[Check]:

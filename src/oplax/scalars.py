@@ -429,10 +429,11 @@ def render_sum(signed_bodies) -> str:
 #   factor := number | symbol ("^" "-"? integer)? | "i" | "(" gauss ")" | word
 #   gauss  := sign* part (sign+ part)*          part := (number | "i") ("*" "i")?
 #
-# Whitespace may separate any two tokens.  A sign after a factor closes the
-# term and must open another, so no sign ends the text; the signs before a
-# term multiply, while inside parentheses the last one counts.  Words are
-# spellings the caller names (the operator generators); scalar text has none.
+# Whitespace may separate any two tokens.  A "*" stands between two factors
+# of one term.  A sign after a factor closes the term and must open another,
+# so no sign ends the text; the signs before a term multiply, while inside
+# parentheses the last one counts.  Words are spellings the caller names (the
+# operator generators); scalar text has none.
 
 _SPACE = " \t\n\r\f\v"   # what \s matches: the grammar is ASCII
 _EMPTY = ("",) * 7       # a match at the end, or at an unexpected character
@@ -525,6 +526,9 @@ def parse_terms(text: str, words=()) -> list:
         if num:
             value = _number(num, den, text)
         elif op == "*":
+            # a token with no op is a number, symbol or word, unless it is the end's
+            if coeff is None or pos == last or tokens[pos][5] not in ("", "i", "("):
+                raise ValueError(f"'*' joins no two factors in {text!r}")
             continue
         elif op == "+" or op == "-":
             if coeff is not None:

@@ -230,27 +230,15 @@ class OperatorExpr(SparseSum):
         values = _bound_values(bindings)
         return self.map_values(lambda coeff: coeff._subst(values))
 
-    def subst_generators(self, images: dict) -> "OperatorExpr":
-        """Replace generators by whole expressions, preserving word order."""
-        result = OperatorExpr.zero(self.mode)
-        for word, coeff in self.terms.items():
-            term = OperatorExpr.scalar(self.mode, coeff)
-            for gen in word:
-                image = images.get(gen)
-                term = term * (self._coerce(image) if image is not None
-                               else OperatorExpr.generator(self.mode, gen))
-            result = result + term
-        return result
-
     def to_quantum(self) -> "OperatorExpr":
         """Reinterpret a classical expression with hatted generators.
 
-        Classical normal form already lists q before p, so the words are
-        normal-ordered as they stand.
+        A classical normal word is sorted q <= p <= A+ <= A-, so no p comes
+        before a q and the words are quantum normal as they stand.
         """
         if self.mode == QUANTUM:
             return self
-        return OperatorExpr(QUANTUM, self.terms.items())
+        return OperatorExpr._make(QUANTUM, dict(self.terms))
 
     # -- rendering ---------------------------------------------------------
 

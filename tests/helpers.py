@@ -4,6 +4,32 @@ from oplax.operad import MultiOp
 from oplax.weyl import OperatorExpr
 
 
+def constructor_product(x, y):
+    """x*y by the normalising constructor: concatenated words, ScalarPoly
+    coefficient products, no product kernel."""
+    return OperatorExpr(x.mode, [(w1 + w2, c1 * c2)
+                                 for w1, c1 in x.terms.items()
+                                 for w2, c2 in y.terms.items()])
+
+
+def all_parts_zero(acc):
+    """Every part of a join kernel's raw sum ``{term: (re_sums, im_sums)}`` is zero."""
+    return all(not part for sums in acc.values() for parts in sums for part in parts.values())
+
+
+def substitute_generators(expr, images):
+    """``expr`` with each generator in ``images`` replaced by its image, an operator
+    expression or a scalar, word order kept: each term's coefficient times its
+    letters, multiplied through ``OperatorExpr.__mul__`` and summed."""
+    result = OperatorExpr.zero(expr.mode)
+    for word, coeff in expr.terms.items():
+        term = OperatorExpr.scalar(expr.mode, coeff)
+        for gen in word:
+            term = term * images.get(gen, OperatorExpr.generator(expr.mode, gen))
+        result = result + term
+    return result
+
+
 def is_antisymmetric(mu) -> bool:
     """Swapping the two inputs of the binary operation mu negates every entry."""
     assert mu.degree == 2

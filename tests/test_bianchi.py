@@ -17,10 +17,12 @@ from oplax.bianchi import (
     quantize,
     quantum_table,
 )
+from oplax.operad import MultiOp
 from oplax.oscillator import (
     INV_2P0,
     INV_SQRT_2P0,
     P0,
+    at_initial,
     coeffs_from_initial,
     deformed_structure_op,
     verify_operadic_lax,
@@ -28,7 +30,7 @@ from oplax.oscillator import (
 from oplax.scalars import ScalarPoly, symbol
 from oplax.weyl import AM, AP, CLASSICAL, P, Q, QUANTUM, OperatorExpr
 
-from helpers import is_antisymmetric
+from helpers import is_antisymmetric, substitute_generators
 
 ONE = ScalarPoly.const(1)
 ZERO = ScalarPoly.zero()
@@ -196,8 +198,6 @@ def test_the_iii_a1_flag_reads_the_quantum_table():
 
 
 def test_quantizing_commutes_with_initial_state_evaluation():
-    from oplax.oscillator import P0, at_initial
-
     start_images = {
         Q: OperatorExpr.zero(QUANTUM),
         P: OperatorExpr.scalar(QUANTUM, P0),
@@ -207,8 +207,26 @@ def test_quantizing_commutes_with_initial_state_evaluation():
     for name, mu in dynamical_table().items():
         for key, entry in mu.entries.items():
             via_classical = at_initial(entry).to_quantum()
-            via_quantum = entry.to_quantum().subst_generators(start_images)
+            via_quantum = substitute_generators(entry.to_quantum(), start_images)
             assert via_classical == via_quantum, (name, key)
+
+
+def test_the_direct_maps_multiply_no_operator_and_check_nothing(monkeypatch):
+    # start-state evaluation sums scalars and hatting relabels: neither multiplies
+    # operators nor passes its valid, normal values through a checking constructor
+    dynamical, quantum = dynamical_table(), quantum_table()
+    calls = []
+    for cls, name in ((OperatorExpr, "__mul__"), (OperatorExpr, "__rmul__"),
+                      (OperatorExpr, "__init__"), (MultiOp, "__init__")):
+        def counting(*args, original=getattr(cls, name), called=f"{cls.__name__}.{name}"):
+            calls.append(called)
+            return original(*args)
+        monkeypatch.setattr(cls, name, counting)
+    values = [at_initial(entry) for mu in dynamical.values() for entry in mu.entries.values()]
+    hatted = {name: quantize(mu) for name, mu in dynamical.items()}
+    assert calls == []
+    monkeypatch.undo()
+    assert hatted == quantum and all(set(value.terms) <= {()} for value in values)
 
 
 def test_export_is_deterministic():

@@ -114,6 +114,8 @@ def test_importing_the_package_compiles_no_token_pattern():
     "x1^2/1", "s^4/2",
     # a sign may not end the text
     "-", "x1 -",
+    # a "*" joins two factors of one term
+    "*", "x1 *", "* x1", "x1 * * s", "x1 * - x2",
 ])
 def test_scalar_rejects(text):
     with pytest.raises(ValueError):
@@ -130,7 +132,7 @@ def test_operator_terms_use_the_mode_names():
     assert parse_operator("ph qh", QUANTUM) == OperatorExpr(QUANTUM, [((Q, P), 1), ((), hbar)])
     assert parse_operator("p q", CLASSICAL) == OperatorExpr(CLASSICAL, [((Q, P), 1)])
     for text, mode in (("qh", CLASSICAL), ("q", QUANTUM), ("ph^2", QUANTUM), ("(qh)", QUANTUM),
-                       ("qh -", QUANTUM)):
+                       ("qh -", QUANTUM), ("qh * * ph *", QUANTUM)):
         with pytest.raises(ValueError):
             parse_operator(text, mode)
 
@@ -208,6 +210,10 @@ def oracle_term(coeff: GaussRat, exp: list, sign: int) -> ScalarPoly:
     return ScalarPoly._make({exp: coeff} if coeff else {})
 
 
+#: the token kinds that open a factor, the only ones a "*" may precede
+FACTOR_KINDS = ("num", "sym", "word", "(")
+
+
 def oracle_terms(text: str, words=()) -> list:
     tokens = oracle_tokens(text, tuple(words))
     terms = []
@@ -217,6 +223,8 @@ def oracle_terms(text: str, words=()) -> list:
         kind, value = tokens[pos]
         pos += 1
         if kind == "*":
+            if coeff is None or pos == len(tokens) or tokens[pos][0] not in FACTOR_KINDS:
+                raise ValueError(f"'*' joins no two factors in {text!r}")
             continue
         if kind == "+" or kind == "-":
             if coeff is not None:
@@ -300,7 +308,7 @@ def test_the_parser_agrees_with_the_oracle(text):
 @pytest.mark.parametrize("text", [
     "x1 $ 2", "x1^", "x1 ^ ", "\tx1^1/2", "2/0", "x1 1/0", "(1/0*i)", ")", "x1 )", "(1", "()",
     "(x1)", "(1 2)", "(i*2)", "x1 -", "qh -", "-", "+\t", "x1^-1", "s^2 x1^-2", "e", "A+",
-    "q ph",
+    "q ph", "*", "x1 *", "* x1", "x1 * * s", "x1 * - x2", "qh * * ph *", "(1) * )",
     pytest.param(PAST_THE_DIGIT_LIMIT, id="numerator-digits"),
     pytest.param("2/" + PAST_THE_DIGIT_LIMIT, id="denominator-digits"),
     pytest.param("x1^" + PAST_THE_DIGIT_LIMIT, id="exponent-digits"),

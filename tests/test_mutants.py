@@ -19,7 +19,8 @@ Join-kernel mutants recompile one function of the composition path with one
 expression changed, and must fail a named tier-1 test.  An imaginary row taken
 down the real-only path also passes every suite: no suite check depends on the
 -i hbar of a p q contraction.  Parser mutants recompile one function of the
-text route the same way and must fail a named tier-1 test.
+text route the same way and must fail a named tier-1 test, and normal-ordering
+mutants the Schrodinger-representation witness, which sees the flipped phase.
 """
 
 import inspect
@@ -30,6 +31,7 @@ import pytest
 
 import test_grammar
 import test_operad
+import test_schrodinger
 import test_weyl
 from oplax import bianchi, cli, jacobi, operad, oscillator, scalars, weyl
 from oplax.operad import antisymmetric_binary
@@ -134,6 +136,8 @@ CODE_MUTANTS = {
                           "tables.family.VII_a"),
     "closed-form-j3-doubled": (jacobi, "closed_form_jacobi", _double_j3, "theorem-9-1.J3"),
     "p0-doubled": (oscillator, "P0", lambda p0: p0 + p0, "tables.derive.II"),
+    "start-a-plus-zero": (oscillator, "_START_VALUES", lambda values: {**values, AP: 0},
+                          "tables.initial.V"),
 }
 
 #: join-kernel mutants: (home module, name, original -> mutant, a tier-1 test that
@@ -170,6 +174,20 @@ PARSER_MUTANTS = {
 #: (re, im) of i^k in place of (-i)^k: the contraction p q -> +i hbar
 PHASE_FLIPPED = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
+#: normal-ordering mutants: (home module, name, original -> mutant, a tier-1 test that fails)
+ORDERING_MUTANTS = {
+    # p q -> q p + i hbar, which every suite passes
+    "phase-flipped": (
+        weyl, "_MINUS_I_POWERS", lambda powers: PHASE_FLIPPED,
+        test_schrodinger.test_normal_ordering_agrees_with_the_schrodinger_representation),
+    # p q -> q p with no contraction term
+    "contraction-dropped": (
+        weyl, "_normal_rows",
+        _rewrite("stack += (head + (Q, P) + tail, head + tail)",
+                 "stack.append(head + (Q, P) + tail)"),
+        test_schrodinger.test_normal_ordering_agrees_with_the_schrodinger_representation),
+}
+
 
 def _mutate(monkeypatch, home, name, make) -> None:
     """Set ``name`` to ``make(original)`` in every loaded oplax module that holds it."""
@@ -202,6 +220,14 @@ def test_a_kernel_mutant_fails_its_tier1_test(monkeypatch, home, name, make, tes
 
 @pytest.mark.parametrize("home, name, make, test", PARSER_MUTANTS.values(), ids=PARSER_MUTANTS)
 def test_a_parser_mutant_fails_its_tier1_test(monkeypatch, home, name, make, test):
+    _mutate(monkeypatch, home, name, make)
+    with pytest.raises(AssertionError):
+        test()
+
+
+@pytest.mark.parametrize("home, name, make, test", ORDERING_MUTANTS.values(),
+                         ids=ORDERING_MUTANTS)
+def test_a_normal_ordering_mutant_fails_the_witness(monkeypatch, home, name, make, test):
     _mutate(monkeypatch, home, name, make)
     with pytest.raises(AssertionError):
         test()

@@ -21,6 +21,8 @@ from oplax.scalars import GaussRat, ScalarPoly
 from oplax.weyl import AM, AP, CLASSICAL, P, Q, QUANTUM, OperatorExpr
 
 from helpers import (
+    all_parts_zero,
+    constructor_product,
     is_antisymmetric,
     reference_bracket,
     reference_jacobi_defect,
@@ -34,14 +36,6 @@ def scalar_op(dim, degree, values):
     return MultiOp(dim, degree, CLASSICAL, {
         key: OperatorExpr.scalar(CLASSICAL, v) for key, v in values.items()
     })
-
-
-def constructor_product(x, y):
-    """x*y by the normalising constructor, so the oracle below shares no code
-    with the product kernel the compositions use."""
-    return OperatorExpr(x.mode, [(w1 + w2, c1 * c2)
-                                 for w1, c1 in x.terms.items()
-                                 for w2, c2 in y.terms.items()])
 
 
 def compose_by_basis_evaluation(f, pos, g):
@@ -454,10 +448,6 @@ def raw_sums(monkeypatch):
 
     monkeypatch.setattr(operad, "_wrap", counted_wrap)
     return record
-
-
-def all_parts_zero(acc):
-    return all(not part for sums in acc.values() for parts in sums for part in parts.values())
 
 
 @pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oplax import bianchi
 from oplax.operad import partial_compose
@@ -22,10 +23,10 @@ from oplax.oscillator import (
     verify_matrix_lax,
     verify_operadic_lax,
 )
-from oplax.scalars import ScalarPoly, symbol
-from oplax.weyl import AM, AP, CLASSICAL, P, Q, QUANTUM, OperatorExpr
+from oplax.scalars import GaussRat, ScalarPoly, symbol
+from oplax.weyl import AM, AP, CLASSICAL, GENERATORS, P, Q, QUANTUM, OperatorExpr
 
-from helpers import is_antisymmetric
+from helpers import is_antisymmetric, substitute_generators
 
 W = symbol("w")
 ZERO = ScalarPoly.zero()
@@ -44,8 +45,8 @@ def test_hamiltonian_value_at_start_is_energy():
 
 def test_hamiltonian_is_even_in_each_variable():
     h = hamiltonian()
-    assert h.subst_generators({Q: -gen(Q)}) == h
-    assert h.subst_generators({P: -gen(P)}) == h
+    assert substitute_generators(h, {Q: -gen(Q)}) == h
+    assert substitute_generators(h, {P: -gen(P)}) == h
 
 
 def rows(op):
@@ -205,6 +206,37 @@ def test_at_initial_examples():
         OperatorExpr.scalar(CLASSICAL, 1)
     assert at_initial(gen(AM) * ScalarPoly.monomial(1, {"s": -1})).is_zero
     assert at_initial(W * gen(Q) * INV_2P0).is_zero
+
+
+#: the start state as operator images, for the substitution oracle
+START_IMAGES = {
+    Q: OperatorExpr.zero(CLASSICAL),
+    P: OperatorExpr.scalar(CLASSICAL, P0),
+    AP: OperatorExpr.scalar(CLASSICAL, ScalarPoly.monomial(1, {"s": 1})),
+    AM: OperatorExpr.zero(CLASSICAL),
+}
+
+parts = st.sampled_from((0, 1, -3, Fraction(1, 2)))
+
+
+@st.composite
+def classical_exprs(draw):
+    """Words of up to four letters whose coefficients carry s^-k, w and x1."""
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        coeff = ScalarPoly.monomial(GaussRat(draw(parts), draw(parts)),
+                                    {"s": draw(st.integers(-3, 2)), "w": draw(st.integers(0, 2)),
+                                     "x1": draw(st.integers(0, 1))})
+        terms.append((draw(st.lists(st.sampled_from(GENERATORS), max_size=4)), coeff))
+    return OperatorExpr(CLASSICAL, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(classical_exprs())
+@example(OperatorExpr.zero(CLASSICAL))
+@example(OperatorExpr(CLASSICAL, [((AP, AP, P), ScalarPoly.monomial(3, {"s": -4}))]))
+def test_at_initial_is_substitution_of_the_start_state(expr):
+    assert at_initial(expr) == substitute_generators(expr, START_IMAGES)
 
 
 def test_operadic_lax_entry_oracle_type_ii():

@@ -21,6 +21,8 @@ from oplax.weyl import (
     render_factored,
 )
 
+from helpers import all_parts_zero, constructor_product
+
 MINUS_I_HBAR = ScalarPoly.monomial(GaussRat(0, -1), {"hbar": 1})
 
 
@@ -206,14 +208,6 @@ def test_commutator_is_bilinear(u, v, t, c):
     assert lhs == rhs
 
 
-def constructor_product(x, y):
-    """x*y by the normalising constructor: concatenated words, ScalarPoly
-    coefficient products, no product kernel."""
-    return OperatorExpr(x.mode, [(w1 + w2, c1 * c2)
-                                 for w1, c1 in x.terms.items()
-                                 for w2, c2 in y.terms.items()])
-
-
 gauss_coeffs = st.builds(
     GaussRat, st.fractions(min_value=-2, max_value=2, max_denominator=3),
     st.sampled_from((0, 1, -2, Fraction(1, 2))))
@@ -327,10 +321,6 @@ def mul_rows(acc, x, y, negate, sign_on_left=True):
 def wrapped(mode, acc):
     """The OperatorExpr that code 0 of the raw sum ``acc`` wraps into."""
     return OperatorExpr._make(mode, _wrap(acc).get(0, {}))
-
-
-def all_parts_zero(acc):
-    return all(not part for sums in acc.values() for parts in sums for part in parts.values())
 
 
 @pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
