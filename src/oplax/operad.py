@@ -115,12 +115,6 @@ def _compose_into(acc: dict, f: _Operand, pos: int, g: _Operand, negate: bool) -
     The ``low`` digits after the slot stay, f's head moves up past g's inputs, and g's
     inputs move up past the low digits: ``base = head * dim^|g inputs| * low + tail``,
     ``off = inputs * low``."""
-    if f.dim != g.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    if f.mode != g.mode:
-        raise ValueError(f"mode mismatch: {f.mode} vs {g.mode}")
-    if not 0 <= pos < f.degree:
-        raise ValueError(f"slot {pos} out of range for degree {f.degree}")
     sign = -1 if negate ^ ((pos * (g.degree - 1)) % 2 == 1) else 1
     dim, low = f.dim, f.dim ** (f.degree - pos)
     high, wide = low * dim, low * dim ** g.degree
@@ -142,12 +136,18 @@ def _bracket_into(acc: dict, f: _Operand, g: _Operand, negate: bool) -> None:
 
 
 def _composite(ops: tuple, fill) -> MultiOp:
-    """Flatten each operation once, fill one raw sum from their operands and wrap it
-    once; an entry whose every part cancelled builds nothing, and only the codes that
-    survive are decoded into keys, first index most significant."""
+    """Check every operation's dimension and mode against the first's, flatten each once,
+    fill one raw sum from their operands and wrap it once; an entry whose every part
+    cancelled builds nothing, and only the codes that survive are decoded into keys, first
+    index most significant."""
+    f = ops[0]
+    for op in ops[1:]:
+        if op.dim != f.dim:
+            raise ValueError(f"dimension mismatch: {f.dim} vs {op.dim}")
+        if op.mode != f.mode:
+            raise ValueError(f"mode mismatch: {f.mode} vs {op.mode}")
     acc: dict = {}
     fill(acc, *map(_operand, ops))
-    f = ops[0]
     degree = sum(op.reduced_degree for op in ops) + 1
     powers = [f.dim ** k for k in range(degree, -1, -1)]
     return MultiOp._make(f.dim, degree, f.mode, {
@@ -161,6 +161,8 @@ def partial_compose(f: MultiOp, pos: int, g: MultiOp) -> MultiOp:
     The composite picks up (-1)^(pos * |g|) where |g| is g's reduced degree,
     and every entry is a sum of products with the f-entry on the left.
     """
+    if not 0 <= pos < f.degree:
+        raise ValueError(f"slot {pos} out of range for degree {f.degree}")
     return _composite((f, g), lambda acc, f, g: _compose_into(acc, f, pos, g, False))
 
 

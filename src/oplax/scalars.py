@@ -54,6 +54,16 @@ def _exact(value):
     raise TypeError(f"cannot interpret {type(value).__name__} as a Gaussian rational")
 
 
+def _coerced(coerce, value):
+    """``coerce(value)``, or None when it raises TypeError: the one operand gate.  Given
+    None, an operator returns NotImplemented, so Python offers the operation to the other
+    operand (PEP 3141); a ValueError, an operand that can never be combined, propagates."""
+    try:
+        return coerce(value)
+    except TypeError:
+        return None
+
+
 class GaussRat:
     """Gaussian rational ``re + im*i`` with exact rational parts.
 
@@ -72,11 +82,8 @@ class GaussRat:
         return value if isinstance(value, GaussRat) else GaussRat(value)
 
     def __add__(self, other):
-        if type(other) is not GaussRat:
-            try:
-                other = GaussRat(other)
-            except TypeError:
-                return NotImplemented
+        if type(other) is not GaussRat and (other := _coerced(GaussRat, other)) is None:
+            return NotImplemented
         return GaussRat(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -85,22 +92,16 @@ class GaussRat:
         return GaussRat(-self.re, -self.im)
 
     def __sub__(self, other):
-        if type(other) is not GaussRat:
-            try:
-                other = GaussRat(other)
-            except TypeError:
-                return NotImplemented
+        if type(other) is not GaussRat and (other := _coerced(GaussRat, other)) is None:
+            return NotImplemented
         return GaussRat(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if type(other) is not GaussRat:
-            try:
-                other = GaussRat(other)
-            except TypeError:
-                return NotImplemented
+        if type(other) is not GaussRat and (other := _coerced(GaussRat, other)) is None:
+            return NotImplemented
         if not self.im and not other.im:
             return GaussRat(self.re * other.re)
         return GaussRat(
@@ -111,11 +112,8 @@ class GaussRat:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if type(other) is not GaussRat:
-            try:
-                other = GaussRat(other)
-            except TypeError:
-                return NotImplemented
+        if type(other) is not GaussRat and (other := _coerced(GaussRat, other)) is None:
+            return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
@@ -214,9 +212,7 @@ class SparseSum:
     __slots__ = ()
 
     def __add__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
+        if (other := _coerced(self._coerce, other)) is None:
             return NotImplemented
         acc = dict(self.terms)
         for key, value in other.terms.items():
@@ -229,18 +225,12 @@ class SparseSum:
         return self._like({key: -value for key, value in self.terms.items()})
 
     def __sub__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
+        if (other := _coerced(self._coerce, other)) is None:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return other + (-self)
+        return (-self).__add__(other)
 
     def __eq__(self, other):
         try:
@@ -323,18 +313,12 @@ class ScalarPoly(SparseSum):
 
     @staticmethod
     def _coerce(value) -> "ScalarPoly":
-        if isinstance(value, ScalarPoly):
-            return value
-        if isinstance(value, (int, Fraction, GaussRat)):
-            return ScalarPoly.const(value)
-        raise TypeError(f"cannot interpret {type(value).__name__} as a scalar polynomial")
+        return value if isinstance(value, ScalarPoly) else ScalarPoly.const(value)
 
     # -- ring operations ---------------------------------------------------
 
     def __mul__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
+        if (other := _coerced(self._coerce, other)) is None:
             return NotImplemented
         acc: dict = {}
         mul_terms_into(acc, self.terms, other.terms)

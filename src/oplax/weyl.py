@@ -20,8 +20,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .scalars import (_ZERO_EXP, SYMBOL_INDEX, GaussRat, ScalarPoly, SparseSum, _bound_values,
-                      _symbol_index, add_exponents, add_term, parse_terms, render_sum,
-                      render_term)
+                      _coerced, _symbol_index, add_exponents, add_term, parse_terms,
+                      render_sum, render_term)
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -186,21 +186,16 @@ class OperatorExpr(SparseSum):
         return cls._make(mode, {(gen,): ScalarPoly.const(1)})
 
     def _coerce(self, value) -> "OperatorExpr":
-        if isinstance(value, OperatorExpr):
-            if value.mode != self.mode:
-                raise ValueError(f"mode mismatch: {self.mode} vs {value.mode}")
-            return value
-        if isinstance(value, (int, Fraction, GaussRat, ScalarPoly)):
+        if not isinstance(value, OperatorExpr):
             return OperatorExpr.scalar(self.mode, value)
-        raise TypeError(f"cannot interpret {type(value).__name__} as an operator "
-                        "expression")
+        if value.mode != self.mode:
+            raise ValueError(f"mode mismatch: {self.mode} vs {value.mode}")
+        return value
 
     # -- algebra -----------------------------------------------------------
 
     def __mul__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
+        if (other := _coerced(self._coerce, other)) is None:
             return NotImplemented
         acc: dict = {}
         _mul_rows_into(acc, [(0, 0, word, exp, g.re, g.im)
@@ -211,12 +206,8 @@ class OperatorExpr(SparseSum):
         return OperatorExpr._make(self.mode, _wrap(acc).get(0, {}))
 
     def __rmul__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        # scalars commute, so coercion order is irrelevant here
-        return other * self
+        # other is no operator: a scalar, which commutes, or a value __mul__ hands back
+        return self.__mul__(other)
 
     def has_symbol(self, name: str) -> bool:
         idx = _symbol_index(name)
@@ -309,10 +300,9 @@ def render_factored(expr: OperatorExpr) -> str:
     })
     neg, factor_body = render_term(GaussRat(num_gcd), common)
     prefix = ("-" if neg else "") + factor_body
-    inner = remainder.render()
-    if len(remainder.flat_terms()) > 1:
-        inner = f"({inner})"
-    return f"{prefix} * {inner}"
+    # shifting by common keeps terms apart and 1/num_gcd keeps them nonzero, so the
+    # remainder has as many terms as flat: at least two
+    return f"{prefix} * ({remainder.render()})"
 
 
 # -- parsing ------------------------------------------------------------------

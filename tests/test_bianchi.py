@@ -336,7 +336,10 @@ def test_import_defaults_a_missing_note_to_empty():
     (lambda: BianchiRow.of("short", 0, (0, 0)), ValueError, "three n-values, got 2"),
     (lambda: import_tables(json.dumps(_without(["classification", "II", "mu", "31^3"]))),
      ValueError, r"classification row 'II' 'mu' has no '31\^3'"),
-], ids=("n-length", "mu0-length"))
+    (lambda: BianchiRow.of("float", 0.5, (0, 0, 0)), TypeError, "cannot interpret float"),
+    (lambda: BianchiRow.of("float", 0, (0, 1.0, 0)), TypeError, "cannot interpret float"),
+    (lambda: bianchi.FamilyParams.of(1, 0.5, 0, 1), TypeError, "cannot interpret float"),
+], ids=("n-length", "mu0-length", "float-alpha", "float-n", "float-family-param"))
 def test_a_malformed_row_or_an_unknown_name_is_rejected(lookup, error, match):
     with pytest.raises(error, match=match):
         lookup()

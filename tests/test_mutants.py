@@ -21,6 +21,8 @@ down the real-only path also passes every suite: no suite check depends on the
 -i hbar of a p q contraction.  Parser mutants recompile one function of the
 text route the same way and must fail a named tier-1 test, and normal-ordering
 mutants the Schrodinger-representation witness, which sees the flipped phase.
+An operand-gate mutant recompiles the gate every arithmetic operator shares and
+must fail a named tier-1 test.
 """
 
 import inspect
@@ -32,6 +34,7 @@ import pytest
 import test_grammar
 import test_operad
 import test_schrodinger
+import test_sparse_sum
 import test_weyl
 from oplax import bianchi, cli, jacobi, operad, oscillator, scalars, weyl
 from oplax.operad import antisymmetric_binary
@@ -171,6 +174,15 @@ PARSER_MUTANTS = {
         test_grammar.test_the_parser_agrees_with_the_oracle),
 }
 
+#: operand-gate mutants: (home module, name, original -> mutant, a tier-1 test that fails)
+GATE_MUTANTS = {
+    # a mode mismatch hands the operation back too, so Python raises TypeError
+    # where cross-mode arithmetic must raise ValueError
+    "gate-hands-back-a-value-error": (
+        scalars, "_coerced", _rewrite("except TypeError:", "except (TypeError, ValueError):"),
+        test_sparse_sum.test_a_mode_mismatch_compares_false_and_does_not_raise),
+}
+
 #: (re, im) of i^k in place of (-i)^k: the contraction p q -> +i hbar
 PHASE_FLIPPED = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
@@ -220,6 +232,13 @@ def test_a_kernel_mutant_fails_its_tier1_test(monkeypatch, home, name, make, tes
 
 @pytest.mark.parametrize("home, name, make, test", PARSER_MUTANTS.values(), ids=PARSER_MUTANTS)
 def test_a_parser_mutant_fails_its_tier1_test(monkeypatch, home, name, make, test):
+    _mutate(monkeypatch, home, name, make)
+    with pytest.raises(AssertionError):
+        test()
+
+
+@pytest.mark.parametrize("home, name, make, test", GATE_MUTANTS.values(), ids=GATE_MUTANTS)
+def test_an_operand_gate_mutant_fails_its_tier1_test(monkeypatch, home, name, make, test):
     _mutate(monkeypatch, home, name, make)
     with pytest.raises(AssertionError):
         test()

@@ -266,13 +266,33 @@ def test_shape_and_slot_errors():
     with pytest.raises(ValueError):
         f + random_scalar_op(rng, 2, 1)  # shape mismatch on addition
     for other in (g, quantum):
-        # (f, f, other) and (f, other, f) first meet the mismatch inside an
-        # inner bracket, (other, f, f) in the outer one
+        # each public call checks every operation against its first one, so all
+        # three orders meet the mismatch before any bracket is composed
         for build in (bracket, total_compose, lambda x, y: jacobi_defect(x, x, y),
                       lambda x, y: jacobi_defect(x, y, x),
                       lambda x, y: jacobi_defect(y, x, x)):
             with pytest.raises(ValueError, match="mismatch"):
                 build(f, other)
+
+
+def test_a_mismatch_raises_before_any_kernel_call(monkeypatch):
+    rng = random.Random(1)
+    f = random_scalar_op(rng, 2, 2)
+    calls, kernel = [], operad._mul_rows_into
+
+    def counted_kernel(*args):
+        calls.append(args)
+        kernel(*args)
+
+    monkeypatch.setattr(operad, "_mul_rows_into", counted_kernel)
+    for other, message in ((random_scalar_op(rng, 3, 2), "dimension mismatch: 3 vs 2"),
+                           (MultiOp(2, 2, QUANTUM), "mode mismatch: quantum vs classical")):
+        # the inner bracket [f, f] is well formed: only the call's own check stops it
+        with pytest.raises(ValueError, match=message):
+            jacobi_defect(other, f, f)
+    with pytest.raises(ValueError, match="slot 2 out of range for degree 2"):
+        partial_compose(f, 2, f)
+    assert calls == []
 
 
 def test_antisymmetric_builder():

@@ -297,8 +297,9 @@ def test_coeffs_from_initial_takes_exactly_nine_constants(count):
 
 @pytest.mark.parametrize("call, error, match", [
     (lambda: DeformationCoeffs.of(*(1,) * 8), TypeError, "c9"),
+    (lambda: DeformationCoeffs.of(*(1,) * 8, 0.5), TypeError, "cannot interpret float"),
     (lambda: at_initial(OperatorExpr.generator(QUANTUM, Q)), ValueError, "classical only"),
-], ids=("length", "quantum-at-initial"))
+], ids=("length", "float", "quantum-at-initial"))
 def test_deformation_inputs_are_checked(call, error, match):
     with pytest.raises(error, match=match):
         call()

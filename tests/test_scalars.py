@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oplax.scalars import _ZERO_EXP, NSYMBOLS, GaussRat, ScalarPoly, parse_scalar, symbol
+from oplax.weyl import CLASSICAL, QUANTUM, OperatorExpr
 
 W = symbol("w")
 HBAR = symbol("hbar")
@@ -20,10 +21,12 @@ def test_imaginary_unit_squares_to_minus_one():
 @pytest.mark.parametrize("bad", [0.1, "1/2"])
 def test_gaussrat_rejects_floats_and_strings(bad):
     message = f"cannot interpret {type(bad).__name__} as a Gaussian rational"
-    with pytest.raises(TypeError, match=message):
-        GaussRat(bad)
-    with pytest.raises(TypeError, match=message):
-        GaussRat(1, bad)
+    # each level of the tower coerces through the one below, so each says so
+    for make in (GaussRat, lambda value: GaussRat(1, value), ScalarPoly.const,
+                 lambda value: OperatorExpr.scalar(CLASSICAL, value),
+                 lambda value: OperatorExpr.scalar(QUANTUM, value)):
+        with pytest.raises(TypeError, match=message):
+            make(bad)
 
 
 def test_gaussrat_operand_contract():

@@ -4,11 +4,13 @@ over OperatorExpr.
 
 A sum stores only nonzero values, so two sums are equal exactly when their
 term maps are; a plain operand on either side of a ring value gives the same
-value; and comparing operators of different modes, or operations of
-different shapes, says False instead of raising.
+value; an operand of no kind in the tower hands the operation back to Python;
+and comparing operators of different modes, or operations of different
+shapes, says False instead of raising, while adding them raises ValueError.
 """
 
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,8 @@ from oplax.weyl import AM, AP, CLASSICAL, P, Q, QUANTUM, OperatorExpr
 #: the ring kinds, which take plain operands and multiply; an operation only adds
 KINDS = ("scalar", CLASSICAL, QUANTUM)
 OPERATION = "operation"
+#: the coefficients below the sums, which share their operand gate
+GAUSS = "gauss"
 
 parts = st.one_of(st.integers(-2, 2),
                   st.fractions(min_value=-2, max_value=2, max_denominator=3))
@@ -104,6 +108,8 @@ def test_a_plain_operand_on_the_left_gives_the_same_value(kind, data):
 
 
 def unit(kind):
+    if kind == GAUSS:
+        return GaussRat(1)
     if kind == "scalar":
         return ScalarPoly.const(1)
     if kind == OPERATION:
@@ -111,7 +117,7 @@ def unit(kind):
     return OperatorExpr.scalar(kind, 1)
 
 
-@pytest.mark.parametrize("kind", KINDS + (OPERATION,))
+@pytest.mark.parametrize("kind", KINDS + (OPERATION, GAUSS))
 def test_equality_with_a_foreign_value_is_false(kind):
     one = unit(kind)
     foreign = ("1", 1.0j, None, object())
@@ -120,8 +126,31 @@ def test_equality_with_a_foreign_value_is_false(kind):
     for other in foreign:
         assert not one == other
         assert one != other
-    with pytest.raises(TypeError):
-        hash(one)
+    if kind != GAUSS:
+        with pytest.raises(TypeError):
+            hash(one)
+
+
+@pytest.mark.parametrize("kind", KINDS + (OPERATION, GAUSS))
+def test_a_foreign_operand_hands_the_operation_back(kind):
+    one = unit(kind)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        # an operation adds but does not multiply
+        if (method := getattr(type(one), name, None)) is not None:
+            for other in (0.5, "1", None, object()):
+                assert method(one, other) is NotImplemented, (name, other)
+    for combine in (lambda: one - "1", lambda: "1" - one):
+        with pytest.raises(TypeError):
+            combine()
+
+
+def assert_value_error(combine, x, y, match):
+    """``combine(x, y)`` raises ValueError, not the TypeError Python raises when
+    both operands hand the operation back."""
+    with pytest.raises((TypeError, ValueError)) as raised:
+        combine(x, y)
+    assert raised.type is ValueError, raised.value
+    raised.match(match)
 
 
 def test_a_mode_mismatch_compares_false_and_does_not_raise():
@@ -130,8 +159,9 @@ def test_a_mode_mismatch_compares_false_and_does_not_raise():
         assert not classical == quantum
         assert classical != quantum
     # arithmetic across modes is still an error
-    with pytest.raises(ValueError, match="mode mismatch"):
-        OperatorExpr.generator(CLASSICAL, Q) + OperatorExpr.generator(QUANTUM, Q)
+    classical, quantum = (OperatorExpr.generator(mode, Q) for mode in (CLASSICAL, QUANTUM))
+    for combine in (operator.add, operator.sub, operator.mul):
+        assert_value_error(combine, classical, quantum, "mode mismatch")
 
 
 @pytest.mark.parametrize("dim, degree, mode", [(3, 2, QUANTUM), (2, 1, QUANTUM),
@@ -141,9 +171,8 @@ def test_a_shape_mismatch_compares_false_and_raises_on_addition(dim, degree, mod
     op, other = MultiOp(2, 2, QUANTUM), MultiOp(dim, degree, mode)
     assert not op == other
     assert op != other
-    for combine in (lambda x, y: x + y, lambda x, y: x - y):
-        with pytest.raises(ValueError, match="cannot add operations of different shape"):
-            combine(op, other)
+    for combine in (operator.add, operator.sub):
+        assert_value_error(combine, op, other, "cannot add operations of different shape")
 
 
 @pytest.mark.parametrize("make, key, one", [

@@ -132,13 +132,23 @@ def test_mixed_operations_do_not_render_the_operator(monkeypatch):
         GaussRat._coerce(qexpr(P))
 
 
-def test_a_scalar_times_an_operator_is_handed_to_the_operator():
+def test_a_scalar_times_an_operator_is_handed_to_the_operator(monkeypatch):
     w, op = symbol("w"), qexpr(P)
     for scalar in (w, GaussRat(0, 1)):
         assert type(scalar).__mul__(scalar, op) is NotImplemented
         product = scalar * op
         assert type(product) is OperatorExpr
         assert product.terms == {(P,): ScalarPoly._coerce(scalar)}
+    # __rmul__ is __mul__ with the operands swapped, so a wrapper on __mul__ sees it
+    calls, mul = [], OperatorExpr.__mul__
+
+    def counted_mul(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(OperatorExpr, "__mul__", counted_mul)
+    assert (w * op).terms == {(P,): w}
+    assert calls == [w]
 
 
 words = st.lists(st.sampled_from((Q, P, AP, AM)), max_size=8).map(tuple)
