@@ -16,11 +16,11 @@ from .bianchi import (
     family_structure_op,
     initial_structure_op,
 )
-from .operad import MultiOp, partial_compose
+from .operad import MultiOp, _compose_into, _operand
 from .oscillator import INV_P0, INV_SQRT_2P0, P0, W, det3
 from .report import Check, first_nonzero_check, flag_check
-from .scalars import GaussRat, ScalarPoly, add_term, symbol
-from .weyl import QUANTUM, OperatorExpr, commutator, generators
+from .scalars import GaussRat, ScalarPoly, symbol
+from .weyl import QUANTUM, OperatorExpr, _mul_rows_into, _wrap, commutator, generators
 
 Vec3 = tuple  # three ScalarPoly components
 
@@ -49,22 +49,32 @@ def jacobi_op(x: Vec3, y: Vec3, z: Vec3, mu: MultiOp) -> tuple:
 
     The composite T = mu o_1 mu has entry (a,b,c,k) = -sum_i mu[(a,i)->k] *
     mu[(b,c)->i], so the sum is -sum S[(a,b,c)->k] x^a y^b z^c with the cyclic
-    symmetrisation S[abc] = T[abc] + T[bca] + T[cab].  S carries no vector
-    components, so a Lie bracket cancels before they enter.
+    symmetrisation S[abc] = T[abc] + T[bca] + T[cab], formed on the digits of T's raw
+    entry codes, decoded modulo 3 as ``operad._composite`` does.  S carries no vector
+    components and drops its cancelled parts, so a Lie bracket cancels before they
+    enter; one kernel call joins its rows to each weight -x^a y^b z^c, built once.
     """
     _require_binary3(mu)
+    f = _operand(mu)
+    raw: dict = {}
+    _compose_into(raw, f, 1, f, False)
     sym: dict = {}
-    for (a, b, c, k), entry in partial_compose(mu, 1, mu).entries.items():
-        for key in ((a, b, c, k), (c, a, b, k), (b, c, a, k)):
-            add_term(sym, key, entry)
-    total = ({}, {}, {})
-    for (a, b, c, k), entry in sym.items():
-        weight = -(x[a] * y[b] * z[c])
-        if weight.is_zero:
-            continue
-        for word, coeff in entry.terms.items():
-            add_term(total[k], word, coeff * weight)
-    return tuple(OperatorExpr._make(mu.mode, t) for t in total)
+    for (word, exp), (res, ims) in raw.items():
+        for code in res.keys() | ims.keys() if ims else res:
+            re, im = res.get(code, 0), ims.get(code, 0)
+            a, b, c, k = code // 27 % 3, code // 9 % 3, code // 3 % 3, code % 3
+            for abc in (9 * a + 3 * b + c, 9 * c + 3 * a + b, 9 * b + 3 * c + a):
+                r, i = sym.get(key := (abc, k, word, exp), (0, 0))
+                sym[key] = r + re, i + im
+    rows = [(abc, k, word, exp, re, im) for (abc, k, word, exp), (re, im) in sym.items()
+            if re or im]
+    weights = {abc: [((), exp, not g.im, ((0, -g.re, -g.im),))
+                     for exp, g in (x[abc // 9] * y[abc // 3 % 3] * z[abc % 3]).terms.items()]
+               for abc in {row[0] for row in rows}}
+    acc: dict = {}
+    _mul_rows_into(acc, rows, weights, mu.mode)
+    entries = _wrap(acc)
+    return tuple(OperatorExpr._make(mu.mode, entries.get(k, {})) for k in range(3))
 
 
 def closed_form_jacobi(x: Vec3, y: Vec3, z: Vec3,

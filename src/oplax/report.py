@@ -8,8 +8,8 @@ report is a list of checks in the caller's order; `render_json` and
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii
 
 
 class Check(namedtuple("Check", "id paper_ref status residual detail")):
@@ -50,12 +50,16 @@ def first_nonzero_check(check_id: str, ref: str, residuals, detail: str = "",
 
 def render_json(checks) -> str:
     """The JSON report: each check's fields in `Check` order, leaving out a
-    residual of None, then the pass/fail summary."""
-    entries = [{key: value for key, value in c._asdict().items()
-                if key != "residual" or value is not None} for c in checks]
+    residual of None, then the pass/fail summary.  The text is what
+    ``json.dumps(..., indent=2)`` gives, laid out here: every field is a string,
+    escaped by the C escaper json.dumps uses, and every count an int."""
+    fields = [",\n".join(f'      "{key}": {encode_basestring_ascii(value)}'
+                         for key, value in zip(Check._fields, c)
+                         if key != "residual" or value is not None) for c in checks]
+    listing = "[\n    {\n" + "\n    },\n    {\n".join(fields) + "\n    }\n  ]" if fields else "[]"
     passed = sum(c.passed for c in checks)
-    summary = {"total": len(checks), "passed": passed, "failed": len(checks) - passed}
-    return json.dumps({"checks": entries, "summary": summary}, indent=2) + "\n"
+    return (f'{{\n  "checks": {listing},\n  "summary": {{\n    "total": {len(checks)},\n'
+            f'    "passed": {passed},\n    "failed": {len(checks) - passed}\n  }}\n}}\n')
 
 
 def render_text(checks) -> str:

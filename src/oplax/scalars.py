@@ -39,17 +39,17 @@ def _symbol_index(name) -> int:
 def _bound_values(bindings: dict) -> dict:
     """``subst`` bindings as ``{symbol index: Fraction}``: a name outside SYMBOLS raises
     ValueError, a value that is not an ``int`` or a ``Fraction`` TypeError."""
-    if not all(isinstance(value, (int, Fraction)) for value in bindings.values()):
+    if not {int, Fraction}.issuperset(map(type, bindings.values())):
         raise TypeError("only an int or a Fraction may be substituted for a symbol")
     return {_symbol_index(name): Fraction(value) for name, value in bindings.items()}
 
 
 def _exact(value):
     """``value`` as an exact rational in canonical form: an ``int`` when it is
-    integral, a ``Fraction`` only when its denominator is not 1."""
+    integral, a ``Fraction`` only when its denominator is not 1; never a ``bool``."""
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
-    if isinstance(value, int):
+    if isinstance(value, int) and type(value) is not bool:
         return int(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as a Gaussian rational")
 
@@ -225,9 +225,17 @@ class SparseSum:
         return self._like({key: -value for key, value in self.terms.items()})
 
     def __sub__(self, other):
+        # level by level: only a key that other alone holds is negated
         if (other := _coerced(self._coerce, other)) is None:
             return NotImplemented
-        return self + (-other)
+        acc = dict(self.terms)
+        for key, value in other.terms.items():
+            total = acc.get(key)
+            if value := -value if total is None else total - value:
+                acc[key] = value
+            else:
+                del acc[key]
+        return self._like(acc)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -318,8 +326,10 @@ class ScalarPoly(SparseSum):
     # -- ring operations ---------------------------------------------------
 
     def __mul__(self, other):
-        if (other := _coerced(self._coerce, other)) is None:
-            return NotImplemented
+        if not isinstance(other, ScalarPoly):
+            # a sum of another kind, an operator say, takes the product itself
+            if isinstance(other, SparseSum) or (other := _coerced(ScalarPoly.const, other)) is None:
+                return NotImplemented
         acc: dict = {}
         mul_terms_into(acc, self.terms, other.terms)
         return ScalarPoly._make(acc)

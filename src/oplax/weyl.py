@@ -195,8 +195,12 @@ class OperatorExpr(SparseSum):
     # -- algebra -----------------------------------------------------------
 
     def __mul__(self, other):
-        if (other := _coerced(self._coerce, other)) is None:
-            return NotImplemented
+        if not isinstance(other, OperatorExpr):
+            # a scalar multiplies each coefficient: no word is joined
+            if (other := _coerced(ScalarPoly._coerce, other)) is None:
+                return NotImplemented
+            return self.map_values(other.__mul__)
+        other = self._coerce(other)
         acc: dict = {}
         _mul_rows_into(acc, [(0, 0, word, exp, g.re, g.im)
                              for word, coeff in self.terms.items() for exp, g in coeff.terms.items()],

@@ -1,6 +1,7 @@
 """Oracles shared by several test modules."""
 
-from oplax.operad import MultiOp
+from oplax.operad import MultiOp, partial_compose
+from oplax.scalars import add_term
 from oplax.weyl import OperatorExpr
 
 
@@ -97,3 +98,22 @@ def reference_jacobi_defect(f, g, h):
         odd = ((x.degree - 1) * (z.degree - 1)) % 2
         _bracket_terms(terms, x, reference_bracket(y, z), -1 if odd else 1)
     return _reference_op(f, f.degree + g.degree + h.degree - 2, terms)
+
+
+def reference_jacobi_op(x, y, z, mu):
+    """The Jacobi operator of mu by public values: T = mu o_1 mu from ``partial_compose``,
+    its cyclic symmetrisation S[abc] = T[abc] + T[bca] + T[cab] summed as operators by
+    index tuple, and each weight -x^a y^b z^c multiplied into every coefficient of S, so
+    no entry code, raw sum or kernel row of ``jacobi_op`` enters the result."""
+    sym: dict = {}
+    for (a, b, c, k), entry in partial_compose(mu, 1, mu).entries.items():
+        for key in ((a, b, c, k), (c, a, b, k), (b, c, a, k)):
+            add_term(sym, key, entry)
+    total = ({}, {}, {})
+    for (a, b, c, k), entry in sym.items():
+        weight = -(x[a] * y[b] * z[c])
+        if weight.is_zero:
+            continue
+        for word, coeff in entry.terms.items():
+            add_term(total[k], word, coeff * weight)
+    return tuple(OperatorExpr._make(mu.mode, t) for t in total)

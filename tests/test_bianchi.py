@@ -14,6 +14,7 @@ from oplax.bianchi import (
     family_params,
     family_structure_op,
     import_tables,
+    multiop_check,
     quantize,
     quantum_table,
 )
@@ -27,7 +28,7 @@ from oplax.oscillator import (
     deformed_structure_op,
     verify_operadic_lax,
 )
-from oplax.scalars import ScalarPoly, symbol
+from oplax.scalars import GaussRat, ScalarPoly, SparseSum, symbol
 from oplax.weyl import AM, AP, CLASSICAL, P, Q, QUANTUM, OperatorExpr
 
 from helpers import is_antisymmetric, substitute_generators
@@ -339,7 +340,27 @@ def test_import_defaults_a_missing_note_to_empty():
     (lambda: BianchiRow.of("float", 0.5, (0, 0, 0)), TypeError, "cannot interpret float"),
     (lambda: BianchiRow.of("float", 0, (0, 1.0, 0)), TypeError, "cannot interpret float"),
     (lambda: bianchi.FamilyParams.of(1, 0.5, 0, 1), TypeError, "cannot interpret float"),
-], ids=("n-length", "mu0-length", "float-alpha", "float-n", "float-family-param"))
+    # a bool is no number: True would silently read as 1 and False as 0
+    (lambda: BianchiRow.of("bool", True, (0, 0, 0)), TypeError, "cannot interpret bool"),
+    (lambda: BianchiRow.of("bool", 0, (False, 1, 0)), TypeError, "cannot interpret bool"),
+    (lambda: bianchi.FamilyParams.of(1, 1, True, 1), TypeError, "cannot interpret bool"),
+], ids=("n-length", "mu0-length", "float-alpha", "float-n", "float-family-param",
+        "bool-alpha", "bool-n", "bool-family-param"))
 def test_a_malformed_row_or_an_unknown_name_is_rejected(lookup, error, match):
     with pytest.raises(error, match=match):
         lookup()
+
+
+def test_the_difference_of_equal_tables_negates_nothing(monkeypatch):
+    # got - want subtracts level by level: only a key that want alone holds is negated
+    got, want = quantum_table()["VII_a"], quantum_table()["VII_a"]
+    assert got is not want and got.entries
+    calls = []
+    for kind in (SparseSum, GaussRat):
+        monkeypatch.setattr(kind, "__neg__",
+                            lambda value, neg=kind.__neg__: calls.append(value) or neg(value))
+    assert (got - want).is_zero
+    assert multiop_check("demo", "equal tables", got, want, "detail").passed
+    assert calls == []
+    zero = MultiOp(3, 2, QUANTUM)
+    assert zero - want == -want and len(calls) > len(want.entries)

@@ -257,6 +257,18 @@ def test_compute_jacobi_is_byte_identical(capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == COMPUTE_JACOBI_SHA256
 
 
+#: sha256 of the III_a1 Jacobi operator on vectors with Fraction components
+COMPUTE_JACOBI_FRACTIONS_SHA256 = \
+    "cd4509b92afbaf324905164627ec2cb4d945d30ad30ea4dc2490f2076741f6b2"
+
+
+def test_compute_jacobi_on_fraction_vectors_is_byte_identical(capsys):
+    code, out, _ = run_cli(capsys, "compute", "jacobi", "--type", "III_a1", "--x", "1/3,2,-1",
+                           "--y", "0,5/7,1", "--z", "2,1,1", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPUTE_JACOBI_FRACTIONS_SHA256
+
+
 #: sha256 of the built-in table document; its classification constants are
 #: computed from each row's alpha and n
 EXPORT_TABLES_SHA256 = "f837d42c287a32ac11eeeb28c1457015ea2d65a190ba3ec3a86a3a66985ceb3d"

@@ -16,9 +16,12 @@ from oplax.jacobi import (
     verify_closed_form_specializations,
     verify_quantum_lie_types,
 )
+from oplax.operad import MultiOp, antisymmetric_binary
 from oplax.oscillator import INV_2P0, INV_SQRT_2P0, P0
-from oplax.scalars import ScalarPoly, symbol
-from oplax.weyl import AM, AP, P, Q, QUANTUM, OperatorExpr, commutator
+from oplax.scalars import GaussRat, ScalarPoly, symbol
+from oplax.weyl import AM, AP, CLASSICAL, P, Q, QUANTUM, OperatorExpr, commutator
+
+from helpers import reference_jacobi_op
 
 E1, E2, E3 = rational_vec([1, 0, 0]), rational_vec([0, 1, 0]), rational_vec([0, 0, 1])
 X, Y, Z = symbolic_vec("x"), symbolic_vec("y"), symbolic_vec("z")
@@ -114,6 +117,50 @@ small_vecs = st.lists(st.one_of(st.just(0), st.fractions(-2, 2, max_denominator=
 def test_jacobi_op_equals_the_nested_bracket_sum_on_rational_vectors(name, x, y, z):
     mu = bianchi.quantum_table()[name]
     assert tuple(jacobi_op(x, y, z, mu)) == nested_jacobi(x, y, z, mu)
+
+
+#: Gaussian-rational coefficients, some with an imaginary part, in w and s^-1
+jacobi_coeffs = st.builds(
+    lambda re, im, powers: ScalarPoly.monomial(GaussRat(re, im), powers),
+    st.sampled_from((1, -1, 2, Fraction(1, 2))),
+    st.sampled_from((0, 0, 1, Fraction(-1, 3))),
+    st.fixed_dictionaries({"w": st.integers(0, 1), "s": st.integers(-1, 0)}))
+#: words that may start with q or end in p, so a quantum mu o_1 mu crosses p q junctions
+jacobi_words = st.tuples(
+    st.sampled_from(((), (Q,))), st.lists(st.sampled_from((Q, P, AP, AM)), max_size=1),
+    st.sampled_from(((), (P,)))).map(lambda parts: parts[0] + tuple(parts[1]) + parts[2])
+
+
+@st.composite
+def binary_ops(draw, mode):
+    """A binary operation on dimension 3 with up to six operator entries, drawn as
+    they come or, as the tables are, antisymmetric."""
+    keys = st.tuples(*[st.integers(0, 2)] * 3)
+    terms = st.lists(st.tuples(jacobi_words, jacobi_coeffs), min_size=1, max_size=2)
+    entries = {key: OperatorExpr(mode, value)
+               for key, value in draw(st.dictionaries(keys, terms, max_size=6)).items()}
+    if draw(st.booleans()):
+        return antisymmetric_binary(3, mode, {(i + 1, j + 1, k + 1): value
+                                              for (i, j, k), value in entries.items() if i < j})
+    return MultiOp(3, 2, mode, entries)
+
+
+#: symbolic, rational, or with Gaussian-rational monomial components in w and s^-1
+vectors = st.one_of(st.sampled_from((X, Y, Z)), small_vecs,
+                    st.tuples(*[st.one_of(st.just(ScalarPoly.zero()), jacobi_coeffs)] * 3))
+
+
+@pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_jacobi_op_agrees_with_the_composite_route(mode, data):
+    mu = data.draw(binary_ops(mode))
+    x, y, z = (data.draw(vectors) for _ in range(3))
+    got = jacobi_op(x, y, z, mu)
+    assert got == reference_jacobi_op(x, y, z, mu)
+    for component in got:
+        assert component.mode == mode
+        assert all(coeff.terms and all(coeff.terms.values()) for coeff in component.terms.values())
 
 
 def test_jacobi_op_vanishes_for_type_ix():
@@ -225,6 +272,10 @@ def test_rational_vec_takes_exact_rationals_only():
     # a float would silently become its binary fraction 3602879701896397/2^55
     with pytest.raises(TypeError, match="cannot interpret float"):
         rational_vec([0.1, 0, 0])
+    # and a bool would silently read as 1 or 0
+    for flag in (True, False):
+        with pytest.raises(TypeError, match="cannot interpret bool"):
+            rational_vec([0, flag, 0])
     with pytest.raises(ValueError):
         rational_vec([1, 2])
 

@@ -299,7 +299,8 @@ def test_coeffs_from_initial_takes_exactly_nine_constants(count):
     (lambda: DeformationCoeffs.of(*(1,) * 8), TypeError, "c9"),
     (lambda: DeformationCoeffs.of(*(1,) * 8, 0.5), TypeError, "cannot interpret float"),
     (lambda: at_initial(OperatorExpr.generator(QUANTUM, Q)), ValueError, "classical only"),
-], ids=("length", "float", "quantum-at-initial"))
+    (lambda: DeformationCoeffs.of(*(1,) * 8, True), TypeError, "cannot interpret bool"),
+], ids=("length", "float", "quantum-at-initial", "bool"))
 def test_deformation_inputs_are_checked(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -1,6 +1,8 @@
 import json
 
-from oplax.report import first_nonzero_check, flag_check, render_json, render_text
+from hypothesis import example, given, strategies as st
+
+from oplax.report import Check, first_nonzero_check, flag_check, render_json, render_text
 from oplax.scalars import ScalarPoly, parse_scalar
 
 CHECKS = [
@@ -60,3 +62,27 @@ def test_render_text_prints_one_line_per_check():
         "[FAIL] demo.fail — a nonzero residual\n"
         "[PASS] demo.flag — a flag without a residual\n"
     )
+
+
+def dumped_report(checks) -> str:
+    """The report as ``json.dumps`` lays it out: the document render_json writes."""
+    entries = [{key: value for key, value in c._asdict().items()
+                if key != "residual" or value is not None} for c in checks]
+    passed = sum(c.passed for c in checks)
+    summary = {"total": len(checks), "passed": passed, "failed": len(checks) - passed}
+    return json.dumps({"checks": entries, "summary": summary}, indent=2) + "\n"
+
+
+#: text with what the escaper must rewrite: quotes, backslashes, control and non-ASCII
+#: characters, astral ones (a surrogate pair each) among them
+fields = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f \xe9\u2014\U0001d11e'),
+                           st.characters()), max_size=12)
+checks = st.lists(st.builds(Check, fields, fields, st.sampled_from(("pass", "fail")),
+                            st.one_of(st.none(), fields), fields), max_size=4)
+
+
+@given(checks)
+@example([])
+@example(CHECKS)
+def test_render_json_writes_what_json_dumps_writes(checks):
+    assert render_json(checks) == dumped_report(checks)

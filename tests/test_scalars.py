@@ -18,7 +18,7 @@ def test_imaginary_unit_squares_to_minus_one():
     assert i * i == GaussRat(-1)
 
 
-@pytest.mark.parametrize("bad", [0.1, "1/2"])
+@pytest.mark.parametrize("bad", [0.1, "1/2", True, False])
 def test_gaussrat_rejects_floats_and_strings(bad):
     message = f"cannot interpret {type(bad).__name__} as a Gaussian rational"
     # each level of the tower coerces through the one below, so each says so
@@ -141,8 +141,9 @@ def test_subst_rejects_negative_power_of_non_s():
     assert (S * W + BETA).subst({"s": 0}) == BETA
 
 
-@pytest.mark.parametrize("value", [BETA, ScalarPoly.const(2), GaussRat(2), 0.5, "1/2"],
-                         ids=("polynomial", "constant-polynomial", "gaussrat", "float", "str"))
+@pytest.mark.parametrize("value", [BETA, ScalarPoly.const(2), GaussRat(2), 0.5, "1/2", True, False],
+                         ids=("polynomial", "constant-polynomial", "gaussrat", "float", "str",
+                              "true", "false"))
 def test_subst_takes_rational_constants_only(value):
     with pytest.raises(TypeError, match="only an int or a Fraction"):
         (S * W).subst({"s": value})

@@ -4,6 +4,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oplax import weyl
 from oplax.scalars import NSYMBOLS, _ZERO_EXP, GaussRat, ScalarPoly, add_term, parse_scalar, symbol
 from oplax.weyl import (
     AM,
@@ -149,6 +150,22 @@ def test_a_scalar_times_an_operator_is_handed_to_the_operator(monkeypatch):
     monkeypatch.setattr(OperatorExpr, "__mul__", counted_mul)
     assert (w * op).terms == {(P,): w}
     assert calls == [w]
+
+
+def test_a_scalar_product_joins_no_words(monkeypatch):
+    # a scalar multiplies each coefficient; only an operator operand reaches the join kernel
+    calls, kernel = [], weyl._mul_rows_into
+
+    def counted_kernel(*args):
+        calls.append(args[3])
+        return kernel(*args)
+
+    monkeypatch.setattr(weyl, "_mul_rows_into", counted_kernel)
+    w, q = symbol("w"), qexpr(Q)
+    assert (w * q).terms == (q * w).terms == {(Q,): w}
+    assert (q * GaussRat(0, 1)).terms == {(Q,): ScalarPoly.const(GaussRat(0, 1))}
+    assert calls == []
+    assert (q * q).terms == {(Q, Q): ScalarPoly.const(1)} and calls == [QUANTUM]
 
 
 words = st.lists(st.sampled_from((Q, P, AP, AM)), max_size=8).map(tuple)
