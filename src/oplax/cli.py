@@ -100,21 +100,20 @@ def _run_verify(args) -> tuple[int, str]:
 
 
 def _run_compute(args) -> tuple[int, str]:
+    vecs = {"--x": args.vec_x, "--y": args.vec_y, "--z": args.vec_z}
+    given = [flag for flag, text in vecs.items() if text is not None]
+    if args.symbolic and given:
+        print(f"--symbolic takes no {', '.join(given)}", file=sys.stderr)
+        return 2, ""
     if args.symbolic:
-        vectors = (jacobi.symbolic_vec("x"), jacobi.symbolic_vec("y"),
-                   jacobi.symbolic_vec("z"))
+        vectors = tuple(map(jacobi.symbolic_vec, "xyz"))
+    elif len(given) < 3:
+        missing = [flag for flag in vecs if flag not in given]
+        print(f"missing {', '.join(missing)} (or pass --symbolic)", file=sys.stderr)
+        return 2, ""
     else:
-        missing = [flag for flag, value in
-                   (("--x", args.vec_x), ("--y", args.vec_y), ("--z", args.vec_z))
-                   if value is None]
-        if missing:
-            print(f"missing {', '.join(missing)} (or pass --symbolic)",
-                  file=sys.stderr)
-            return 2, ""
         try:
-            vectors = (_parse_vector(args.vec_x, "--x"),
-                       _parse_vector(args.vec_y, "--y"),
-                       _parse_vector(args.vec_z, "--z"))
+            vectors = tuple(_parse_vector(text, flag) for flag, text in vecs.items())
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2, ""

@@ -99,10 +99,9 @@ def _operand(op: MultiOp) -> _Operand:
         for idx in key:
             code = code * dim + idx
         by_word = groups.setdefault(key[-1], {})
-        for word, coeff in value.terms.items():
-            for exp, g in coeff.terms.items():
-                rows.append((code, word, exp, g.re, g.im))
-                by_word.setdefault((word, exp), []).append((code // dim, g.re, g.im))
+        for (word, exp), g in value.terms.items():
+            rows.append((code, word, exp, g.re, g.im))
+            by_word.setdefault((word, exp), []).append((code // dim, g.re, g.im))
     return _Operand(dim, op.degree, op.mode, rows, {
         at: [(word, exp, not any(im for _, _, im in pairs), pairs)
              for (word, exp), pairs in by_word.items()]

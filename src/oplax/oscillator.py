@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .operad import MultiOp, antisymmetric_binary, bracket
 from .report import Check, first_nonzero_check
-from .scalars import ScalarPoly, symbol
+from .scalars import _ZERO_EXP, GR_ZERO, ScalarPoly, add_exponents, add_term, symbol
 from .weyl import AM, AP, CLASSICAL, OperatorExpr, P, Q, generators
 
 W = symbol("w")
@@ -36,16 +36,21 @@ def hamiltonian() -> OperatorExpr:
     ])
 
 
-#: images of the generators under d/dt
+def _monomial(value) -> tuple:
+    """A monomial scalar as its one ``(exp, GaussRat)`` term; 0 has a zero coefficient."""
+    return next(iter(ScalarPoly._coerce(value).terms.items()), (_ZERO_EXP, GR_ZERO))
+
+
+#: images of the generators under d/dt, each a ``(word, exp, GaussRat)`` term
 _DDT_IMAGES = {
-    Q: ((P,), ScalarPoly.const(1)),
-    P: ((Q,), -(W * W)),
-    AP: ((AM,), W * Fraction(-1, 2)),
-    AM: ((AP,), W * Fraction(1, 2)),
+    Q: ((P,), *_monomial(1)),
+    P: ((Q,), *_monomial(-(W * W))),
+    AP: ((AM,), *_monomial(W * Fraction(-1, 2))),
+    AM: ((AP,), *_monomial(W * Fraction(1, 2))),
 }
 
-#: values of the generators at the start state
-_START_VALUES = {Q: 0, P: P0, AP: S, AM: 0}
+#: values of the generators at the start state, each an ``(exp, GaussRat)`` term
+_START_VALUES = {Q: _monomial(0), P: _monomial(P0), AP: _monomial(S), AM: _monomial(0)}
 
 
 def ddt(expr: OperatorExpr) -> OperatorExpr:
@@ -54,10 +59,10 @@ def ddt(expr: OperatorExpr) -> OperatorExpr:
     if expr.mode != CLASSICAL:
         raise ValueError("ddt is defined on classical expressions only")
     raw = []
-    for word, coeff in expr.terms.items():
+    for (word, exp), coeff in expr.terms.items():
         for j, gen in enumerate(word):
-            image_word, image_scalar = _DDT_IMAGES[gen]
-            raw.append((word[:j] + image_word + word[j + 1:], coeff * image_scalar))
+            image, e, g = _DDT_IMAGES[gen]
+            raw.append(((word[:j] + image + word[j + 1:], add_exponents(exp, e)), coeff * g))
     return OperatorExpr(CLASSICAL, raw)
 
 
@@ -203,15 +208,16 @@ def coeffs_nondegenerate(c: DeformationCoeffs) -> bool:
 
 def at_initial(expr: OperatorExpr) -> OperatorExpr:
     """Evaluate at the start state q = 0, p = p0, A+ = sqrt(2 p0), A- = 0: each
-    coefficient times its letters' ``_START_VALUES``, summed as scalars."""
+    term times its letters' ``_START_VALUES``, summed on the empty word."""
     if expr.mode != CLASSICAL:
         raise ValueError("initial-state evaluation is classical only")
-    value = ScalarPoly.zero()
-    for word, coeff in expr.terms.items():
+    acc: dict = {}
+    for (word, exp), coeff in expr.terms.items():
         for gen in word:
-            coeff = coeff * _START_VALUES[gen]
-        value = value + coeff
-    return OperatorExpr.scalar(CLASSICAL, value)
+            value_exp, value = _START_VALUES[gen]
+            exp, coeff = add_exponents(exp, value_exp), coeff * value
+        add_term(acc, ((), exp), coeff)
+    return OperatorExpr._make(CLASSICAL, acc)
 
 
 def verify_operadic_lax(mu: MultiOp, label: str) -> list[Check]:

@@ -263,11 +263,23 @@ class SparseSum:
 
 
 def _check_exponents(exp: tuple) -> None:
+    if not {int}.issuperset(map(type, exp)):
+        raise ValueError(f"an exponent in {tuple(exp)!r} is not an int")
     if len(exp) != NSYMBOLS:
         raise ValueError(f"exponent vector must have length {NSYMBOLS}")
     for idx, e in enumerate(exp):
         if e < 0 and SYMBOLS[idx] != "s":
             raise ValueError(f"negative exponent of {SYMBOLS[idx]} is not allowed")
+
+
+def _bind(exp: tuple, coeff: GaussRat, values: dict) -> tuple:
+    """One term with the ``{symbol index: Fraction}`` values substituted: its exponent
+    without the bound symbols and its coefficient; 0 under a negative power raises."""
+    for idx, value in values.items():
+        if exp[idx] < 0 and not value:
+            raise ValueError(f"{SYMBOLS[idx]}^{exp[idx]} is bound to 0")
+        coeff = coeff * value ** exp[idx]
+    return tuple(0 if idx in values else e for idx, e in enumerate(exp)), coeff
 
 
 class ScalarPoly(SparseSum):
@@ -280,10 +292,7 @@ class ScalarPoly(SparseSum):
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for exp, coeff in items:
-                exp = tuple(exp)
-                if not {int}.issuperset(map(type, exp)):
-                    raise ValueError(f"an exponent in {exp!r} is not an int")
-                _check_exponents(exp)
+                _check_exponents(exp := tuple(exp))
                 add_term(acc, exp, GaussRat._coerce(coeff))
         self.terms = acc
 
@@ -314,8 +323,7 @@ class ScalarPoly(SparseSum):
         exp = [0] * NSYMBOLS
         for name, e in powers.items():
             exp[_symbol_index(name)] += e
-        exp = tuple(exp)
-        _check_exponents(exp)
+        _check_exponents(exp := tuple(exp))
         coeff = GaussRat._coerce(coeff)
         return cls._make({exp: coeff} if coeff else {})
 
@@ -343,26 +351,17 @@ class ScalarPoly(SparseSum):
     def subst(self, bindings: dict) -> "ScalarPoly":
         """Substitute rational constants, each an ``int`` or a ``Fraction``, for symbols,
         exactly; binding 0 to a symbol that carries a negative power raises ValueError."""
-        return self._subst(_bound_values(bindings))
-
-    def _subst(self, values: dict) -> "ScalarPoly":
+        values = _bound_values(bindings)
         acc: dict = {}
         for exp, coeff in self.terms.items():
-            for idx, value in values.items():
-                if exp[idx] < 0 and not value:
-                    raise ValueError(f"{SYMBOLS[idx]}^{exp[idx]} is bound to 0")
-                coeff = coeff * value ** exp[idx]
-            add_term(acc, tuple(0 if idx in values else e for idx, e in enumerate(exp)), coeff)
+            add_term(acc, *_bind(exp, coeff, values))
         return ScalarPoly._make(acc)
 
     # -- rendering ---------------------------------------------------------
 
-    def sorted_terms(self):
-        """Terms in canonical order: lexicographic by exponent vector."""
-        return sorted(self.terms.items(), key=lambda item: item[0])
-
     def render(self) -> str:
-        return render_sum(render_term(coeff, exp) for exp, coeff in self.sorted_terms())
+        # canonical order: lexicographic by exponent vector, each key once
+        return render_sum(render_term(coeff, exp) for exp, coeff in sorted(self.terms.items()))
 
     def __str__(self):
         return self.render()
@@ -480,16 +479,14 @@ def _parse_gauss(tokens: list, pos: int, text: str) -> tuple:
         sign, want_part = 1, False
 
 
-def _term(coeff: GaussRat, powers: list, sign: int) -> ScalarPoly:
+def _term(letters: list, coeff: GaussRat, powers: list, sign: int) -> tuple:
     if min(powers) < 0:
         _check_exponents(powers)
-    if sign < 0:
-        coeff = -coeff
-    return ScalarPoly._make({tuple(powers): coeff} if coeff else {})
+    return tuple(letters), tuple(powers), -coeff if sign < 0 else coeff
 
 
 def parse_terms(text: str, words=()) -> list:
-    """The (word, coefficient) terms of ``text`` in the grammar above.
+    """The (word, exponent, coefficient) terms of ``text`` in the grammar above.
 
     ``words`` lists the word spellings, which the token pattern carries
     longest first; a term's word is the tuple of their indices in reading
@@ -526,7 +523,7 @@ def parse_terms(text: str, words=()) -> list:
             continue
         elif op == "+" or op == "-":
             if coeff is not None:
-                terms.append((tuple(letters), _term(coeff, powers, sign)))
+                terms.append(_term(letters, coeff, powers, sign))
                 sign, coeff = 1, None
             if op == "-":
                 sign = -sign
@@ -542,7 +539,7 @@ def parse_terms(text: str, words=()) -> list:
         else:
             coeff = coeff * value
     if coeff is not None:
-        terms.append((tuple(letters), _term(coeff, powers, sign)))
+        terms.append(_term(letters, coeff, powers, sign))
     elif "+" in text or "-" in text:
         # with no term open, every "+" or "-" is a sign or inside a factor
         # that a later sign closed: no term opened after the last sign
@@ -553,7 +550,6 @@ def parse_terms(text: str, words=()) -> list:
 def parse_scalar(text: str) -> ScalarPoly:
     """Parse the canonical scalar rendering back into a ScalarPoly."""
     acc: dict = {}
-    for _, term in parse_terms(text):
-        for exp, coeff in term.terms.items():
-            add_term(acc, exp, coeff)
+    for _, exp, coeff in parse_terms(text):
+        add_term(acc, exp, coeff)
     return ScalarPoly._make(acc)

@@ -1,7 +1,7 @@
 """Noncommutative operator words over the four oscillator generators.
 
-Words are finite sequences over q, p, A+, A- with ScalarPoly coefficients, in
-one of two modes:
+Words are finite sequences over q, p, A+, A-; an expression maps (word, exponent
+vector) pairs to GaussRat coefficients, in one of two modes:
 
 * ``classical`` - all generators commute; the normal form of a word is the
   sorted tuple under the fixed order q < p < A+ < A-.
@@ -19,9 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import (_ZERO_EXP, SYMBOL_INDEX, GaussRat, ScalarPoly, SparseSum, _bound_values,
-                      _coerced, _symbol_index, add_exponents, add_term, parse_terms,
-                      render_sum, render_term)
+from .scalars import (_ZERO_EXP, GR_ONE, SYMBOL_INDEX, GaussRat, ScalarPoly, SparseSum, _bind,
+                      _bound_values, _check_exponents, _coerced, _symbol_index, add_exponents,
+                      add_term, parse_terms, render_sum, render_term)
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -66,21 +66,22 @@ def _normal_rows(word: tuple):
                n * re, n * im)
 
 
-def _normalize_into(acc: dict, word: tuple, coeff: ScalarPoly, mode: str) -> None:
-    if not coeff:
-        return
+def _normalize_into(acc: dict, word: tuple, terms: dict, mode: str) -> None:
+    """Add ``word`` times ``terms``, an ``{exp: GaussRat}`` map, into the flat ``acc`` in the
+    mode's normal form; a sum that reaches zero drops its key."""
     if mode == CLASSICAL:
-        add_term(acc, tuple(sorted(word)), coeff)
-        return
-    for j in range(len(word) - 1):
-        if word[j] == P and word[j + 1] == Q:
-            break
+        word = tuple(sorted(word))
     else:
-        add_term(acc, word, coeff)  # already normal: cheaper than the walk's set-up
-        return
-    for w, exp, re, im in _normal_rows(word):
-        add_term(acc, w, coeff * ScalarPoly._make({exp: GaussRat(re, im)})
-                 if exp is not _ZERO_EXP else coeff)
+        for j in range(len(word) - 1):
+            if word[j] == P and word[j + 1] == Q:
+                for w, e, re, im in _normal_rows(word):
+                    phase = GaussRat(re, im)  # 1 on the one leaf that took no contraction
+                    for exp, coeff in terms.items():
+                        add_term(acc, (w, add_exponents(exp, e)),
+                                 coeff * phase if e is not _ZERO_EXP else coeff)
+                return
+    for exp, coeff in terms.items():  # already normal: cheaper than the walk's set-up
+        add_term(acc, (word, exp), coeff)
 
 
 def _mul_rows_into(acc: dict, xs, ys: dict, mode: str) -> None:
@@ -121,24 +122,21 @@ def _mul_rows_into(acc: dict, xs, ys: dict, mode: str) -> None:
 
 
 def _wrap(acc: dict) -> dict:
-    """The raw sum as ``{code: {word: ScalarPoly}}`` terms: one GaussRat per part pair that
-    is not zero, so a code whose every part cancelled builds nothing."""
+    """The raw sum as flat ``{code: {(word, exp): GaussRat}}`` terms: one GaussRat per part
+    pair that is not zero, so a code whose every part cancelled builds nothing."""
     entries: dict = {}
-    for (word, exp), (res, ims) in acc.items():
+    for key, (res, ims) in acc.items():
         for code in res.keys() | ims.keys() if ims else res:
             re, im = res.get(code, 0), ims.get(code, 0)
             if re or im:
-                if (terms := entries.get(code)) is None:
-                    entries[code] = {word: ScalarPoly._make({exp: GaussRat(re, im)})}
-                elif (coeff := terms.get(word)) is None:
-                    terms[word] = ScalarPoly._make({exp: GaussRat(re, im)})
-                else:
-                    coeff.terms[exp] = GaussRat(re, im)
+                entries.setdefault(code, {})[key] = GaussRat(re, im)
     return entries
 
 
 class OperatorExpr(SparseSum):
-    """Linear combination of normal-form words with ScalarPoly coefficients."""
+    """Linear combination of normal words, held flat as ``{(word, exp): GaussRat}`` terms.
+    The constructor normal-orders ``(word, coefficient)`` pairs; in place of the word a pair
+    may name a ``(word, exp)`` key, so ``OperatorExpr(mode, e.terms) == e``."""
 
     __slots__ = ("mode", "terms")
 
@@ -149,9 +147,14 @@ class OperatorExpr(SparseSum):
         if terms:
             for word, coeff in (terms.items() if isinstance(terms, dict) else terms):
                 word = tuple(word)
+                coeff = (coeff.terms if isinstance(coeff, ScalarPoly)
+                         else {_ZERO_EXP: GaussRat._coerce(coeff)})
+                if len(word) == 2 and type(word[0]) is tuple:  # a (word, exp) key
+                    _check_exponents(exp := tuple(word[1]))
+                    word, coeff = word[0], {add_exponents(exp, e): g for e, g in coeff.items()}
                 if not (_LETTERS.issuperset(word) and {int}.issuperset(map(type, word))):
                     raise ValueError(f"unknown generator in word {word!r}")
-                _normalize_into(acc, word, ScalarPoly._coerce(coeff), mode)
+                _normalize_into(acc, word, coeff, mode)
         self.terms = acc
 
     @classmethod
@@ -175,15 +178,14 @@ class OperatorExpr(SparseSum):
     @classmethod
     def scalar(cls, mode: str, value) -> "OperatorExpr":
         _check_mode(mode)
-        value = ScalarPoly._coerce(value)
-        return cls._make(mode, {(): value} if value else {})
+        return cls._make(mode, {((), exp): g for exp, g in ScalarPoly._coerce(value).terms.items()})
 
     @classmethod
     def generator(cls, mode: str, gen: int) -> "OperatorExpr":
         _check_mode(mode)
         if type(gen) is not int or gen not in GENERATORS:
             raise ValueError(f"unknown generator {gen!r}")
-        return cls._make(mode, {(gen,): ScalarPoly.const(1)})
+        return cls._make(mode, {((gen,), _ZERO_EXP): GR_ONE})
 
     def _coerce(self, value) -> "OperatorExpr":
         if not isinstance(value, OperatorExpr):
@@ -199,14 +201,16 @@ class OperatorExpr(SparseSum):
             # a scalar multiplies each coefficient: no word is joined
             if (other := _coerced(ScalarPoly._coerce, other)) is None:
                 return NotImplemented
-            return self.map_values(other.__mul__)
+            acc: dict = {}
+            for (word, e1), g1 in self.terms.items():
+                for e2, g2 in other.terms.items():
+                    add_term(acc, (word, add_exponents(e1, e2)), g1 * g2)
+            return self._like(acc)
         other = self._coerce(other)
-        acc: dict = {}
-        _mul_rows_into(acc, [(0, 0, word, exp, g.re, g.im)
-                             for word, coeff in self.terms.items() for exp, g in coeff.terms.items()],
+        acc = {}
+        _mul_rows_into(acc, [(0, 0, word, exp, g.re, g.im) for (word, exp), g in self.terms.items()],
                        {0: [(word, exp, not g.im, ((0, g.re, g.im),))
-                            for word, coeff in other.terms.items() for exp, g in coeff.terms.items()]},
-                       self.mode)
+                            for (word, exp), g in other.terms.items()]}, self.mode)
         return OperatorExpr._make(self.mode, _wrap(acc).get(0, {}))
 
     def __rmul__(self, other):
@@ -215,7 +219,7 @@ class OperatorExpr(SparseSum):
 
     def has_symbol(self, name: str) -> bool:
         idx = _symbol_index(name)
-        return any(exp[idx] for coeff in self.terms.values() for exp in coeff.terms)
+        return any(exp[idx] for _, exp in self.terms)
 
     # -- substitutions -----------------------------------------------------
 
@@ -223,7 +227,11 @@ class OperatorExpr(SparseSum):
         """``ScalarPoly.subst`` of rational constants in every coefficient; the names and
         values are checked once, first, so the zero expression rejects what any other does."""
         values = _bound_values(bindings)
-        return self.map_values(lambda coeff: coeff._subst(values))
+        acc: dict = {}
+        for (word, exp), coeff in self.terms.items():
+            exp, coeff = _bind(exp, coeff, values)
+            add_term(acc, (word, exp), coeff)
+        return self._like(acc)
 
     def to_quantum(self) -> "OperatorExpr":
         """Reinterpret a classical expression with hatted generators.
@@ -243,11 +251,8 @@ class OperatorExpr(SparseSum):
         Words are graded-lexicographic (length first, then the generator
         order); within a word the scalar terms follow the exponent order.
         """
-        flat = []
-        for word in sorted(self.terms, key=lambda w: (len(w), w)):
-            for exp, coeff in self.terms[word].sorted_terms():
-                flat.append((word, exp, coeff))
-        return flat
+        return [(word, exp, coeff) for (word, exp), coeff
+                in sorted(self.terms.items(), key=lambda item: (len(item[0][0]), item[0]))]
 
     def render(self) -> str:
         names = GENERATOR_NAMES[self.mode]
@@ -278,34 +283,26 @@ def render_factored(expr: OperatorExpr) -> str:
     nontrivial rational/monomial content; the remainder is normalized so its
     first term is positive.
     """
-    flat = expr.flat_terms()
-    if len(flat) < 2:
-        return expr.render()
-    coeffs = [coeff for _, _, coeff in flat]
-    if any(c.im != 0 for c in coeffs):
+    coeffs = expr.terms.values()
+    if len(coeffs) < 2 or any(c.im != 0 for c in coeffs):
         return expr.render()
     num_gcd = Fraction(gcd(*(c.re.numerator for c in coeffs)),
                        lcm(*(c.re.denominator for c in coeffs)))
-    exps = [exp for _, exp, _ in flat]
-    common = tuple(min(e[idx] for e in exps) for idx in range(len(exps[0])))
+    common = tuple(map(min, *(exp for _, exp in expr.terms)))
     if num_gcd == 1 and not any(common):
         return expr.render()
-    if flat[0][2].re < 0:
+    if expr.flat_terms()[0][2].re < 0:
         num_gcd = -num_gcd
     # divide exponent-wise: the common vector is a minimum, so this never
     # produces an invalid negative power
     inverse_coeff = GaussRat(1 / num_gcd)
     remainder = OperatorExpr._make(expr.mode, {
-        word: ScalarPoly._make({
-            tuple(e - g for e, g in zip(exp, common)): c * inverse_coeff
-            for exp, c in coeff.terms.items()
-        })
-        for word, coeff in expr.terms.items()
-    })
+        (word, tuple(e - g for e, g in zip(exp, common))): c * inverse_coeff
+        for (word, exp), c in expr.terms.items()})
     neg, factor_body = render_term(GaussRat(num_gcd), common)
     prefix = ("-" if neg else "") + factor_body
     # shifting by common keeps terms apart and 1/num_gcd keeps them nonzero, so the
-    # remainder has as many terms as flat: at least two
+    # remainder has as many terms as expr: at least two
     return f"{prefix} * ({remainder.render()})"
 
 
@@ -319,6 +316,6 @@ def parse_operator(text: str, mode: str) -> OperatorExpr:
     """
     _check_mode(mode)
     acc: dict = {}
-    for word, coeff in parse_terms(text, GENERATOR_NAMES[mode]):
-        _normalize_into(acc, word, coeff, mode)
+    for word, exp, coeff in parse_terms(text, GENERATOR_NAMES[mode]):
+        _normalize_into(acc, word, {exp: coeff}, mode)
     return OperatorExpr._make(mode, acc)

@@ -1,16 +1,25 @@
 """Oracles shared by several test modules."""
 
 from oplax.operad import MultiOp, partial_compose
-from oplax.scalars import add_term
-from oplax.weyl import OperatorExpr
+from oplax.scalars import NSYMBOLS, GaussRat, add_term
+from oplax.weyl import GENERATORS, OperatorExpr
+
+
+def exp_sum(e1, e2):
+    """The exponent vector of a monomial product, added here, not by oplax."""
+    return tuple(a + b for a, b in zip(e1, e2))
+
+
+def term_products(x, y, sign=1):
+    """Every term pair of x*y as a ``((word, exp), GaussRat)`` constructor pair: the words
+    concatenated, the exponents added and the coefficients multiplied, times ``sign``."""
+    return [((w1 + w2, exp_sum(e1, e2)), c1 * c2 * sign)
+            for (w1, e1), c1 in x.terms.items() for (w2, e2), c2 in y.terms.items()]
 
 
 def constructor_product(x, y):
-    """x*y by the normalising constructor: concatenated words, ScalarPoly
-    coefficient products, no product kernel."""
-    return OperatorExpr(x.mode, [(w1 + w2, c1 * c2)
-                                 for w1, c1 in x.terms.items()
-                                 for w2, c2 in y.terms.items()])
+    """x*y by the normalising constructor on every term pair, no product kernel."""
+    return OperatorExpr(x.mode, term_products(x, y))
 
 
 def all_parts_zero(acc):
@@ -18,13 +27,24 @@ def all_parts_zero(acc):
     return all(not part for sums in acc.values() for parts in sums for part in parts.values())
 
 
+def assert_no_zero_survives_the_wrap(entries):
+    """Wrapped ``{code: {(word, exp): GaussRat}}`` terms hold no empty entry and no zero
+    coefficient, and each key is a word of generators and a full exponent vector."""
+    for terms in entries.values():
+        assert terms, "an emptied code survived the wrap"
+        for (word, exp), coeff in terms.items():
+            assert coeff, f"a zero coefficient is stored at {word}"
+            assert type(coeff) is GaussRat and len(exp) == NSYMBOLS
+            assert set(word) <= set(GENERATORS)
+
+
 def substitute_generators(expr, images):
     """``expr`` with each generator in ``images`` replaced by its image, an operator
     expression or a scalar, word order kept: each term's coefficient times its
     letters, multiplied through ``OperatorExpr.__mul__`` and summed."""
     result = OperatorExpr.zero(expr.mode)
-    for word, coeff in expr.terms.items():
-        term = OperatorExpr.scalar(expr.mode, coeff)
+    for (word, exp), coeff in expr.terms.items():
+        term = OperatorExpr(expr.mode, [(((), exp), coeff)])
         for gen in word:
             term = term * images.get(gen, OperatorExpr.generator(expr.mode, gen))
         result = result + term
@@ -41,21 +61,20 @@ def is_antisymmetric(mu) -> bool:
 # -- a tuple-keyed reference for operad composition ----------------------------
 #
 # Entries stay keyed by index tuples, every entry pair is multiplied by the
-# normalising constructor (concatenated words, ScalarPoly coefficient products)
+# normalising constructor (concatenated words, GaussRat coefficient products)
 # and each key's terms are summed by one more constructor call, so no row, code,
 # group or raw sum of the composition path enters the result.
 
 def _compose_terms(terms, f, pos, g, sign):
     """Add the terms of sign * (f o_pos g), f's entry on the left of each product and
-    the slot's sign (-1)^(pos |g|), into ``terms``, ``{key: [(word, ScalarPoly)]}``."""
+    the slot's sign (-1)^(pos |g|), into ``terms``, ``{key: [((word, exp), GaussRat)]}``."""
     if (pos * (g.degree - 1)) % 2:
         sign = -sign
     for fkey, fval in f.entries.items():
         for gkey, gval in g.entries.items():
             if gkey[-1] == fkey[pos]:
                 terms.setdefault(fkey[:pos] + gkey[:-1] + fkey[pos + 1:], []).extend(
-                    (w1 + w2, c1 * c2 * sign)
-                    for w1, c1 in fval.terms.items() for w2, c2 in gval.terms.items())
+                    term_products(fval, gval, sign))
 
 
 def _bracket_terms(terms, f, g, sign):
@@ -109,11 +128,8 @@ def reference_jacobi_op(x, y, z, mu):
     for (a, b, c, k), entry in partial_compose(mu, 1, mu).entries.items():
         for key in ((a, b, c, k), (c, a, b, k), (b, c, a, k)):
             add_term(sym, key, entry)
-    total = ({}, {}, {})
+    total = ([], [], [])
     for (a, b, c, k), entry in sym.items():
         weight = -(x[a] * y[b] * z[c])
-        if weight.is_zero:
-            continue
-        for word, coeff in entry.terms.items():
-            add_term(total[k], word, coeff * weight)
-    return tuple(OperatorExpr._make(mu.mode, t) for t in total)
+        total[k].extend((key, weight * coeff) for key, coeff in entry.terms.items())
+    return tuple(OperatorExpr(mu.mode, t) for t in total)

@@ -73,6 +73,13 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "compute", "jacobi", "--type", "V",
                            "--x", "1,2", "--y", "0,1,0", "--z", "0,0,1")
     assert code == 2 and "--x" in err
+    # --symbolic takes no vector: one stderr line naming the flags it got, no traceback
+    for given in (("--x", "1,2,3"), ("--y", "0,1,0", "--z", "0,0,1")):
+        code, out, err = run_cli(capsys, "compute", "jacobi", "--type", "V", "--symbolic",
+                                 *given)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "--symbolic" in err and all(flag in err for flag in given[::2])
+        assert "Traceback" not in err
     # exponent notation is refused before Fraction can build a huge power of 10
     code, out, err = run_cli(capsys, "compute", "jacobi", "--type", "V",
                              "--x", "1e5000,0,0", "--y", "0,1,0", "--z", "0,0,1")

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oplax.scalars import (GR_I, GR_ONE, GR_ZERO, NSYMBOLS, SYMBOL_INDEX, SYMBOLS, GaussRat,
+from oplax.scalars import (_ZERO_EXP, GR_I, GR_ONE, GR_ZERO, NSYMBOLS, SYMBOL_INDEX, SYMBOLS, GaussRat,
                            ScalarPoly, _check_exponents, _token_pattern, add_term, parse_scalar,
                            parse_terms, symbol)
 from oplax.weyl import (AP, CLASSICAL, GENERATOR_NAMES, P, Q, QUANTUM, OperatorExpr,
@@ -123,9 +123,11 @@ def test_scalar_rejects(text):
 
 
 def test_operator_terms_use_the_mode_names():
+    # (word, exponent, coefficient) triples, the word in reading order
+    (w_exp,) = symbol("w").terms
     assert parse_terms("2 w * ph qh - Ah+", ("qh", "ph", "Ah+", "Ah-")) == [
-        ((P, Q), ScalarPoly.monomial(2, {"w": 1})),
-        ((AP,), ScalarPoly.const(-1)),
+        ((P, Q), w_exp, GaussRat(2)),
+        ((AP,), _ZERO_EXP, GaussRat(-1)),
     ]
     # quantum words are normal-ordered: ph qh = qh ph - i*hbar
     hbar = ScalarPoly.monomial(GaussRat(0, -1), {"hbar": 1})

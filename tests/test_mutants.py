@@ -129,7 +129,7 @@ def _rewrite(old, new):
 #: (home module, name, original -> mutant, the first check that fails)
 CODE_MUTANTS = {
     "ddt-image-sign": (oscillator, "_DDT_IMAGES",
-                       lambda images: {**images, Q: (images[Q][0], -images[Q][1])},
+                       lambda images: {**images, Q: (*images[Q][:2], -images[Q][2])},
                        "matrix-lax.entry.12"),
     "rotation-sign": (oscillator, "rotation_op", lambda rotation_op: lambda: -rotation_op(),
                       "matrix-lax.entry.11"),
@@ -139,7 +139,8 @@ CODE_MUTANTS = {
                           "tables.family.VII_a"),
     "closed-form-j3-doubled": (jacobi, "closed_form_jacobi", _double_j3, "theorem-9-1.J3"),
     "p0-doubled": (oscillator, "P0", lambda p0: p0 + p0, "tables.derive.II"),
-    "start-a-plus-zero": (oscillator, "_START_VALUES", lambda values: {**values, AP: 0},
+    # A+ takes A-'s start value, 0
+    "start-a-plus-zero": (oscillator, "_START_VALUES", lambda values: {**values, AP: values[AM]},
                           "tables.initial.V"),
 }
 

@@ -22,6 +22,7 @@ from oplax.weyl import AM, AP, CLASSICAL, P, Q, QUANTUM, OperatorExpr
 
 from helpers import (
     all_parts_zero,
+    assert_no_zero_survives_the_wrap,
     constructor_product,
     is_antisymmetric,
     reference_bracket,
@@ -404,9 +405,7 @@ def test_partial_compose_is_the_signed_sum_of_entry_products(mode, data):
     for pos in range(f.degree):
         got = partial_compose(f, pos, g)
         assert got == compose_by_entry_products(f, pos, g)
-        for value in got.entries.values():
-            assert value and all(coeff.terms and all(coeff.terms.values())
-                                 for coeff in value.terms.values())
+        assert_no_zero_survives_the_wrap({key: value.terms for key, value in got.entries.items()})
 
 
 def bracket_by_entry_products(f, g):
@@ -441,15 +440,6 @@ def test_jacobi_defect_is_the_signed_cyclic_sum_of_public_brackets(mode, data):
             term = -term
         want = term if want is None else want + term
     assert jacobi_defect(f, g, h) == want
-
-
-def assert_no_zero_survives_the_wrap(entries):
-    """Wrapped ``{code: {word: ScalarPoly}}`` terms hold no empty entry, no empty
-    coefficient and no zero part pair."""
-    for terms in entries.values():
-        assert terms
-        for coeff in terms.values():
-            assert coeff.terms and all(coeff.terms.values())
 
 
 @pytest.fixture

@@ -53,16 +53,14 @@ def normal_form_action(word: tuple, poly: dict) -> dict:
     image times its coefficient, a polynomial in hbar alone."""
     total: dict = {}
     skeleton = [letter for letter in word if letter in (AP, AM)]
-    for normal, coeff in OperatorExpr(QUANTUM, [(word, 1)]).terms.items():
+    for (normal, exp), g in OperatorExpr(QUANTUM, [(word, 1)]).terms.items():
         assert (P, Q) not in zip(normal, normal[1:]), normal
         assert [letter for letter in normal if letter in (AP, AM)] == skeleton, normal
-        image = act(normal, poly)
-        for exp, g in coeff.terms.items():
-            assert not any(exp[:HBAR] + exp[HBAR + 1:]), exp
-            for (xs, h), (re, im) in image.items():
-                key = (xs, h + exp[HBAR])
-                r0, i0 = total.get(key, (0, 0))
-                total[key] = (r0 + g.re * re - g.im * im, i0 + g.re * im + g.im * re)
+        assert not any(exp[:HBAR] + exp[HBAR + 1:]), exp
+        for (xs, h), (re, im) in act(normal, poly).items():
+            key = (xs, h + exp[HBAR])
+            r0, i0 = total.get(key, (0, 0))
+            total[key] = (r0 + g.re * re - g.im * im, i0 + g.re * im + g.im * re)
     return {key: c for key, c in total.items() if any(c)}
 
 

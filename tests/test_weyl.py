@@ -22,7 +22,7 @@ from oplax.weyl import (
     render_factored,
 )
 
-from helpers import all_parts_zero, constructor_product
+from helpers import all_parts_zero, assert_no_zero_survives_the_wrap, constructor_product, exp_sum
 
 MINUS_I_HBAR = ScalarPoly.monomial(GaussRat(0, -1), {"hbar": 1})
 
@@ -40,6 +40,11 @@ def cexpr(*word):
     return OperatorExpr(CLASSICAL, [(word, ScalarPoly.const(1))])
 
 
+def words_of(expr):
+    """The words of ``expr``'s flat ``(word, exp)`` keys, in storage order."""
+    return [word for word, _ in expr.terms]
+
+
 def test_pq_rewrite():
     assert qexpr(P, Q) == qexpr(Q, P) + OperatorExpr.scalar(QUANTUM, MINUS_I_HBAR)
 
@@ -52,15 +57,15 @@ def test_ppq_rewrite():
 
 
 def test_free_pair_is_untouched():
-    assert list(qexpr(AP, AM).terms) == [(AP, AM)]
-    assert list(qexpr(AM, AP).terms) == [(AM, AP)]
+    assert words_of(qexpr(AP, AM)) == [(AP, AM)]
+    assert words_of(qexpr(AM, AP)) == [(AM, AP)]
     # no rule reorders q or p across the free generators
-    assert list(qexpr(P, AP, Q).terms) == [(P, AP, Q)]
+    assert words_of(qexpr(P, AP, Q)) == [(P, AP, Q)]
 
 
 def test_classical_words_commute():
     assert cexpr(P, Q) == cexpr(Q, P)
-    assert list(cexpr(AM, AP, P, Q).terms) == [(Q, P, AP, AM)]
+    assert words_of(cexpr(AM, AP, P, Q)) == [(Q, P, AP, AM)]
 
 
 def test_coefficient_extraction():
@@ -73,9 +78,8 @@ def test_coefficient_extraction():
 def test_quantum_product_keeps_order():
     p0 = ScalarPoly.monomial(Fraction(1, 2), {"s": 2})
     product = (qexpr(P) - p0) * qexpr(AP)
-    assert set(product.terms) == {(P, AP), (AP,)}
-    assert product.terms[(P, AP)] == ScalarPoly.const(1)
-    assert product.terms[(AP,)] == -p0
+    assert set(words_of(product)) == {(P, AP), (AP,)}
+    assert product == OperatorExpr(QUANTUM, [((P, AP), 1), ((AP,), -p0)])
 
 
 def test_zero_annihilates():
@@ -126,9 +130,9 @@ def test_mixed_operations_do_not_render_the_operator(monkeypatch):
 
     monkeypatch.setattr(OperatorExpr, "render", refuse)
     product = symbol("w") * OperatorExpr.generator(QUANTUM, Q)
-    assert product.terms == {(Q,): symbol("w")}
+    assert product == OperatorExpr(QUANTUM, {(Q,): symbol("w")})
     difference = ScalarPoly.const(2) - qexpr(P)
-    assert difference.terms == {(): ScalarPoly.const(2), (P,): ScalarPoly.const(-1)}
+    assert difference == OperatorExpr(QUANTUM, {(): ScalarPoly.const(2), (P,): ScalarPoly.const(-1)})
     with pytest.raises(TypeError, match="OperatorExpr"):
         GaussRat._coerce(qexpr(P))
 
@@ -139,7 +143,7 @@ def test_a_scalar_times_an_operator_is_handed_to_the_operator(monkeypatch):
         assert type(scalar).__mul__(scalar, op) is NotImplemented
         product = scalar * op
         assert type(product) is OperatorExpr
-        assert product.terms == {(P,): ScalarPoly._coerce(scalar)}
+        assert product == OperatorExpr(QUANTUM, {(P,): scalar})
     # __rmul__ is __mul__ with the operands swapped, so a wrapper on __mul__ sees it
     calls, mul = [], OperatorExpr.__mul__
 
@@ -148,7 +152,7 @@ def test_a_scalar_times_an_operator_is_handed_to_the_operator(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(OperatorExpr, "__mul__", counted_mul)
-    assert (w * op).terms == {(P,): w}
+    assert w * op == OperatorExpr(QUANTUM, {(P,): w})
     assert calls == [w]
 
 
@@ -162,10 +166,10 @@ def test_a_scalar_product_joins_no_words(monkeypatch):
 
     monkeypatch.setattr(weyl, "_mul_rows_into", counted_kernel)
     w, q = symbol("w"), qexpr(Q)
-    assert (w * q).terms == (q * w).terms == {(Q,): w}
-    assert (q * GaussRat(0, 1)).terms == {(Q,): ScalarPoly.const(GaussRat(0, 1))}
+    assert w * q == q * w == OperatorExpr(QUANTUM, {(Q,): w})
+    assert q * GaussRat(0, 1) == OperatorExpr(QUANTUM, {(Q,): GaussRat(0, 1)})
     assert calls == []
-    assert (q * q).terms == {(Q, Q): ScalarPoly.const(1)} and calls == [QUANTUM]
+    assert q * q == OperatorExpr(QUANTUM, {(Q, Q): 1}) and calls == [QUANTUM]
 
 
 words = st.lists(st.sampled_from((Q, P, AP, AM)), max_size=8).map(tuple)
@@ -197,7 +201,7 @@ def _normalize_choosing(word, coeff, pick):
 def test_rewriting_is_confluent(word, rng):
     canonical = OperatorExpr(QUANTUM, [(word, ScalarPoly.const(1))])
     anywhere = _normalize_choosing(word, ScalarPoly.const(1), rng.choice)
-    assert canonical.terms == anywhere
+    assert canonical == OperatorExpr(QUANTUM, anywhere)
 
 
 @settings(max_examples=150, deadline=None)
@@ -267,8 +271,7 @@ def test_product_kernel_matches_the_constructor(mode, data):
     y = data.draw(kernel_exprs(mode, prefix=(Q,) if junction else ()))
     product = x * y
     assert product == constructor_product(x, y)
-    for coeff in product.terms.values():
-        assert coeff.terms and all(coeff.terms.values())
+    assert_no_zero_survives_the_wrap({0: product.terms} if product else {})
 
 
 def old_route_terms(t1, t2, negate):
@@ -283,18 +286,26 @@ def old_route_terms(t1, t2, negate):
 
 
 def old_route_product(x, y, negate):
-    """x*y, negated when ``negate``, as a {word: {exp: GaussRat}} map: each
-    word pair through _normalize_into, then old_route_terms per normal word."""
+    """x*y, negated when ``negate``, as a flat {(word, exp): GaussRat} map: each
+    term pair's word through _normalize_into, then one GaussRat.__mul__ and one
+    add_term per normal term, with the exponents added here."""
     acc: dict = {}
-    for w1, c1 in x.terms.items():
-        for w2, c2 in y.terms.items():
-            words: dict = {}
-            _normalize_into(words, w1 + w2, c1, x.mode)
-            for word, c in words.items():
-                inner = acc.setdefault(word, {})
-                for exp, g in old_route_terms(c.terms, c2.terms, negate).items():
-                    add_term(inner, exp, g)
-    return {word: terms for word, terms in acc.items() if terms}
+    for (w1, e1), c1 in x.terms.items():
+        for (w2, e2), c2 in y.terms.items():
+            normal: dict = {}
+            _normalize_into(normal, w1 + w2, {e1: c1}, x.mode)
+            for (word, exp), c in normal.items():
+                g = c * c2
+                add_term(acc, (word, exp_sum(exp, e2)), -g if negate else g)
+    return acc
+
+
+def word_coeffs(expr):
+    """Each word's coefficient as a ScalarPoly, grouped here from the flat terms."""
+    coeffs: dict = {}
+    for (word, exp), g in expr.terms.items():
+        coeffs.setdefault(word, {})[exp] = g
+    return [ScalarPoly(terms) for terms in coeffs.values()]
 
 
 def assert_canonical_terms(terms):
@@ -325,8 +336,8 @@ def differential_exprs(draw, mode):
 
 
 def rows(terms):
-    """``{word: ScalarPoly}`` terms as ``(word, exp, re, im)`` rows."""
-    return [(word, exp, g.re, g.im) for word, coeff in terms.items() for exp, g in coeff.terms.items()]
+    """Flat ``{(word, exp): GaussRat}`` terms as ``(word, exp, re, im)`` rows."""
+    return [(word, exp, g.re, g.im) for (word, exp), g in terms.items()]
 
 
 def join_into(acc, xs, ys, mode):
@@ -364,20 +375,20 @@ def test_product_kernel_matches_the_old_route(mode, data):
         acc: dict = {}
         mul_rows(acc, x, y, negate, sign_on_left)
         assert set(_wrap(acc)) <= {0}
+        assert_no_zero_survives_the_wrap(_wrap(acc))
         got = wrapped(mode, acc)
         want = old_route_product(x, y, negate)
-        assert {word: c.terms for word, c in got.terms.items()} == want
-        for coeff in got.terms.values():
-            assert_canonical_terms(coeff.terms)
+        assert got.terms == want
+        if got:
+            assert_canonical_terms(got.terms)
         # the same product added with the other sign zeroes every part, which
         # stays in the raw sum until the wrap drops it
         mul_rows(acc, x, y, not negate, sign_on_left)
         assert all_parts_zero(acc) and _wrap(acc) == {}
     product = x * y
-    assert {word: c.terms for word, c in product.terms.items()} == \
-        old_route_product(x, y, False)
-    for c1 in x.terms.values():
-        for c2 in y.terms.values():
+    assert product.terms == old_route_product(x, y, False)
+    for c1 in word_coeffs(x):
+        for c2 in word_coeffs(y):
             terms = (c1 * c2).terms
             assert terms == old_route_terms(c1.terms, c2.terms, False)
             if terms:
@@ -415,8 +426,7 @@ def block_terms(b, c):
 @pytest.mark.parametrize("c", range(8))
 def test_normal_ordering_matches_the_closed_form(b, c):
     word = (P,) * b + (Q,) * c
-    want = dict(block_terms(b, c))
-    assert OperatorExpr(QUANTUM, [(word, 1)]).terms == want
+    assert OperatorExpr(QUANTUM, [(word, 1)]) == OperatorExpr(QUANTUM, block_terms(b, c))
 
 
 #: non-constant Gaussian coefficients: a fixed one and drawn ones with hbar, s^-1,
@@ -431,31 +441,31 @@ symbolic_coeffs = st.one_of(
 def test_the_counted_walk_matches_the_per_swap_rewrite(word, coeff, rng):
     # the constructor counts the leaves per normal word and multiplies once; the
     # oracle multiplies by -i hbar at every swap, at positions drawn by rng
-    assert OperatorExpr(QUANTUM, [(word, coeff)]).terms == \
-        _normalize_choosing(word, coeff, rng.choice)
+    assert OperatorExpr(QUANTUM, [(word, coeff)]) == \
+        OperatorExpr(QUANTUM, _normalize_choosing(word, coeff, rng.choice))
 
 
 def test_the_counted_walk_makes_one_scalar_product_per_contracted_word(monkeypatch):
+    # the scalar product is one GaussRat product per term of the coefficient; the
+    # normaliser multiplies the parts and never calls ScalarPoly.__mul__
     coeff = ScalarPoly.monomial(GaussRat(1, 2), {"x1": 1, "s": -1})
     want = {w: coeff * c for w, c in block_terms(4, 4)}
-    products = []
-    mul = ScalarPoly.__mul__
-
-    def counting_mul(self, other):
-        products.append((self, other))
-        return mul(self, other)
-
-    monkeypatch.setattr(ScalarPoly, "__mul__", counting_mul)
+    products, poly_products = [], []
+    for cls, log in ((GaussRat, products), (ScalarPoly, poly_products)):
+        def counting_mul(self, other, mul=cls.__mul__, log=log):
+            log.append((self, other))
+            return mul(self, other)
+        monkeypatch.setattr(cls, "__mul__", counting_mul)
     got = OperatorExpr(QUANTUM, [((P,) * 4 + (Q,) * 4, coeff)])
-    contracted = [w for w in got.terms if len(w) < 8]
+    contracted = [w for w in words_of(got) if len(w) < 8]
     assert len(contracted) == 4
     assert 0 < len(products) <= len(contracted)
     products.clear()
     for normal in ((Q,) * 4 + (P,) * 4, (Q, P, AM, Q, Q, P), (AP, P, P, AM, Q)):
-        assert list(OperatorExpr(QUANTUM, [(normal, coeff)]).terms) == [normal]
-    assert products == []
+        assert words_of(OperatorExpr(QUANTUM, [(normal, coeff)])) == [normal]
+    assert products == [] and poly_products == []
     monkeypatch.undo()
-    assert got.terms == want
+    assert got == OperatorExpr(QUANTUM, want)
 
 
 @pytest.mark.parametrize("middle", (AP, AM))
@@ -464,7 +474,7 @@ def test_normal_ordering_keeps_blocks_apart_across_a_free_generator(middle):
     want = {w1 + (middle,) + w2: c1 * c2
             for w1, c1 in block_terms(3, 2) for w2, c2 in block_terms(2, 3)}
     word = (P,) * 3 + (Q,) * 2 + (middle,) + (P,) * 2 + (Q,) * 3
-    assert OperatorExpr(QUANTUM, [(word, 1)]).terms == want
+    assert OperatorExpr(QUANTUM, [(word, 1)]) == OperatorExpr(QUANTUM, want)
 
 
 @pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
@@ -481,17 +491,10 @@ def test_row_kernel_wraps_an_integral_fraction_sum_as_int(mode):
     raw = res[0], ims[0]
     assert raw == (1, -1) and type(raw[0]) is Fraction and type(raw[1]) is Fraction
     for product in (wrapped(mode, acc), x * y):
-        (g,) = product.terms[(Q, P)].terms.values()
+        g = product.terms[(Q, P), _ZERO_EXP]
         assert (g.re, g.im) == (1, -1) and type(g.re) is int and type(g.im) is int
-        for coeff in product.terms.values():
-            assert_canonical_terms(coeff.terms)
+        assert_canonical_terms(product.terms)
     assert x * y == constructor_product(x, y)
-
-
-def assert_no_zero_survives_the_wrap(terms):
-    """Wrapped ``{word: ScalarPoly}`` terms hold no empty coefficient and no zero part pair."""
-    for coeff in terms.values():
-        assert coeff.terms and all(coeff.terms.values())
 
 
 @pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
@@ -502,11 +505,12 @@ def test_a_cancelled_word_leaves_at_the_wrap(mode):
     # (a + b)(a - b) = a^2 - b^2 classically: the cross words q p, p A+, q and A+
     # of a*b and b*a cancel; their zero parts stay in the raw sum
     mul_rows(acc, a + b, a - b, False)
-    (terms,) = _wrap(acc).values()
-    assert_no_zero_survives_the_wrap(terms)
+    entries = _wrap(acc)
+    assert_no_zero_survives_the_wrap(entries)
+    (terms,) = entries.values()
     if mode == CLASSICAL:
-        assert {word for word, _ in acc} > set(terms)
-        assert set(terms) == {(Q, Q), (Q, AP), (AP, AP), (P, P), (P,), ()}
+        assert set(acc) > set(terms)
+        assert {word for word, _ in terms} == {(Q, Q), (Q, AP), (AP, AP), (P, P), (P,), ()}
     assert wrapped(mode, acc) == (a + b) * (a - b)
     # the same product with the other sign cancels every word, and the wrap
     # builds nothing
@@ -545,20 +549,19 @@ def test_the_join_kernel_adds_at_base_plus_offset_and_the_wrap_drops_zeros(mode)
     want[(Q,), s] = ({67: 2}, {67: 2})
     assert acc == want
     assert _wrap(acc) == {
-        57: {(Q, P): ScalarPoly._make({one: GaussRat(3), s: GaussRat(3)}),
-             (Q, AM): ScalarPoly._make({s: GaussRat(1, -1), s2: GaussRat(1, -1)})},
-        67: {(Q, P): ScalarPoly._make({one: GaussRat(1), s: GaussRat(1)}),
-             (Q,): ScalarPoly._make({one: GaussRat(2), s: GaussRat(2, 2)})}}
-    # zero parts stay in the raw sum; the wrap drops an emptied exponent, then an
-    # emptied word, then an emptied code
+        57: {((Q, P), one): GaussRat(3), ((Q, P), s): GaussRat(3),
+             ((Q, AM), s): GaussRat(1, -1), ((Q, AM), s2): GaussRat(1, -1)},
+        67: {((Q, P), one): GaussRat(1), ((Q, P), s): GaussRat(1),
+             ((Q,), one): GaussRat(2), ((Q,), s): GaussRat(2, 2)}}
+    # zero parts stay in the raw sum; the wrap drops a zero (word, exp) term, then
+    # an emptied code
     join(acc, 0, s, -1, 0, {0: [by_p]})
     join(acc, 0, one, -1, 0, {0: [by_am]})
     join(acc, 0, s, -1, 0, {0: [by_am]})
     assert set(acc) == set(want)
     assert _wrap(acc) == {
-        57: {(Q, P): ScalarPoly._make({one: GaussRat(3)})},
-        67: {(Q, P): ScalarPoly._make({one: GaussRat(1)}),
-             (Q,): ScalarPoly._make({one: GaussRat(2), s: GaussRat(2, 2)})}}
+        57: {((Q, P), one): GaussRat(3)},
+        67: {((Q, P), one): GaussRat(1), ((Q,), one): GaussRat(2), ((Q,), s): GaussRat(2, 2)}}
     join(acc, 0, one, -1, 0, {0: [by_p, by_one]})
     join(acc, 0, s, -1, -1, {0: [by_one]})
     assert _wrap(acc) == {}
@@ -653,3 +656,50 @@ def test_a_word_with_an_unknown_generator_is_rejected(mode, word):
         OperatorExpr(mode, [(word, 1)])
     with pytest.raises(ValueError, match="unknown generator"):
         OperatorExpr(mode, {word: ScalarPoly.const(1)})
+
+
+@pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_the_constructor_takes_the_keys_that_terms_holds(mode, data):
+    # coefficients with hbar, s^-k and imaginary parts; words that may end in p q,
+    # so a quantum expression also carries the walk's -i hbar terms
+    e = data.draw(kernel_exprs(mode, suffix=data.draw(st.sampled_from(((), (P, Q))))))
+    assert OperatorExpr(mode, e.terms) == e
+    assert OperatorExpr(mode, list(e.terms.items())) == e
+    # a key's monomial multiplies a ScalarPoly coefficient too, and the two key
+    # forms mix in one call
+    w = symbol("w")
+    mixed = [(key, w * g) for key, g in e.terms.items()] + [((P, Q), 1)]
+    assert OperatorExpr(mode, mixed) == w * e + OperatorExpr(mode, [((P, Q), 1)])
+
+
+def test_a_term_key_with_imaginary_parts_and_s_to_a_negative_power():
+    s_inv2 = ScalarPoly.monomial(GaussRat(1, 2), {"s": -2})
+    e = OperatorExpr(QUANTUM, [((P, Q), s_inv2)])
+    (s_exp,) = s_inv2.terms
+    assert e.terms[(Q, P), s_exp] == GaussRat(1, 2)
+    assert OperatorExpr(QUANTUM, e.terms) == e
+    assert OperatorExpr(QUANTUM, [(((P, Q), s_exp), GaussRat(1, 2))]) == e
+
+
+@pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
+@pytest.mark.parametrize("key, match", [
+    (((Q,), _ZERO_EXP[1:]), f"exponent vector must have length {NSYMBOLS}"),
+    (((Q,), _ZERO_EXP + (0,)), f"exponent vector must have length {NSYMBOLS}"),
+    (((Q,), (-1,) + _ZERO_EXP[1:]), "negative exponent of w is not allowed"),
+    (((Q,), (0, -2) + _ZERO_EXP[2:]), "negative exponent of hbar is not allowed"),
+    (((Q,), (Fraction(1, 2),) + _ZERO_EXP[1:]), "is not an int"),
+    (((7,), _ZERO_EXP), "unknown generator"),
+    ((("q",), _ZERO_EXP), "unknown generator"),
+    (((P, 1.0), _ZERO_EXP), "unknown generator"),
+    (("q",), "unknown generator"),
+], ids=("exponent-too-short", "exponent-too-long", "negative-w", "negative-hbar",
+        "fraction-exponent", "letter-past-the-alphabet", "letter-a-name", "letter-a-float",
+        "a-name-for-a-word"))
+def test_a_bad_term_key_is_rejected(mode, key, match):
+    for coeff in (1, GaussRat(0, 1), symbol("w")):
+        with pytest.raises(ValueError, match=match):
+            OperatorExpr(mode, [(key, coeff)])
+    with pytest.raises(ValueError, match=match):
+        OperatorExpr(mode, {key: 1})
