@@ -19,8 +19,8 @@ from .bianchi import (
 from .operad import MultiOp, _compose_into, _operand
 from .oscillator import INV_P0, INV_SQRT_2P0, P0, W, det3
 from .report import Check, first_nonzero_check, flag_check
-from .scalars import GaussRat, ScalarPoly, symbol
-from .weyl import QUANTUM, OperatorExpr, _mul_rows_into, _wrap, commutator, generators
+from .scalars import GaussRat, ScalarPoly, add_exponents, add_term, symbol
+from .weyl import QUANTUM, OperatorExpr, commutator, generators
 
 Vec3 = tuple  # three ScalarPoly components
 
@@ -31,11 +31,15 @@ def symbolic_vec(prefix: str) -> Vec3:
     return tuple(symbol(f"{prefix}{j}") for j in (1, 2, 3))
 
 
-def rational_vec(values) -> Vec3:
-    values = tuple(ScalarPoly.const(GaussRat(v)) for v in values)
+def _vec3(values) -> Vec3:
+    values = tuple(map(ScalarPoly._coerce, values))
     if len(values) != 3:
         raise ValueError("expected three components")
     return values
+
+
+def rational_vec(values) -> Vec3:
+    return _vec3(map(GaussRat, values))
 
 
 def _require_binary3(mu: MultiOp) -> None:
@@ -52,9 +56,10 @@ def jacobi_op(x: Vec3, y: Vec3, z: Vec3, mu: MultiOp) -> tuple:
     symmetrisation S[abc] = T[abc] + T[bca] + T[cab], formed on the digits of T's raw
     entry codes, decoded modulo 3 as ``operad._composite`` does.  S carries no vector
     components and drops its cancelled parts, so a Lie bracket cancels before they
-    enter; one kernel call joins its rows to each weight -x^a y^b z^c, built once.
+    enter; each surviving part, times each term of its weight -x^a y^b z^c, adds to its k.
     """
     _require_binary3(mu)
+    x, y, z = map(_vec3, (x, y, z))
     f = _operand(mu)
     raw: dict = {}
     _compose_into(raw, f, 1, f, False)
@@ -66,15 +71,16 @@ def jacobi_op(x: Vec3, y: Vec3, z: Vec3, mu: MultiOp) -> tuple:
             for abc in (9 * a + 3 * b + c, 9 * c + 3 * a + b, 9 * b + 3 * c + a):
                 r, i = sym.get(key := (abc, k, word, exp), (0, 0))
                 sym[key] = r + re, i + im
-    rows = [(abc, k, word, exp, re, im) for (abc, k, word, exp), (re, im) in sym.items()
-            if re or im]
-    weights = {abc: [((), exp, not g.im, ((0, -g.re, -g.im),))
-                     for exp, g in (x[abc // 9] * y[abc // 3 % 3] * z[abc % 3]).terms.items()]
-               for abc in {row[0] for row in rows}}
-    acc: dict = {}
-    _mul_rows_into(acc, rows, weights, mu.mode)
-    entries = _wrap(acc)
-    return tuple(OperatorExpr._make(mu.mode, entries.get(k, {})) for k in range(3))
+    weights: dict = {}
+    components = ({}, {}, {})
+    for (abc, k, word, exp), (re, im) in sym.items():
+        if re or im:
+            if (weight := weights.get(abc)) is None:
+                weight = weights[abc] = (x[abc // 9] * y[abc // 3 % 3] * z[abc % 3]).terms
+            part = GaussRat(-re, -im)
+            for e, g in weight.items():
+                add_term(components[k], (word, add_exponents(exp, e)), part * g)
+    return tuple(OperatorExpr._make(mu.mode, terms) for terms in components)
 
 
 def closed_form_jacobi(x: Vec3, y: Vec3, z: Vec3,

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .scalars import SparseSum, add_term
-from .weyl import OperatorExpr, _check_mode, _mul_rows_into, _wrap
+from .scalars import _ZERO_EXP, GaussRat, SparseSum, add_exponents, add_term
+from .weyl import CLASSICAL, QUANTUM, OperatorExpr, P, Q, _check_mode, _normal_rows
 
 
 class MultiOp(SparseSum):
@@ -25,6 +25,9 @@ class MultiOp(SparseSum):
     terms = property(lambda self: self.entries)
 
     def __init__(self, dim: int, degree: int, mode: str, entries=None):
+        for name, value in (("dim", dim), ("degree", degree)):
+            if type(value) is not int:
+                raise ValueError(f"{name} {value!r} is not an int")
         if dim < 1:
             raise ValueError("dimension must be positive")
         if degree < 1:
@@ -108,6 +111,55 @@ def _operand(op: MultiOp) -> _Operand:
         for at, by_word in groups.items()})
 
 
+def _mul_rows_into(acc: dict, xs, ys: dict, mode: str) -> None:
+    """The join kernel of composition: each xs row ``(at, base, word, exp, re, im)`` times
+    each group ``(word, exp, real, pairs)`` of ``ys[at]``, whose ``(off, re, im)`` pairs share
+    a word and an exponent, is added into the raw sum ``acc``, ``{(word, exp): (re_sums,
+    im_sums)}`` of ``{code: part}``, at code ``base + off``.  Word and exponent are built once
+    per group, a real row against a real group adds to ``re_sums`` alone, and zero parts stay
+    until ``_wrap``.  A classical pair is sorted unless a side is empty; at a quantum p q
+    junction the normal rows of the word, times the xs row, come back here against the
+    group.  ``_ZERO_EXP`` itself skips the exponent add."""
+    for at, base, w1, e1, r1, i1 in xs:
+        for w2, e2, real, pairs in ys.get(at, ()):
+            exp = e1 if e2 is _ZERO_EXP else e2 if e1 is _ZERO_EXP else add_exponents(e1, e2)
+            if not (w1 and w2):
+                word = w1 or w2
+            elif mode == CLASSICAL:
+                word = tuple(sorted(w1 + w2))
+            elif w1[-1] != P or w2[0] != Q:
+                word = w1 + w2
+            else:
+                _mul_rows_into(acc, [(0, base, w, add_exponents(exp, e), nr * r1 - ni * i1,
+                                      nr * i1 + ni * r1) for w, e, nr, ni in _normal_rows(w1 + w2)],
+                               {0: (((), _ZERO_EXP, real, pairs),)}, QUANTUM)
+                continue
+            if (sums := acc.get(term := (word, exp))) is None:
+                sums = acc[term] = ({}, {})
+            res, ims = sums
+            if real and not i1:
+                for off, r2, _ in pairs:
+                    code = base + off
+                    res[code] = res.get(code, 0) + r1 * r2
+            else:
+                for off, r2, i2 in pairs:
+                    code = base + off
+                    res[code] = res.get(code, 0) + r1 * r2 - i1 * i2
+                    ims[code] = ims.get(code, 0) + r1 * i2 + i1 * r2
+
+
+def _wrap(acc: dict) -> dict:
+    """The raw sum as flat ``{code: {(word, exp): GaussRat}}`` terms: one GaussRat per part
+    pair that is not zero, so a code whose every part cancelled builds nothing."""
+    entries: dict = {}
+    for key, (res, ims) in acc.items():
+        for code in res.keys() | ims.keys() if ims else res:
+            re, im = res.get(code, 0), ims.get(code, 0)
+            if re or im:
+                entries.setdefault(code, {})[key] = GaussRat(re, im)
+    return entries
+
+
 def _compose_into(acc: dict, f: _Operand, pos: int, g: _Operand, negate: bool) -> None:
     """Add f o_pos g, negated when ``negate``, into the raw sum ``acc`` by entry code: one
     kernel call joins f's rows, at their key's slot ``pos``, to g's groups by output index.
@@ -160,6 +212,8 @@ def partial_compose(f: MultiOp, pos: int, g: MultiOp) -> MultiOp:
     The composite picks up (-1)^(pos * |g|) where |g| is g's reduced degree,
     and every entry is a sum of products with the f-entry on the left.
     """
+    if type(pos) is not int:
+        raise ValueError(f"slot {pos!r} is not an int")
     if not 0 <= pos < f.degree:
         raise ValueError(f"slot {pos} out of range for degree {f.degree}")
     return _composite((f, g), lambda acc, f, g: _compose_into(acc, f, pos, g, False))

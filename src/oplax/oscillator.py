@@ -17,7 +17,7 @@ from fractions import Fraction
 from .operad import MultiOp, antisymmetric_binary, bracket
 from .report import Check, first_nonzero_check
 from .scalars import _ZERO_EXP, GR_ZERO, ScalarPoly, add_exponents, add_term, symbol
-from .weyl import AM, AP, CLASSICAL, OperatorExpr, P, Q, generators
+from .weyl import AM, AP, CLASSICAL, OperatorExpr, P, Q, _normalize_into, generators
 
 W = symbol("w")
 S = symbol("s")
@@ -58,12 +58,13 @@ def ddt(expr: OperatorExpr) -> OperatorExpr:
     A+ -> -(w/2) A-, A- -> (w/2) A+; parameter symbols are constants."""
     if expr.mode != CLASSICAL:
         raise ValueError("ddt is defined on classical expressions only")
-    raw = []
+    acc: dict = {}
     for (word, exp), coeff in expr.terms.items():
         for j, gen in enumerate(word):
             image, e, g = _DDT_IMAGES[gen]
-            raw.append(((word[:j] + image + word[j + 1:], add_exponents(exp, e)), coeff * g))
-    return OperatorExpr(CLASSICAL, raw)
+            _normalize_into(acc, word[:j] + image + word[j + 1:],
+                            {add_exponents(exp, e): coeff * g}, CLASSICAL)
+    return OperatorExpr._make(CLASSICAL, acc)
 
 
 # -- matrix Lax pair ----------------------------------------------------------

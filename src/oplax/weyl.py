@@ -84,55 +84,6 @@ def _normalize_into(acc: dict, word: tuple, terms: dict, mode: str) -> None:
         add_term(acc, (word, exp), coeff)
 
 
-def _mul_rows_into(acc: dict, xs, ys: dict, mode: str) -> None:
-    """The one join kernel: each xs row ``(at, base, word, exp, re, im)`` times each group
-    ``(word, exp, real, pairs)`` of ``ys[at]``, whose ``(off, re, im)`` pairs share a word and
-    an exponent, is added into the raw sum ``acc``, ``{(word, exp): (re_sums, im_sums)}`` of
-    ``{code: part}``, at code ``base + off``.  Word and exponent are built once per group, a
-    real row against a real group adds to ``re_sums`` alone, and zero parts stay until
-    ``_wrap``.  A classical pair is sorted unless a side is empty; at a quantum p q junction
-    the normal rows of the word, times the xs row, come back here against the group.
-    ``_ZERO_EXP`` itself skips the exponent add."""
-    for at, base, w1, e1, r1, i1 in xs:
-        for w2, e2, real, pairs in ys.get(at, ()):
-            exp = e1 if e2 is _ZERO_EXP else e2 if e1 is _ZERO_EXP else add_exponents(e1, e2)
-            if not (w1 and w2):
-                word = w1 or w2
-            elif mode == CLASSICAL:
-                word = tuple(sorted(w1 + w2))
-            elif w1[-1] != P or w2[0] != Q:
-                word = w1 + w2
-            else:
-                _mul_rows_into(acc, [(0, base, w, add_exponents(exp, e), nr * r1 - ni * i1,
-                                      nr * i1 + ni * r1) for w, e, nr, ni in _normal_rows(w1 + w2)],
-                               {0: (((), _ZERO_EXP, real, pairs),)}, QUANTUM)
-                continue
-            if (sums := acc.get(term := (word, exp))) is None:
-                sums = acc[term] = ({}, {})
-            res, ims = sums
-            if real and not i1:
-                for off, r2, _ in pairs:
-                    code = base + off
-                    res[code] = res.get(code, 0) + r1 * r2
-            else:
-                for off, r2, i2 in pairs:
-                    code = base + off
-                    res[code] = res.get(code, 0) + r1 * r2 - i1 * i2
-                    ims[code] = ims.get(code, 0) + r1 * i2 + i1 * r2
-
-
-def _wrap(acc: dict) -> dict:
-    """The raw sum as flat ``{code: {(word, exp): GaussRat}}`` terms: one GaussRat per part
-    pair that is not zero, so a code whose every part cancelled builds nothing."""
-    entries: dict = {}
-    for key, (res, ims) in acc.items():
-        for code in res.keys() | ims.keys() if ims else res:
-            re, im = res.get(code, 0), ims.get(code, 0)
-            if re or im:
-                entries.setdefault(code, {})[key] = GaussRat(re, im)
-    return entries
-
-
 class OperatorExpr(SparseSum):
     """Linear combination of normal words, held flat as ``{(word, exp): GaussRat}`` terms.
     The constructor normal-orders ``(word, coefficient)`` pairs; in place of the word a pair
@@ -197,21 +148,17 @@ class OperatorExpr(SparseSum):
     # -- algebra -----------------------------------------------------------
 
     def __mul__(self, other):
-        if not isinstance(other, OperatorExpr):
-            # a scalar multiplies each coefficient: no word is joined
-            if (other := _coerced(ScalarPoly._coerce, other)) is None:
-                return NotImplemented
-            acc: dict = {}
-            for (word, e1), g1 in self.terms.items():
-                for e2, g2 in other.terms.items():
-                    add_term(acc, (word, add_exponents(e1, e2)), g1 * g2)
-            return self._like(acc)
-        other = self._coerce(other)
-        acc = {}
-        _mul_rows_into(acc, [(0, 0, word, exp, g.re, g.im) for (word, exp), g in self.terms.items()],
-                       {0: [(word, exp, not g.im, ((0, g.re, g.im),))
-                            for (word, exp), g in other.terms.items()]}, self.mode)
-        return OperatorExpr._make(self.mode, _wrap(acc).get(0, {}))
+        # a scalar is an operator of empty words: a pair with an empty word joins nothing
+        if (other := _coerced(self._coerce, other)) is None:
+            return NotImplemented
+        acc: dict = {}
+        for (w1, e1), g1 in self.terms.items():
+            for (w2, e2), g2 in other.terms.items():
+                if w1 and w2:
+                    _normalize_into(acc, w1 + w2, {add_exponents(e1, e2): g1 * g2}, self.mode)
+                else:
+                    add_term(acc, (w1 or w2, add_exponents(e1, e2)), g1 * g2)
+        return self._like(acc)
 
     def __rmul__(self, other):
         # other is no operator: a scalar, which commutes, or a value __mul__ hands back

@@ -18,7 +18,9 @@ def term_products(x, y, sign=1):
 
 
 def constructor_product(x, y):
-    """x*y by the normalising constructor on every term pair, no product kernel."""
+    """x*y by the normalising constructor on every term pair.  ``__mul__`` normal-orders
+    each joined word through the same ``_normalize_into``; test_schrodinger.py holds
+    the product witness that shares no code with either."""
     return OperatorExpr(x.mode, term_products(x, y))
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oplax import bianchi
+from oplax import bianchi, jacobi
 from oplax.jacobi import (
     closed_form_jacobi,
     det3,
@@ -279,15 +279,30 @@ def test_rational_vec_takes_exact_rationals_only():
         rational_vec([1, 2])
 
 
-def test_shape_validation():
-    from oplax.operad import MultiOp
-
+def test_shape_validation(monkeypatch):
     wrong_dim = MultiOp(2, 2, QUANTUM, {})
     wrong_degree = MultiOp(3, 1, QUANTUM, {})
     with pytest.raises(ValueError):
         jacobi_op(E1, E2, E3, wrong_dim)
     with pytest.raises(ValueError):
         jacobi_op(E1, E2, E3, wrong_degree)
+    # each vector is checked before any composition: IX, whose S cancels, and VI_a,
+    # whose S does not, reject the same vectors
+    def no_composition(*args):
+        raise AssertionError("composed before the vectors were checked")
+
+    monkeypatch.setattr(jacobi, "_compose_into", no_composition)
+    for mu in (bianchi.quantum_table()["IX"], bianchi.quantum_table()["VI_a"]):
+        for vectors in (((), (), ()), (E1, E2, (1, 0)), (E1, (0, 0, 0, 1), E3)):
+            with pytest.raises(ValueError, match="expected three components"):
+                jacobi_op(*vectors, mu)
+        with pytest.raises(TypeError, match="cannot interpret str"):
+            jacobi_op(E1, ("1", "0", "0"), E3, mu)
+    monkeypatch.undo()
+    # int, Fraction and GaussRat components are scalars like rational_vec's
+    mu = bianchi.quantum_table()["VI_a"]
+    assert jacobi_op((1, 0, 0), (0, Fraction(1, 2), 0), (0, 0, GaussRat(1)), mu) == \
+        jacobi_op(E1, rational_vec([0, Fraction(1, 2), 0]), E3, mu)
 
 
 @pytest.mark.parametrize("prefix", ("w", "x1", ""))

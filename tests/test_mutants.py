@@ -20,7 +20,9 @@ expression changed, and must fail a named tier-1 test.  An imaginary row taken
 down the real-only path also passes every suite: no suite check depends on the
 -i hbar of a p q contraction.  Parser mutants recompile one function of the
 text route the same way and must fail a named tier-1 test, and normal-ordering
-mutants the Schrodinger-representation witness, which sees the flipped phase.
+mutants the Schrodinger-representation witness, which sees the flipped phase; a
+product that joins its words in reverse, or with the flipped phase, fails the
+witness for products.
 An operand-gate mutant recompiles the gate every arithmetic operator shares and
 must fail a named tier-1 test.
 """
@@ -35,7 +37,6 @@ import test_grammar
 import test_operad
 import test_schrodinger
 import test_sparse_sum
-import test_weyl
 from oplax import bianchi, cli, jacobi, operad, oscillator, scalars, weyl
 from oplax.operad import antisymmetric_binary
 from oplax.oscillator import STRUCTURE_COLUMNS
@@ -151,11 +152,11 @@ KERNEL_MUTANTS = {
     "slot-shift-off-by-one-power": (
         operad, "_compose_into", _rewrite("(inputs * low,", "(inputs * high,"),
         test_operad.test_degree_one_composition_is_matrix_product, "matrix-lax.entry.11"),
-    # an imaginary row against a real group drops its imaginary part: p q loses
-    # its -i hbar, which no suite checks
+    # an imaginary row against a real group drops its imaginary part: a composite's
+    # p q loses its -i hbar, which no suite checks
     "real-path-for-an-imaginary-row": (
-        weyl, "_mul_rows_into", _rewrite("if real and not i1:", "if real:"),
-        test_weyl.test_commutator_examples, None),
+        operad, "_mul_rows_into", _rewrite("if real and not i1:", "if real:"),
+        test_operad.test_a_quantum_composition_contracts_its_p_q_junction, None),
     # the last index decoded as the most significant
     "codes-decoded-in-reverse": (
         operad, "_composite", _rewrite("range(degree, -1, -1)", "range(degree + 1)"),
@@ -199,6 +200,10 @@ ORDERING_MUTANTS = {
         _rewrite("stack += (head + (Q, P) + tail, head + tail)",
                  "stack.append(head + (Q, P) + tail)"),
         test_schrodinger.test_normal_ordering_agrees_with_the_schrodinger_representation),
+    # the same flip seen through products
+    "phase-flipped-in-a-product": (
+        weyl, "_MINUS_I_POWERS", lambda powers: PHASE_FLIPPED,
+        test_schrodinger.test_a_product_acts_as_its_factors_in_turn),
 }
 
 
@@ -251,6 +256,14 @@ def test_a_normal_ordering_mutant_fails_the_witness(monkeypatch, home, name, mak
     _mutate(monkeypatch, home, name, make)
     with pytest.raises(AssertionError):
         test()
+
+
+def test_a_product_joined_in_reverse_fails_the_witness(monkeypatch):
+    # u * v normal-orders v's word followed by u's
+    monkeypatch.setattr(OperatorExpr, "__mul__",
+                        _rewrite("w1 + w2", "w2 + w1")(OperatorExpr.__mul__))
+    with pytest.raises(AssertionError):
+        test_schrodinger.test_a_product_acts_as_its_factors_in_turn()
 
 
 def test_the_commutation_phase_mutant_survives_every_suite(monkeypatch):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oplax import operad, weyl
+from oplax import operad
 from oplax.bianchi import dynamical_table
 from oplax.operad import (
     MultiOp,
@@ -276,6 +276,16 @@ def test_shape_and_slot_errors():
                 build(f, other)
 
 
+def test_a_quantum_composition_contracts_its_p_q_junction():
+    # f's entry ends in p and g's starts with q, so the composite's one entry is
+    # p q in normal order: the contraction's -i hbar row is imaginary against g's
+    # real group
+    f, g = (MultiOp(1, 1, QUANTUM, {(0, 0): OperatorExpr(QUANTUM, [(word, 1)])})
+            for word in ((AP, P), (Q,)))
+    assert partial_compose(f, 0, g).entries == {(0, 0): OperatorExpr(QUANTUM, [((AP, P, Q), 1)])}
+    assert partial_compose(f, 0, g).entry((0,), 0).has_symbol("hbar")
+
+
 def test_a_mismatch_raises_before_any_kernel_call(monkeypatch):
     rng = random.Random(1)
     f = random_scalar_op(rng, 2, 2)
@@ -487,21 +497,22 @@ def test_the_zero_jacobi_defect_wraps_only_its_inner_brackets(raw_sums, name):
 @pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
 def test_each_composition_makes_one_kernel_call(monkeypatch, mode):
     """``_compose_into`` joins all of f's rows to g's in one call of the kernel;
-    only a quantum p q junction calls it again, from inside, by its name in weyl."""
-    calls = SimpleNamespace(kernel=0, compose=0, junction=0)
+    only a quantum p q junction calls it again, from inside, by its name in operad."""
+    calls = SimpleNamespace(kernel=0, compose=0, junction=0, depth=0)
     kernel, compose = operad._mul_rows_into, operad._compose_into
 
     def counted_kernel(acc, xs, ys, mode):
-        # f's rows and g's pairs carry int codes, not tuple keys
-        assert all(type(base) is int for _, base, *_ in xs)
-        assert all(type(off) is int for groups in ys.values() for *_, pairs in groups
-                   for off, _, _ in pairs)
-        calls.kernel += 1
+        if calls.depth:
+            calls.junction += 1
+        else:
+            # f's rows and g's pairs carry int codes, not tuple keys
+            assert all(type(base) is int for _, base, *_ in xs)
+            assert all(type(off) is int for groups in ys.values() for *_, pairs in groups
+                       for off, _, _ in pairs)
+            calls.kernel += 1
+        calls.depth += 1
         kernel(acc, xs, ys, mode)
-
-    def counted_junction(*args):
-        calls.junction += 1
-        kernel(*args)
+        calls.depth -= 1
 
     def counted_compose(*args):
         before = calls.kernel
@@ -511,7 +522,6 @@ def test_each_composition_makes_one_kernel_call(monkeypatch, mode):
 
     monkeypatch.setattr(operad, "_mul_rows_into", counted_kernel)
     monkeypatch.setattr(operad, "_compose_into", counted_compose)
-    monkeypatch.setattr(weyl, "_mul_rows_into", counted_junction)
     # every f-entry ends in p and every g-entry starts with q, so each quantum
     # composite of f with g crosses a p q junction
     f, g = (MultiOp(2, degree, mode, {key: OperatorExpr(mode, terms) for key in
@@ -582,6 +592,9 @@ def test_composite_matches_wrapping_every_key_then_dropping_zeros(kind, data):
 
 
 _ONE = OperatorExpr.scalar(CLASSICAL, 1)
+#: a binary operation whose composite with itself has entries at either slot
+_BINARY = MultiOp(2, 2, QUANTUM, {(0, 1, 0): OperatorExpr.generator(QUANTUM, Q),
+                                  (1, 0, 1): OperatorExpr.generator(QUANTUM, P)})
 
 
 @pytest.mark.parametrize("build, match", [
@@ -593,7 +606,14 @@ _ONE = OperatorExpr.scalar(CLASSICAL, 1)
     (lambda: MultiOp(2, 2, CLASSICAL, {(0, 1, True): _ONE}), "index that is not an int"),
     (lambda: MultiOp(2, 2, CLASSICAL, {(0, 1, 1): OperatorExpr.scalar(QUANTUM, 1)}),
      "entry mode does not match"),
-], ids=("dim", "degree", "key-length", "key-range", "float-index", "bool-index", "entry-mode"))
+    (lambda: MultiOp(2.0, 1, CLASSICAL), "dim 2.0 is not an int"),
+    (lambda: MultiOp(True, 1, CLASSICAL), "dim True is not an int"),
+    (lambda: MultiOp(2, 1.0, CLASSICAL), "degree 1.0 is not an int"),
+    (lambda: MultiOp(2, True, CLASSICAL), "degree True is not an int"),
+    (lambda: partial_compose(_BINARY, 1.0, _BINARY), "slot 1.0 is not an int"),
+    (lambda: partial_compose(_BINARY, True, _BINARY), "slot True is not an int"),
+], ids=("dim", "degree", "key-length", "key-range", "float-index", "bool-index", "entry-mode",
+        "float-dim", "bool-dim", "float-degree", "bool-degree", "float-slot", "bool-slot"))
 def test_multiop_rejects_a_malformed_operation(build, match):
     with pytest.raises(ValueError, match=match):
         build()

@@ -4,7 +4,8 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oplax import weyl
+from oplax import operad
+from oplax.operad import _mul_rows_into, _wrap
 from oplax.scalars import NSYMBOLS, _ZERO_EXP, GaussRat, ScalarPoly, add_term, parse_scalar, symbol
 from oplax.weyl import (
     AM,
@@ -14,9 +15,7 @@ from oplax.weyl import (
     Q,
     QUANTUM,
     OperatorExpr,
-    _mul_rows_into,
     _normalize_into,
-    _wrap,
     commutator,
     parse_operator,
     render_factored,
@@ -157,19 +156,22 @@ def test_a_scalar_times_an_operator_is_handed_to_the_operator(monkeypatch):
 
 
 def test_a_scalar_product_joins_no_words(monkeypatch):
-    # a scalar multiplies each coefficient; only an operator operand reaches the join kernel
-    calls, kernel = [], weyl._mul_rows_into
+    # a scalar multiplies each coefficient, and an operator operand joins term by term:
+    # the composition kernel serves neither
+    calls, kernel = [], operad._mul_rows_into
 
     def counted_kernel(*args):
         calls.append(args[3])
         return kernel(*args)
 
-    monkeypatch.setattr(weyl, "_mul_rows_into", counted_kernel)
-    w, q = symbol("w"), qexpr(Q)
+    monkeypatch.setattr(operad, "_mul_rows_into", counted_kernel)
+    w, q, p = symbol("w"), qexpr(Q), qexpr(P)
     assert w * q == q * w == OperatorExpr(QUANTUM, {(Q,): w})
     assert q * GaussRat(0, 1) == OperatorExpr(QUANTUM, {(Q,): GaussRat(0, 1)})
+    assert q * q == OperatorExpr(QUANTUM, {(Q, Q): 1})
+    assert p * q == OperatorExpr(QUANTUM, {(P, Q): 1})
+    assert cexpr(P) * cexpr(Q) == cexpr(Q, P)
     assert calls == []
-    assert q * q == OperatorExpr(QUANTUM, {(Q, Q): 1}) and calls == [QUANTUM]
 
 
 words = st.lists(st.sampled_from((Q, P, AP, AM)), max_size=8).map(tuple)
@@ -342,8 +344,8 @@ def rows(terms):
 
 def join_into(acc, xs, ys, mode):
     """Add xs*ys, two lists of ``(word, exp, re, im)`` rows, into ``acc`` through
-    the join kernel as ``OperatorExpr.__mul__`` calls it: one join index, base
-    and offset 0, and a one-pair group per ys row, so every product lands at code 0."""
+    the composition join kernel: one join index, base and offset 0, and a one-pair
+    group per ys row, so every product lands at code 0."""
     _mul_rows_into(acc, [(0, 0, *row) for row in xs],
                    {0: [(word, exp, not im, ((0, re, im),)) for word, exp, re, im in ys]}, mode)
 
