@@ -16,7 +16,7 @@ from .bianchi import (
     family_structure_op,
     initial_structure_op,
 )
-from .operad import MultiOp, _compose_into, _operand
+from .operad import MultiOp, _compose_into, _operand, _wrap
 from .oscillator import INV_P0, INV_SQRT_2P0, P0, W, det3
 from .report import Check, first_nonzero_check, flag_check
 from .scalars import GaussRat, ScalarPoly, add_exponents, add_term, symbol
@@ -53,8 +53,8 @@ def jacobi_op(x: Vec3, y: Vec3, z: Vec3, mu: MultiOp) -> tuple:
 
     The composite T = mu o_1 mu has entry (a,b,c,k) = -sum_i mu[(a,i)->k] *
     mu[(b,c)->i], so the sum is -sum S[(a,b,c)->k] x^a y^b z^c with the cyclic
-    symmetrisation S[abc] = T[abc] + T[bca] + T[cab], formed on the digits of T's raw
-    entry codes, decoded modulo 3 as ``operad._composite`` does.  S carries no vector
+    symmetrisation S[abc] = T[abc] + T[bca] + T[cab], summed on the parts of T's wrapped
+    entries, whose codes decode modulo 3 as in ``operad._composite``.  S carries no vector
     components and drops its cancelled parts, so a Lie bracket cancels before they
     enter; each surviving part, times each term of its weight -x^a y^b z^c, adds to its k.
     """
@@ -64,13 +64,12 @@ def jacobi_op(x: Vec3, y: Vec3, z: Vec3, mu: MultiOp) -> tuple:
     raw: dict = {}
     _compose_into(raw, f, 1, f, False)
     sym: dict = {}
-    for (word, exp), (res, ims) in raw.items():
-        for code in res.keys() | ims.keys() if ims else res:
-            re, im = res.get(code, 0), ims.get(code, 0)
-            a, b, c, k = code // 27 % 3, code // 9 % 3, code // 3 % 3, code % 3
+    for code, terms in _wrap(raw).items():
+        a, b, c, k = code // 27 % 3, code // 9 % 3, code // 3 % 3, code % 3
+        for (word, exp), g in terms.items():
             for abc in (9 * a + 3 * b + c, 9 * c + 3 * a + b, 9 * b + 3 * c + a):
                 r, i = sym.get(key := (abc, k, word, exp), (0, 0))
-                sym[key] = r + re, i + im
+                sym[key] = r + g.re, i + g.im
     weights: dict = {}
     components = ({}, {}, {})
     for (abc, k, word, exp), (re, im) in sym.items():

@@ -79,7 +79,13 @@ class MultiOp(SparseSum):
         return self.degree - 1
 
     def entry(self, inputs: tuple, k: int) -> OperatorExpr:
-        return self.entries.get(tuple(inputs) + (k,), OperatorExpr.zero(self.mode))
+        key = tuple(inputs) + (k,)
+        if (value := self.entries.get(key)) is None:
+            # zero, unless the key has the wrong length or an index outside range(dim)
+            if len(key) != self.degree + 1 or any(idx not in range(self.dim) for idx in key):
+                raise ValueError(f"no entry key {key} at degree {self.degree}, dim {self.dim}")
+            value = OperatorExpr.zero(self.mode)
+        return value
 
     def sorted_entries(self):
         return sorted(self.entries.items())

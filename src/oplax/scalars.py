@@ -178,29 +178,6 @@ def add_exponents(e1: tuple, e2: tuple) -> tuple:
     return tuple(map(operator.add, e1, e2))
 
 
-# Kept apart from the operator product's term-pair loop, whose empty-word case made
-# scalar products about 15 % slower, and from operad's join kernel, whose empty-word
-# case took a 1x1 product from 2.3 to 4.5 us on a 2-CPU host (2x2: 5.3 -> 8.7).
-def mul_terms_into(acc: dict, t1: dict, t2: dict) -> None:
-    """The coefficient-product kernel: add t1*t2 into ``acc``, all three ``{exp:
-    GaussRat}`` maps, multiplying the parts inline and dropping a zero sum."""
-    for e1, g1 in t1.items():
-        r1, i1 = g1.re, g1.im
-        for e2, g2 in t2.items():
-            if i1 or g2.im:
-                re, im = r1 * g2.re - i1 * g2.im, r1 * g2.im + i1 * g2.re
-            else:
-                re, im = r1 * g2.re, 0
-            key = add_exponents(e1, e2)
-            total = acc.get(key)
-            if total is not None:
-                re, im = re + total.re, im + total.im
-            if re or im:
-                acc[key] = GaussRat(re, im)
-            elif total is not None:
-                del acc[key]
-
-
 class SparseSum:
     """A sum stored as ``terms``, a dict of nonzero values: the additive group,
     the equality and the value map shared by ScalarPoly, OperatorExpr and MultiOp.
@@ -340,7 +317,9 @@ class ScalarPoly(SparseSum):
             if isinstance(other, SparseSum) or (other := _coerced(ScalarPoly.const, other)) is None:
                 return NotImplemented
         acc: dict = {}
-        mul_terms_into(acc, self.terms, other.terms)
+        for e1, g1 in self.terms.items():
+            for e2, g2 in other.terms.items():
+                add_term(acc, add_exponents(e1, e2), g1 * g2)
         return ScalarPoly._make(acc)
 
     __rmul__ = __mul__

@@ -80,7 +80,7 @@ def _normalize_into(acc: dict, word: tuple, terms: dict, mode: str) -> None:
                         add_term(acc, (w, add_exponents(exp, e)),
                                  coeff * phase if e is not _ZERO_EXP else coeff)
                 return
-    for exp, coeff in terms.items():  # already normal: cheaper than the walk's set-up
+    for exp, coeff in terms.items():  # already normal: walking it too cost canonical-io 5 %
         add_term(acc, (word, exp), coeff)
 
 
@@ -98,8 +98,7 @@ class OperatorExpr(SparseSum):
         if terms:
             for word, coeff in (terms.items() if isinstance(terms, dict) else terms):
                 word = tuple(word)
-                coeff = (coeff.terms if isinstance(coeff, ScalarPoly)
-                         else {_ZERO_EXP: GaussRat._coerce(coeff)})
+                coeff = ScalarPoly._coerce(coeff).terms
                 if len(word) == 2 and type(word[0]) is tuple:  # a (word, exp) key
                     _check_exponents(exp := tuple(word[1]))
                     word, coeff = word[0], {add_exponents(exp, e): g for e, g in coeff.items()}
@@ -148,16 +147,13 @@ class OperatorExpr(SparseSum):
     # -- algebra -----------------------------------------------------------
 
     def __mul__(self, other):
-        # a scalar is an operator of empty words: a pair with an empty word joins nothing
+        # a scalar is an operator of empty words
         if (other := _coerced(self._coerce, other)) is None:
             return NotImplemented
         acc: dict = {}
         for (w1, e1), g1 in self.terms.items():
             for (w2, e2), g2 in other.terms.items():
-                if w1 and w2:
-                    _normalize_into(acc, w1 + w2, {add_exponents(e1, e2): g1 * g2}, self.mode)
-                else:
-                    add_term(acc, (w1 or w2, add_exponents(e1, e2)), g1 * g2)
+                _normalize_into(acc, w1 + w2, {add_exponents(e1, e2): g1 * g2}, self.mode)
         return self._like(acc)
 
     def __rmul__(self, other):

@@ -264,6 +264,19 @@ def test_compute_jacobi_is_byte_identical(capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == COMPUTE_JACOBI_SHA256
 
 
+#: sha256 of the family member VII_a's symbolic Jacobi operator in JSON: its weights are
+#: ScalarPoly products, and its S is summed from the wrapped entries of mu o_1 mu
+COMPUTE_JACOBI_VII_A_JSON_SHA256 = \
+    "612d4c6e438b71745e75b64c7afa22e68b24fc1d5828ee8c29743da8d86cca89"
+
+
+def test_compute_jacobi_vii_a_json_is_byte_identical(capsys):
+    code, out, _ = run_cli(capsys, "compute", "jacobi", "--type", "VII_a", "--symbolic",
+                           "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPUTE_JACOBI_VII_A_JSON_SHA256
+
+
 #: sha256 of the III_a1 Jacobi operator on vectors with Fraction components
 COMPUTE_JACOBI_FRACTIONS_SHA256 = \
     "cd4509b92afbaf324905164627ec2cb4d945d30ad30ea4dc2490f2076741f6b2"

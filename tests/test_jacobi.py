@@ -162,6 +162,16 @@ def test_jacobi_op_agrees_with_the_composite_route(mode, data):
     assert_no_zero_survives_the_wrap({k: c.terms for k, c in enumerate(got) if c})
 
 
+def test_the_i_hbar_of_a_p_q_junction_reaches_the_jacobi_operator():
+    # T[(0,0,2)->0] = -mu[(0,1)->0] mu[(0,2)->1] = -ph qh = -qh ph + i hbar, and no other
+    # entry of T cancels it; called through the module, so a patched jacobi_op is seen
+    mu = MultiOp(3, 2, QUANTUM, {(0, 1, 0): OperatorExpr(QUANTUM, [((P,), 1)]),
+                                 (0, 2, 1): OperatorExpr(QUANTUM, [((Q,), 1)])})
+    got = jacobi.jacobi_op(X, Y, Z, mu)
+    assert got == reference_jacobi_op(X, Y, Z, mu)
+    assert got[0].has_symbol("hbar")
+
+
 def test_jacobi_op_vanishes_for_type_ix():
     result = jacobi_op(E1, E2, E3, bianchi.quantum_table()["IX"])
     assert all(c.is_zero for c in result)

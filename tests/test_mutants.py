@@ -24,7 +24,9 @@ mutants the Schrodinger-representation witness, which sees the flipped phase; a
 product that joins its words in reverse, or with the flipped phase, fails the
 witness for products.
 An operand-gate mutant recompiles the gate every arithmetic operator shares and
-must fail a named tier-1 test.
+must fail a named tier-1 test.  Single-path mutants recompile a product that
+keeps one code path, the scalar product or the Jacobi symmetrisation, and are
+checked as the join-kernel mutants are.
 """
 
 import inspect
@@ -34,13 +36,15 @@ import textwrap
 import pytest
 
 import test_grammar
+import test_jacobi
 import test_operad
+import test_scalars
 import test_schrodinger
 import test_sparse_sum
 from oplax import bianchi, cli, jacobi, operad, oscillator, scalars, weyl
 from oplax.operad import antisymmetric_binary
 from oplax.oscillator import STRUCTURE_COLUMNS
-from oplax.scalars import symbol
+from oplax.scalars import ScalarPoly, symbol
 from oplax.weyl import AM, AP, CLASSICAL, P, Q, QUANTUM, OperatorExpr, commutator
 
 HBAR = OperatorExpr.scalar(QUANTUM, symbol("hbar"))
@@ -163,6 +167,21 @@ KERNEL_MUTANTS = {
         test_operad.test_composition_index_conventions, "operadic-lax.II.113"),
 }
 
+#: single-path mutants, one per product that keeps one path, checked as the kernel
+#: mutants are: (home module or class, name, original -> mutant, a tier-1 test that
+#: fails, the first check that fails or None when every suite passes)
+PATH_MUTANTS = {
+    # a scalar product keeps the left factor's monomial alone
+    "scalar-product-drops-the-right-exponent": (
+        ScalarPoly, "__mul__", _rewrite("add_exponents(e1, e2)", "e1"),
+        test_scalars.test_laurent_cancellation, "matrix-lax.det-energy"),
+    # the symmetrisation reads each wrapped coefficient's real part alone: no suite sees
+    # it, since every -i hbar of a table's mu o_1 mu cancels in S
+    "jacobi-drops-the-imaginary-part": (
+        jacobi, "jacobi_op", _rewrite("g.im", "0"),
+        test_jacobi.test_the_i_hbar_of_a_p_q_junction_reaches_the_jacobi_operator, None),
+}
+
 #: parser mutants: (home module, name, original -> mutant, a tier-1 test that fails)
 PARSER_MUTANTS = {
     # "(1+2*i)" is read as a malformed coefficient
@@ -208,9 +227,14 @@ ORDERING_MUTANTS = {
 
 
 def _mutate(monkeypatch, home, name, make) -> None:
-    """Set ``name`` to ``make(original)`` in every loaded oplax module that holds it."""
+    """Set ``name`` to ``make(original)`` in every loaded oplax module that holds it; a
+    class ``home`` takes it under each of its names there, as ``__rmul__`` for ``__mul__``."""
     original = getattr(home, name)
     mutant = make(original)
+    if isinstance(home, type):
+        for alias in [key for key, value in vars(home).items() if value is original]:
+            monkeypatch.setattr(home, alias, mutant)
+        return
     holders = [module for key, module in list(sys.modules.items())
                if (key == "oplax" or key.startswith("oplax."))
                and getattr(module, name, None) is original]
@@ -226,8 +250,9 @@ def test_a_code_mutant_fails_its_first_check(monkeypatch, home, name, make, firs
     assert failing[:1] == [first], failing[:3]
 
 
-@pytest.mark.parametrize("home, name, make, test, first", KERNEL_MUTANTS.values(),
-                         ids=KERNEL_MUTANTS)
+@pytest.mark.parametrize("home, name, make, test, first",
+                         [*KERNEL_MUTANTS.values(), *PATH_MUTANTS.values()],
+                         ids=[*KERNEL_MUTANTS, *PATH_MUTANTS])
 def test_a_kernel_mutant_fails_its_tier1_test(monkeypatch, home, name, make, test, first):
     _mutate(monkeypatch, home, name, make)
     with pytest.raises(AssertionError):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oplax import operad
-from oplax.bianchi import dynamical_table
+from oplax.bianchi import dynamical_table, quantum_table
 from oplax.operad import (
     MultiOp,
     antisymmetric_binary,
@@ -326,6 +327,18 @@ def test_antisymmetric_builder_rejects_a_pair_given_twice_with_a_zero():
                     {(1, 2, 3): zero, (2, 1, 3): zero}):
         with pytest.raises(ValueError, match="given twice"):
             antisymmetric_binary(3, CLASSICAL, entries)
+
+
+def test_an_entry_key_no_operation_can_hold_raises():
+    ix = quantum_table()["IX"]
+    for inputs, k in (((0, 1, 2), 0), ((0,), 1), ((5, 7), 0), ((0, 1), 3), ((-1, 1), 0),
+                      ((0, 1.5), 0)):
+        key = (*inputs, k)
+        with pytest.raises(ValueError, match=re.escape(f"no entry key {key} at degree 2, dim 3")):
+            ix.entry(inputs, k)
+    # a key that fits the shape reads zero when no entry is stored there
+    assert ix.entry((0, 0), 1).is_zero
+    assert ix.entry((1, 2), 0) is ix.entries[(1, 2, 0)]
 
 
 def test_multiop_validates_its_mode_and_entry_values():
