@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .scalars import _ZERO_EXP, GaussRat, SparseSum, add_exponents, add_term
-from .weyl import CLASSICAL, QUANTUM, OperatorExpr, P, Q, _check_mode, _normal_rows
+from .weyl import OperatorExpr, _check_mode, _normal_form
 
 
 class MultiOp(SparseSum):
@@ -80,12 +80,12 @@ class MultiOp(SparseSum):
 
     def entry(self, inputs: tuple, k: int) -> OperatorExpr:
         key = tuple(inputs) + (k,)
-        if (value := self.entries.get(key)) is None:
-            # zero, unless the key has the wrong length or an index outside range(dim)
-            if len(key) != self.degree + 1 or any(idx not in range(self.dim) for idx in key):
+        if (value := self.entries.get(key)) is None or not {int}.issuperset(map(type, key)):
+            # zero, unless the length or an index is wrong: a bool or a float hashes as an int
+            if len(key) != self.degree + 1 or any(type(i) is bool or not hasattr(i, "__index__")
+                                                  or i not in range(self.dim) for i in key):
                 raise ValueError(f"no entry key {key} at degree {self.degree}, dim {self.dim}")
-            value = OperatorExpr.zero(self.mode)
-        return value
+        return value or OperatorExpr.zero(self.mode)
 
     def sorted_entries(self):
         return sorted(self.entries.items())
@@ -123,22 +123,20 @@ def _mul_rows_into(acc: dict, xs, ys: dict, mode: str) -> None:
     a word and an exponent, is added into the raw sum ``acc``, ``{(word, exp): (re_sums,
     im_sums)}`` of ``{code: part}``, at code ``base + off``.  Word and exponent are built once
     per group, a real row against a real group adds to ``re_sums`` alone, and zero parts stay
-    until ``_wrap``.  A classical pair is sorted unless a side is empty; at a quantum p q
-    junction the normal rows of the word, times the xs row, come back here against the
-    group.  ``_ZERO_EXP`` itself skips the exponent add."""
+    until ``_wrap``.  A pair of words takes its joined word's ``_normal_form``: one row is
+    the word, and more rows, times the xs row, come back here against the group.
+    ``_ZERO_EXP`` itself skips the exponent add."""
     for at, base, w1, e1, r1, i1 in xs:
         for w2, e2, real, pairs in ys.get(at, ()):
             exp = e1 if e2 is _ZERO_EXP else e2 if e1 is _ZERO_EXP else add_exponents(e1, e2)
             if not (w1 and w2):
                 word = w1 or w2
-            elif mode == CLASSICAL:
-                word = tuple(sorted(w1 + w2))
-            elif w1[-1] != P or w2[0] != Q:
-                word = w1 + w2
+            elif len(rows := _normal_form(w1 + w2, mode)) == 1:
+                word = rows[0][0]
             else:
                 _mul_rows_into(acc, [(0, base, w, add_exponents(exp, e), nr * r1 - ni * i1,
-                                      nr * i1 + ni * r1) for w, e, nr, ni in _normal_rows(w1 + w2)],
-                               {0: (((), _ZERO_EXP, real, pairs),)}, QUANTUM)
+                                      nr * i1 + ni * r1) for w, e, nr, ni in rows],
+                               {0: (((), _ZERO_EXP, real, pairs),)}, mode)
                 continue
             if (sums := acc.get(term := (word, exp))) is None:
                 sums = acc[term] = ({}, {})
@@ -257,13 +255,15 @@ def antisymmetric_binary(dim: int, mode: str, pair_entries: dict) -> MultiOp:
     entries: dict = {}
     seen: set = set()
     for (i, j, k), value in pair_entries.items():
-        if i == j or not all(1 <= idx <= dim for idx in (i, j, k)):
+        if i == j or not all(type(idx) is int and 1 <= idx <= dim for idx in (i, j, k)):
             raise ValueError(f"bad 1-based entry key {(i, j, k)}")
         key = (i - 1, j - 1, k - 1)
         flip = (j - 1, i - 1, k - 1)
         if key in seen:
             raise ValueError(f"entry {(i, j, k)} given twice")
         seen.update((key, flip))
+        if not isinstance(value, OperatorExpr):
+            raise TypeError(f"entry {(i, j, k)} is {type(value).__name__}, not OperatorExpr")
         if value.is_zero:
             continue
         entries[key] = value

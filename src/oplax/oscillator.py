@@ -62,8 +62,8 @@ def ddt(expr: OperatorExpr) -> OperatorExpr:
     for (word, exp), coeff in expr.terms.items():
         for j, gen in enumerate(word):
             image, e, g = _DDT_IMAGES[gen]
-            _normalize_into(acc, word[:j] + image + word[j + 1:],
-                            {add_exponents(exp, e): coeff * g}, CLASSICAL)
+            _normalize_into(acc, word[:j] + image + word[j + 1:], add_exponents(exp, e),
+                            coeff * g, CLASSICAL)
     return OperatorExpr._make(CLASSICAL, acc)
 
 

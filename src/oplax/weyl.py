@@ -44,10 +44,19 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def _normal_rows(word: tuple):
-    """The quantum normal form of ``word`` as ``(w, exp, re, im)`` rows.  The leftmost
-    p q -> q p rewrite and its contraction are walked on words alone; the n leaves
-    that reach a normal word w give it n (-i hbar)^k once, k = (len(word) - len(w)) / 2."""
+def _normal_form(word: tuple, mode: str):
+    """``word``'s normal form in ``mode`` as ``(w, exp, re, im)`` rows, exactly one at
+    ``_ZERO_EXP`` with the phase 1 and no other unless a p q pair was rewritten.  A classical
+    word is sorted; a quantum word with no p directly before a q stands (walking it too cost
+    canonical-io 5 %); any other walks the leftmost p q -> q p rewrite and its contraction on
+    words alone, and the n leaves that reach a normal word w give it n (-i hbar)^k once."""
+    if mode == CLASSICAL:
+        return ((tuple(sorted(word)), _ZERO_EXP, 1, 0),)
+    for j in range(len(word) - 1):
+        if word[j] == P and word[j + 1] == Q:
+            break
+    else:
+        return ((word, _ZERO_EXP, 1, 0),)
     counts: dict = {}
     stack = [word]
     while stack:
@@ -59,29 +68,19 @@ def _normal_rows(word: tuple):
                 break
         else:
             counts[w] = counts.get(w, 0) + 1
-    for w, n in counts.items():
-        k = (len(word) - len(w)) // 2
-        re, im = _MINUS_I_POWERS[k % 4]
-        yield (w, _ZERO_EXP[:_HBAR] + (k,) + _ZERO_EXP[_HBAR + 1:] if k else _ZERO_EXP,
-               n * re, n * im)
+    return [(w, _ZERO_EXP[:_HBAR] + (k,) + _ZERO_EXP[_HBAR + 1:] if k else _ZERO_EXP,
+             n * re, n * im) for w, n in counts.items()
+            for k in ((len(word) - len(w)) // 2,) for re, im in (_MINUS_I_POWERS[k % 4],)]
 
 
-def _normalize_into(acc: dict, word: tuple, terms: dict, mode: str) -> None:
-    """Add ``word`` times ``terms``, an ``{exp: GaussRat}`` map, into the flat ``acc`` in the
+def _normalize_into(acc: dict, word: tuple, exp: tuple, coeff: GaussRat, mode: str) -> None:
+    """Add the term ``coeff`` times ``word`` at exponent ``exp`` into the flat ``acc`` in the
     mode's normal form; a sum that reaches zero drops its key."""
-    if mode == CLASSICAL:
-        word = tuple(sorted(word))
-    else:
-        for j in range(len(word) - 1):
-            if word[j] == P and word[j + 1] == Q:
-                for w, e, re, im in _normal_rows(word):
-                    phase = GaussRat(re, im)  # 1 on the one leaf that took no contraction
-                    for exp, coeff in terms.items():
-                        add_term(acc, (w, add_exponents(exp, e)),
-                                 coeff * phase if e is not _ZERO_EXP else coeff)
-                return
-    for exp, coeff in terms.items():  # already normal: walking it too cost canonical-io 5 %
-        add_term(acc, (word, exp), coeff)
+    for w, e, re, im in _normal_form(word, mode):
+        if e is _ZERO_EXP:  # the row of phase 1
+            add_term(acc, (w, exp), coeff)
+        else:
+            add_term(acc, (w, add_exponents(exp, e)), coeff * GaussRat(re, im))
 
 
 class OperatorExpr(SparseSum):
@@ -97,14 +96,15 @@ class OperatorExpr(SparseSum):
         acc: dict = {}
         if terms:
             for word, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                word = tuple(word)
+                word, exp = tuple(word), _ZERO_EXP
                 coeff = ScalarPoly._coerce(coeff).terms
                 if len(word) == 2 and type(word[0]) is tuple:  # a (word, exp) key
                     _check_exponents(exp := tuple(word[1]))
-                    word, coeff = word[0], {add_exponents(exp, e): g for e, g in coeff.items()}
+                    word = word[0]
                 if not (_LETTERS.issuperset(word) and {int}.issuperset(map(type, word))):
                     raise ValueError(f"unknown generator in word {word!r}")
-                _normalize_into(acc, word, coeff, mode)
+                for e, g in coeff.items():
+                    _normalize_into(acc, word, add_exponents(exp, e), g, mode)
         self.terms = acc
 
     @classmethod
@@ -153,7 +153,7 @@ class OperatorExpr(SparseSum):
         acc: dict = {}
         for (w1, e1), g1 in self.terms.items():
             for (w2, e2), g2 in other.terms.items():
-                _normalize_into(acc, w1 + w2, {add_exponents(e1, e2): g1 * g2}, self.mode)
+                _normalize_into(acc, w1 + w2, add_exponents(e1, e2), g1 * g2, self.mode)
         return self._like(acc)
 
     def __rmul__(self, other):
@@ -260,5 +260,5 @@ def parse_operator(text: str, mode: str) -> OperatorExpr:
     _check_mode(mode)
     acc: dict = {}
     for word, exp, coeff in parse_terms(text, GENERATOR_NAMES[mode]):
-        _normalize_into(acc, word, {exp: coeff}, mode)
+        _normalize_into(acc, word, exp, coeff, mode)
     return OperatorExpr._make(mode, acc)

@@ -26,9 +26,12 @@ witness for products.
 An operand-gate mutant recompiles the gate every arithmetic operator shares and
 must fail a named tier-1 test.  Single-path mutants recompile a product that
 keeps one code path, the scalar product or the Jacobi symmetrisation, and are
-checked as the join-kernel mutants are.
+checked as the join-kernel mutants are.  A normal-form mutant recompiles the one
+function that normal-orders a word and must fail a constructor test and a
+join-kernel test, since both read it.
 """
 
+import functools
 import inspect
 import sys
 import textwrap
@@ -41,6 +44,7 @@ import test_operad
 import test_scalars
 import test_schrodinger
 import test_sparse_sum
+import test_weyl
 from oplax import bianchi, cli, jacobi, operad, oscillator, scalars, weyl
 from oplax.operad import antisymmetric_binary
 from oplax.oscillator import STRUCTURE_COLUMNS
@@ -215,7 +219,7 @@ ORDERING_MUTANTS = {
         test_schrodinger.test_normal_ordering_agrees_with_the_schrodinger_representation),
     # p q -> q p with no contraction term
     "contraction-dropped": (
-        weyl, "_normal_rows",
+        weyl, "_normal_form",
         _rewrite("stack += (head + (Q, P) + tail, head + tail)",
                  "stack.append(head + (Q, P) + tail)"),
         test_schrodinger.test_normal_ordering_agrees_with_the_schrodinger_representation),
@@ -223,6 +227,16 @@ ORDERING_MUTANTS = {
     "phase-flipped-in-a-product": (
         weyl, "_MINUS_I_POWERS", lambda powers: PHASE_FLIPPED,
         test_schrodinger.test_a_product_acts_as_its_factors_in_turn),
+}
+
+#: normal-form mutants: (home module, name, original -> mutant, tier-1 tests that each fail)
+NORMAL_FORM_MUTANTS = {
+    # a classical word keeps the order it came in: the constructor and the composition
+    # kernel both read weyl._normal_form, so a test of each fails
+    "classical-word-left-unsorted": (
+        weyl, "_normal_form", _rewrite("tuple(sorted(word))", "word"),
+        (test_weyl.test_classical_words_commute,
+         functools.partial(test_weyl.test_product_kernel_matches_the_old_route, mode=CLASSICAL))),
 }
 
 
@@ -281,6 +295,17 @@ def test_a_normal_ordering_mutant_fails_the_witness(monkeypatch, home, name, mak
     _mutate(monkeypatch, home, name, make)
     with pytest.raises(AssertionError):
         test()
+
+
+@pytest.mark.parametrize("home, name, make, tests", NORMAL_FORM_MUTANTS.values(),
+                         ids=NORMAL_FORM_MUTANTS)
+def test_a_normal_form_mutant_fails_the_constructor_and_the_kernel(monkeypatch, home, name,
+                                                                   make, tests):
+    _mutate(monkeypatch, home, name, make)
+    assert getattr(operad, name) is getattr(home, name)
+    for test in tests:
+        with pytest.raises(AssertionError):
+            test()
 
 
 def test_a_product_joined_in_reverse_fails_the_witness(monkeypatch):

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import random
 import re
@@ -341,6 +343,26 @@ def test_an_entry_key_no_operation_can_hold_raises():
     assert ix.entry((1, 2), 0) is ix.entries[(1, 2, 0)]
 
 
+def test_an_entry_index_that_is_a_bool_or_a_float_raises():
+    # each hashes as the int it equals, so a lookup alone reads the stored (1, 2, 0) entry
+    ix = quantum_table()["IX"]
+    for inputs, k in (((True, 2), 0), ((1, 2), False), ((1, 2.0), 0), ((1, 2), 0.0),
+                      ((1, Fraction(2)), 0)):
+        key = (*inputs, k)
+        with pytest.raises(ValueError, match=re.escape(f"no entry key {key} at degree 2, dim 3")):
+            ix.entry(inputs, k)
+    assert ix.entry((1, 2), 0) is ix.entries[(1, 2, 0)]
+
+
+def test_operad_imports_from_weyl_only_the_operator_the_mode_check_and_the_normal_form():
+    # no generator letter or mode constant: the kernel leaves every word to _normal_form
+    tree = ast.parse(inspect.getsource(operad))
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {name for module, name in imported if "weyl" in (module or name)} == \
+        {"OperatorExpr", "_check_mode", "_normal_form"}
+
+
 def test_multiop_validates_its_mode_and_entry_values():
     with pytest.raises(ValueError, match="unknown mode"):
         MultiOp(3, 2, "bogus")
@@ -610,25 +632,35 @@ _BINARY = MultiOp(2, 2, QUANTUM, {(0, 1, 0): OperatorExpr.generator(QUANTUM, Q),
                                   (1, 0, 1): OperatorExpr.generator(QUANTUM, P)})
 
 
-@pytest.mark.parametrize("build, match", [
-    (lambda: MultiOp(0, 2, CLASSICAL), "dimension must be positive"),
-    (lambda: MultiOp(2, 0, CLASSICAL), "degree must be at least 1"),
-    (lambda: MultiOp(2, 2, CLASSICAL, {(0, 1): _ONE}), "does not match degree 2"),
-    (lambda: MultiOp(2, 2, CLASSICAL, {(0, 2, 1): _ONE}), "out of range for dim 2"),
-    (lambda: MultiOp(2, 2, CLASSICAL, {(0.0, 1, 1): _ONE}), "index that is not an int"),
-    (lambda: MultiOp(2, 2, CLASSICAL, {(0, 1, True): _ONE}), "index that is not an int"),
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: MultiOp(0, 2, CLASSICAL), ValueError, "dimension must be positive"),
+    (lambda: MultiOp(2, 0, CLASSICAL), ValueError, "degree must be at least 1"),
+    (lambda: MultiOp(2, 2, CLASSICAL, {(0, 1): _ONE}), ValueError, "does not match degree 2"),
+    (lambda: MultiOp(2, 2, CLASSICAL, {(0, 2, 1): _ONE}), ValueError, "out of range for dim 2"),
+    (lambda: MultiOp(2, 2, CLASSICAL, {(0.0, 1, 1): _ONE}), ValueError,
+     "index that is not an int"),
+    (lambda: MultiOp(2, 2, CLASSICAL, {(0, 1, True): _ONE}), ValueError,
+     "index that is not an int"),
     (lambda: MultiOp(2, 2, CLASSICAL, {(0, 1, 1): OperatorExpr.scalar(QUANTUM, 1)}),
-     "entry mode does not match"),
-    (lambda: MultiOp(2.0, 1, CLASSICAL), "dim 2.0 is not an int"),
-    (lambda: MultiOp(True, 1, CLASSICAL), "dim True is not an int"),
-    (lambda: MultiOp(2, 1.0, CLASSICAL), "degree 1.0 is not an int"),
-    (lambda: MultiOp(2, True, CLASSICAL), "degree True is not an int"),
-    (lambda: partial_compose(_BINARY, 1.0, _BINARY), "slot 1.0 is not an int"),
-    (lambda: partial_compose(_BINARY, True, _BINARY), "slot True is not an int"),
+     ValueError, "entry mode does not match"),
+    (lambda: MultiOp(2.0, 1, CLASSICAL), ValueError, "dim 2.0 is not an int"),
+    (lambda: MultiOp(True, 1, CLASSICAL), ValueError, "dim True is not an int"),
+    (lambda: MultiOp(2, 1.0, CLASSICAL), ValueError, "degree 1.0 is not an int"),
+    (lambda: MultiOp(2, True, CLASSICAL), ValueError, "degree True is not an int"),
+    (lambda: partial_compose(_BINARY, 1.0, _BINARY), ValueError, "slot 1.0 is not an int"),
+    (lambda: partial_compose(_BINARY, True, _BINARY), ValueError, "slot True is not an int"),
+    # True is no 1-based index 1, and a value that is no operator is named by its entry
+    (lambda: antisymmetric_binary(3, CLASSICAL, {(True, 2, 3): _ONE}), ValueError,
+     re.escape("bad 1-based entry key (True, 2, 3)")),
+    (lambda: antisymmetric_binary(3, CLASSICAL, {(1, 2, 3): 1}), TypeError,
+     re.escape("entry (1, 2, 3) is int, not OperatorExpr")),
+    (lambda: antisymmetric_binary(3, CLASSICAL, {(1, 2, 3): "q"}), TypeError,
+     re.escape("entry (1, 2, 3) is str, not OperatorExpr")),
 ], ids=("dim", "degree", "key-length", "key-range", "float-index", "bool-index", "entry-mode",
-        "float-dim", "bool-dim", "float-degree", "bool-degree", "float-slot", "bool-slot"))
-def test_multiop_rejects_a_malformed_operation(build, match):
-    with pytest.raises(ValueError, match=match):
+        "float-dim", "bool-dim", "float-degree", "bool-degree", "float-slot", "bool-slot",
+        "antisymmetric-bool-index", "antisymmetric-int-value", "antisymmetric-str-value"))
+def test_multiop_rejects_a_malformed_operation(build, error, match):
+    with pytest.raises(error, match=match):
         build()
 
 

@@ -15,6 +15,7 @@ from oplax.weyl import (
     Q,
     QUANTUM,
     OperatorExpr,
+    _normal_form,
     _normalize_into,
     commutator,
     parse_operator,
@@ -206,6 +207,24 @@ def test_rewriting_is_confluent(word, rng):
     assert canonical == OperatorExpr(QUANTUM, anywhere)
 
 
+def has_p_before_q(word):
+    return any(a == P and b == Q for a, b in zip(word, word[1:]))
+
+
+@pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
+@settings(max_examples=200, deadline=None)
+@given(word=words)
+def test_the_normal_form_rows_are_normal_and_one_has_phase_one(mode, word):
+    rows = _normal_form(word, mode)
+    for w, _, _, _ in rows:
+        assert w == tuple(sorted(w)) if mode == CLASSICAL else not has_p_before_q(w)
+    (plain,) = [row for row in rows if row[1] == _ZERO_EXP]
+    assert plain[1] is _ZERO_EXP and plain[2:] == (1, 0)
+    assert sorted(plain[0]) == sorted(word)
+    # more rows only where the walk rewrote a p q pair
+    assert (len(rows) == 1) == (mode == CLASSICAL or not has_p_before_q(word))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.sampled_from((Q, P)), max_size=6).map(tuple))
 def test_classical_limit_agrees_on_phase_space_words(word):
@@ -295,7 +314,7 @@ def old_route_product(x, y, negate):
     for (w1, e1), c1 in x.terms.items():
         for (w2, e2), c2 in y.terms.items():
             normal: dict = {}
-            _normalize_into(normal, w1 + w2, {e1: c1}, x.mode)
+            _normalize_into(normal, w1 + w2, e1, c1, x.mode)
             for (word, exp), c in normal.items():
                 g = c * c2
                 add_term(acc, (word, exp_sum(exp, e2)), -g if negate else g)
@@ -379,6 +398,8 @@ def test_product_kernel_matches_the_old_route(mode, data):
         assert set(_wrap(acc)) <= {0}
         assert_no_zero_survives_the_wrap(_wrap(acc))
         got = wrapped(mode, acc)
+        if mode == CLASSICAL:  # the classical normal form, sorted here, not by oplax
+            assert all(word == tuple(sorted(word)) for word, _ in got.terms)
         want = old_route_product(x, y, negate)
         assert got.terms == want
         if got:
