@@ -183,7 +183,7 @@ def quantize(mu: MultiOp) -> MultiOp:
     if mu.mode != CLASSICAL:
         raise ValueError("quantize expects a classical operation")
     return MultiOp._make(mu.dim, mu.degree, QUANTUM,
-                         {key: value.to_quantum() for key, value in mu.entries.items()})
+                         {code: value.to_quantum() for code, value in mu.terms.items()})
 
 
 # -- the four-parameter family --------------------------------------------------

@@ -54,8 +54,8 @@ def jacobi_op(x: Vec3, y: Vec3, z: Vec3, mu: MultiOp) -> tuple:
     The composite T = mu o_1 mu has entry (a,b,c,k) = -sum_i mu[(a,i)->k] *
     mu[(b,c)->i], so the sum is -sum S[(a,b,c)->k] x^a y^b z^c with the cyclic
     symmetrisation S[abc] = T[abc] + T[bca] + T[cab], summed on the parts of T's wrapped
-    entries, whose codes decode modulo 3 as in ``operad._composite``.  S carries no vector
-    components and drops its cancelled parts, so a Lie bracket cancels before they
+    entries, whose codes decode modulo 3 here as ``MultiOp`` codes its keys.  S carries no
+    vector components and drops its cancelled parts, so a Lie bracket cancels before they
     enter; each surviving part, times each term of its weight -x^a y^b z^c, adds to its k.
     """
     _require_binary3(mu)

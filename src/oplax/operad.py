@@ -4,9 +4,10 @@ structure: partial compositions, total composition, the graded commutator
 
 An operation of degree n on a d-dimensional space is stored sparsely by its
 structure constants: entry (i1, ..., in, k) is the coefficient of basis vector
-k in the value on basis inputs i1...in.  Entries are OperatorExpr values; a
-degree-1 operation acting on a vector contracts as (Mv)^k = sum_s M[s,k] v^s.
-All sign conventions run on the reduced degree (degree minus one).
+k in the value on basis inputs i1...in, under the base-d code of its key, first
+index most significant.  Entries are OperatorExpr values; a degree-1 operation
+acting on a vector contracts as (Mv)^k = sum_s M[s,k] v^s.  All sign
+conventions run on the reduced degree (degree minus one).
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from .weyl import OperatorExpr, _check_mode, _normal_form
 
 
 class MultiOp(SparseSum):
-    """Degree-n multilinear operation: a sparse sum of OperatorExpr entries."""
+    """Degree-n multilinear operation: a sparse sum of OperatorExpr entries by code."""
 
-    __slots__ = ("dim", "degree", "mode", "entries")
+    __slots__ = ("dim", "degree", "mode", "terms")
 
-    terms = property(lambda self: self.entries)
+    entries = property(lambda self: dict(self.sorted_entries()))
 
     def __init__(self, dim: int, degree: int, mode: str, entries=None):
         for name, value in (("dim", dim), ("degree", degree)):
@@ -40,8 +41,7 @@ class MultiOp(SparseSum):
         if entries:
             items = entries.items() if isinstance(entries, dict) else entries
             for key, value in items:
-                key = tuple(key)
-                if len(key) != degree + 1:
+                if not isinstance(key, tuple) or len(key) != degree + 1:
                     raise ValueError(f"entry key {key} does not match degree {degree}")
                 if not {int}.issuperset(map(type, key)):
                     raise ValueError(f"entry key {key} holds an index that is not an int")
@@ -52,20 +52,21 @@ class MultiOp(SparseSum):
                                     "not OperatorExpr")
                 if value.mode != mode:
                     raise ValueError("entry mode does not match operation mode")
-                add_term(acc, key, value)
-        self.entries = acc
+                add_term(acc, self._code(key), value)
+        self.terms = acc
 
     @classmethod
-    def _make(cls, dim, degree, mode, entries: dict) -> "MultiOp":
+    def _make(cls, dim, degree, mode, terms: dict) -> "MultiOp":
+        # terms are canonical {code: OperatorExpr} entries
         op = cls.__new__(cls)
         op.dim = dim
         op.degree = degree
         op.mode = mode
-        op.entries = entries
+        op.terms = terms
         return op
 
-    def _like(self, entries: dict) -> "MultiOp":
-        return MultiOp._make(self.dim, self.degree, self.mode, entries)
+    def _like(self, terms: dict) -> "MultiOp":
+        return MultiOp._make(self.dim, self.degree, self.mode, terms)
 
     def _coerce(self, value) -> "MultiOp":
         if not isinstance(value, MultiOp):
@@ -78,36 +79,41 @@ class MultiOp(SparseSum):
     def reduced_degree(self) -> int:
         return self.degree - 1
 
+    def _code(self, key) -> int:
+        code = 0
+        for idx in key:
+            code = code * self.dim + idx
+        return code
+
     def entry(self, inputs: tuple, k: int) -> OperatorExpr:
         key = tuple(inputs) + (k,)
-        if (value := self.entries.get(key)) is None or not {int}.issuperset(map(type, key)):
-            # zero, unless the length or an index is wrong: a bool or a float hashes as an int
-            if len(key) != self.degree + 1 or any(type(i) is bool or not hasattr(i, "__index__")
-                                                  or i not in range(self.dim) for i in key):
-                raise ValueError(f"no entry key {key} at degree {self.degree}, dim {self.dim}")
-        return value or OperatorExpr.zero(self.mode)
+        # a bool or a float would code as an int would; a sympy Integer is an index
+        if len(key) != self.degree + 1 or any(type(i) is bool or not hasattr(i, "__index__")
+                                              or not 0 <= i < self.dim for i in key):
+            raise ValueError(f"no entry key {key} at degree {self.degree}, dim {self.dim}")
+        return self.terms.get(self._code(key)) or OperatorExpr.zero(self.mode)
 
     def sorted_entries(self):
-        return sorted(self.entries.items())
+        """``(key, value)`` pairs in key order: the codes sorted, then each one decoded."""
+        powers = [self.dim ** k for k in range(self.degree, -1, -1)]
+        return [(tuple([code // power % self.dim for power in powers]), self.terms[code])
+                for code in sorted(self.terms)]
 
     def __repr__(self):
         return (f"<MultiOp dim={self.dim} degree={self.degree} mode={self.mode} "
-                f"nonzero={len(self.entries)}>")
+                f"nonzero={len(self.terms)}>")
 
 
 _Operand = namedtuple("_Operand", "dim degree mode rows by_out")
 
 
 def _operand(op: MultiOp) -> _Operand:
-    """``op`` flattened once per public call, each entry key coded as a base-``dim`` integer
-    (first index most significant): its ``(code, word, exp, re, im)`` rows, and those rows by
-    output index in ``(word, exp, real, pairs)`` groups of ``(inputs code, re, im)`` pairs."""
+    """``op`` flattened once per public call, read off its stored entry codes: its ``(code,
+    word, exp, re, im)`` rows, and those rows by output index ``code % dim`` in ``(word, exp,
+    real, pairs)`` groups of ``(inputs code, re, im)`` pairs, the inputs code ``code // dim``."""
     dim, rows, groups = op.dim, [], {}
-    for key, value in op.entries.items():
-        code = 0
-        for idx in key:
-            code = code * dim + idx
-        by_word = groups.setdefault(key[-1], {})
+    for code, value in op.terms.items():
+        by_word = groups.setdefault(code % dim, {})
         for (word, exp), g in value.terms.items():
             rows.append((code, word, exp, g.re, g.im))
             by_word.setdefault((word, exp), []).append((code // dim, g.re, g.im))
@@ -192,9 +198,8 @@ def _bracket_into(acc: dict, f: _Operand, g: _Operand, negate: bool) -> None:
 
 def _composite(ops: tuple, fill) -> MultiOp:
     """Check every operation's dimension and mode against the first's, flatten each once,
-    fill one raw sum from their operands and wrap it once; an entry whose every part
-    cancelled builds nothing, and only the codes that survive are decoded into keys, first
-    index most significant."""
+    fill one raw sum from their operands and wrap it once into the composite's entries, by
+    code as they stand; an entry whose every part cancelled builds nothing."""
     f = ops[0]
     for op in ops[1:]:
         if op.dim != f.dim:
@@ -203,11 +208,8 @@ def _composite(ops: tuple, fill) -> MultiOp:
             raise ValueError(f"mode mismatch: {f.mode} vs {op.mode}")
     acc: dict = {}
     fill(acc, *map(_operand, ops))
-    degree = sum(op.reduced_degree for op in ops) + 1
-    powers = [f.dim ** k for k in range(degree, -1, -1)]
-    return MultiOp._make(f.dim, degree, f.mode, {
-        tuple([code // power % f.dim for power in powers]): OperatorExpr._make(f.mode, terms)
-        for code, terms in _wrap(acc).items()})
+    return MultiOp._make(f.dim, sum(op.reduced_degree for op in ops) + 1, f.mode, {
+        code: OperatorExpr._make(f.mode, terms) for code, terms in _wrap(acc).items()})
 
 
 def partial_compose(f: MultiOp, pos: int, g: MultiOp) -> MultiOp:
@@ -254,16 +256,19 @@ def antisymmetric_binary(dim: int, mode: str, pair_entries: dict) -> MultiOp:
     """
     entries: dict = {}
     seen: set = set()
-    for (i, j, k), value in pair_entries.items():
-        if i == j or not all(type(idx) is int and 1 <= idx <= dim for idx in (i, j, k)):
-            raise ValueError(f"bad 1-based entry key {(i, j, k)}")
+    for given, value in pair_entries.items():
+        if not isinstance(given, tuple) or len(given) != 3:
+            raise ValueError(f"entry key {given} does not match degree 2")
+        i, j, k = given
+        if i == j or not all(type(idx) is int and 1 <= idx <= dim for idx in given):
+            raise ValueError(f"bad 1-based entry key {given}")
         key = (i - 1, j - 1, k - 1)
         flip = (j - 1, i - 1, k - 1)
         if key in seen:
-            raise ValueError(f"entry {(i, j, k)} given twice")
+            raise ValueError(f"entry {given} given twice")
         seen.update((key, flip))
         if not isinstance(value, OperatorExpr):
-            raise TypeError(f"entry {(i, j, k)} is {type(value).__name__}, not OperatorExpr")
+            raise TypeError(f"entry {given} is {type(value).__name__}, not OperatorExpr")
         if value.is_zero:
             continue
         entries[key] = value

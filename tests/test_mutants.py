@@ -18,11 +18,13 @@ survives on purpose: flipping the phase of the commutation relation is hbar ->
 Join-kernel mutants recompile one function of the composition path with one
 expression changed, and must fail a named tier-1 test.  An imaginary row taken
 down the real-only path also passes every suite: no suite check depends on the
--i hbar of a p q contraction.  Parser mutants recompile one function of the
-text route the same way and must fail a named tier-1 test, and normal-ordering
-mutants the Schrodinger-representation witness, which sees the flipped phase; a
-product that joins its words in reverse, or with the flipped phase, fails the
-witness for products.
+-i hbar of a p q contraction.  So does a wrong decode in
+``MultiOp.sorted_entries``, since the suites look entries up by code; a key
+coded least significant digit first in ``MultiOp._code`` fails a suite.  Parser
+mutants recompile one function of the text route the same way and must fail a
+named tier-1 test, and normal-ordering mutants the Schrodinger-representation
+witness, which sees the flipped phase; a product that joins its words in
+reverse, or with the flipped phase, fails the witness for products.
 An operand-gate mutant recompiles the gate every arithmetic operator shares and
 must fail a named tier-1 test.  Single-path mutants recompile a product that
 keeps one code path, the scalar product or the Jacobi symmetrisation, and are
@@ -46,7 +48,7 @@ import test_schrodinger
 import test_sparse_sum
 import test_weyl
 from oplax import bianchi, cli, jacobi, operad, oscillator, scalars, weyl
-from oplax.operad import antisymmetric_binary
+from oplax.operad import MultiOp, antisymmetric_binary
 from oplax.oscillator import STRUCTURE_COLUMNS
 from oplax.scalars import ScalarPoly, symbol
 from oplax.weyl import AM, AP, CLASSICAL, P, Q, QUANTUM, OperatorExpr, commutator
@@ -153,22 +155,33 @@ CODE_MUTANTS = {
                           "tables.initial.V"),
 }
 
-#: join-kernel mutants: (home module, name, original -> mutant, a tier-1 test that
-#: fails, the first check that fails or None when every suite passes)
+#: join-kernel and key-code mutants: (home module or class, name, original -> mutant,
+#: a tier-1 test that fails, the first check that fails or None when every suite passes)
 KERNEL_MUTANTS = {
     # g's inputs land one power of dim too high in the composite's code
     "slot-shift-off-by-one-power": (
         operad, "_compose_into", _rewrite("(inputs * low,", "(inputs * high,"),
-        test_operad.test_degree_one_composition_is_matrix_product, "matrix-lax.entry.11"),
+        test_operad.test_degree_one_composition_is_matrix_product, "matrix-lax.entry.12"),
     # an imaginary row against a real group drops its imaginary part: a composite's
     # p q loses its -i hbar, which no suite checks
     "real-path-for-an-imaginary-row": (
         operad, "_mul_rows_into", _rewrite("if real and not i1:", "if real:"),
         test_operad.test_a_quantum_composition_contracts_its_p_q_junction, None),
-    # the last index decoded as the most significant
+    # the last index decoded as the most significant: every suite passes, since the
+    # suites look entries up by code and decode a key only to name a failing one
     "codes-decoded-in-reverse": (
-        operad, "_composite", _rewrite("range(degree, -1, -1)", "range(degree + 1)"),
-        test_operad.test_composition_index_conventions, "operadic-lax.II.113"),
+        MultiOp, "sorted_entries",
+        _rewrite("range(self.degree, -1, -1)", "range(self.degree + 1)"),
+        test_operad.test_composition_index_conventions, None),
+    # each index decoded from the digit one place higher, so the first reads 0
+    "decode-off-by-one-power": (
+        MultiOp, "sorted_entries",
+        _rewrite("range(self.degree, -1, -1)", "range(self.degree + 1, 0, -1)"),
+        test_operad.test_composition_index_conventions, None),
+    # a key coded last index first: composition reads its output index as its first input
+    "code-built-least-significant-first": (
+        MultiOp, "_code", _rewrite("for idx in key:", "for idx in reversed(key):"),
+        test_operad.test_composition_index_conventions, "matrix-lax.entry.11"),
 }
 
 #: single-path mutants, one per product that keeps one path, checked as the kernel

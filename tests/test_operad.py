@@ -354,6 +354,35 @@ def test_an_entry_index_that_is_a_bool_or_a_float_raises():
     assert ix.entry((1, 2), 0) is ix.entries[(1, 2, 0)]
 
 
+@st.composite
+def coded_keys(draw):
+    """A shape (dim 1-3, degree 1-3) and a few distinct entry keys for it."""
+    dim, degree = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    keys = st.tuples(*[st.integers(0, dim - 1)] * (degree + 1))
+    return dim, degree, draw(st.lists(keys, min_size=1, max_size=6, unique=True))
+
+
+@pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_entry_keys_round_trip_through_their_codes(mode, data):
+    dim, degree, keys = data.draw(coded_keys())
+    values = [OperatorExpr(mode, [((Q,) * n, n + 1)]) for n in range(len(keys))]
+    for key, e in zip(keys, values):
+        op = MultiOp(dim, degree, mode, {key: e})
+        # stored once, under the base-dim code with the first index most significant
+        assert op.terms == {sum(idx * dim ** (degree - n) for n, idx in enumerate(key)): e}
+        assert op.sorted_entries() == [(key, e)]
+        assert op.entry(key[:-1], key[-1]) is e
+    op = MultiOp(dim, degree, mode, dict(zip(keys, values)))
+    assert [key for key, _ in op.sorted_entries()] == sorted(keys)
+    assert len(op.entries) == len(op.terms) == len(keys)
+    # the entries view is a copy: writing into it leaves the operation as it was
+    view = op.entries
+    view[keys[0]] = values[0] + values[0]
+    assert op.entries == dict(zip(keys, values))
+
+
 def test_operad_imports_from_weyl_only_the_operator_the_mode_check_and_the_normal_form():
     # no generator letter or mode constant: the kernel leaves every word to _normal_form
     tree = ast.parse(inspect.getsource(operad))
@@ -656,9 +685,20 @@ _BINARY = MultiOp(2, 2, QUANTUM, {(0, 1, 0): OperatorExpr.generator(QUANTUM, Q),
      re.escape("entry (1, 2, 3) is int, not OperatorExpr")),
     (lambda: antisymmetric_binary(3, CLASSICAL, {(1, 2, 3): "q"}), TypeError,
      re.escape("entry (1, 2, 3) is str, not OperatorExpr")),
+    # a key that is no tuple, or has the wrong length, is named before it is unpacked
+    (lambda: MultiOp(3, 1, CLASSICAL, {1: _ONE}), ValueError,
+     re.escape("entry key 1 does not match degree 1")),
+    (lambda: antisymmetric_binary(3, CLASSICAL, {(1, 2): _ONE}), ValueError,
+     re.escape("entry key (1, 2) does not match degree 2")),
+    (lambda: antisymmetric_binary(3, CLASSICAL, {1: _ONE}), ValueError,
+     re.escape("entry key 1 does not match degree 2")),
+    (lambda: antisymmetric_binary(3, CLASSICAL, {(1, 2, 3, 4): _ONE}), ValueError,
+     re.escape("entry key (1, 2, 3, 4) does not match degree 2")),
 ], ids=("dim", "degree", "key-length", "key-range", "float-index", "bool-index", "entry-mode",
         "float-dim", "bool-dim", "float-degree", "bool-degree", "float-slot", "bool-slot",
-        "antisymmetric-bool-index", "antisymmetric-int-value", "antisymmetric-str-value"))
+        "antisymmetric-bool-index", "antisymmetric-int-value", "antisymmetric-str-value",
+        "int-key", "antisymmetric-short-key", "antisymmetric-int-key",
+        "antisymmetric-long-key"))
 def test_multiop_rejects_a_malformed_operation(build, error, match):
     with pytest.raises(error, match=match):
         build()
