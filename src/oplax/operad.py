@@ -38,21 +38,26 @@ class MultiOp(SparseSum):
         self.degree = degree
         self.mode = mode
         acc: dict = {}
-        if entries:
-            items = entries.items() if isinstance(entries, dict) else entries
-            for key, value in items:
-                if not isinstance(key, tuple) or len(key) != degree + 1:
-                    raise ValueError(f"entry key {key} does not match degree {degree}")
-                if not {int}.issuperset(map(type, key)):
-                    raise ValueError(f"entry key {key} holds an index that is not an int")
-                if any(not 0 <= idx < dim for idx in key):
-                    raise ValueError(f"entry key {key} out of range for dim {dim}")
-                if not isinstance(value, OperatorExpr):
-                    raise TypeError(f"entry {key} is {type(value).__name__}, "
-                                    "not OperatorExpr")
-                if value.mode != mode:
-                    raise ValueError("entry mode does not match operation mode")
-                add_term(acc, self._code(key), value)
+        items = entries.items() if isinstance(entries, dict) else entries or ()
+        if not hasattr(items, "__iter__"):
+            raise TypeError(f"entries is {type(entries).__name__}, not a dict or an iterable")
+        for item in items:
+            # a dict's items are pairs; an item of the pairs form is checked before unpacking
+            if not isinstance(entries, dict) and not (
+                    isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], tuple)):
+                raise ValueError(f"entry {item!r} is not a (key, value) pair")
+            key, value = item
+            if not isinstance(key, tuple) or len(key) != degree + 1:
+                raise ValueError(f"entry key {key} does not match degree {degree}")
+            if not {int}.issuperset(map(type, key)):
+                raise ValueError(f"entry key {key} holds an index that is not an int")
+            if any(not 0 <= idx < dim for idx in key):
+                raise ValueError(f"entry key {key} out of range for dim {dim}")
+            if not isinstance(value, OperatorExpr):
+                raise TypeError(f"entry {key} is {type(value).__name__}, not OperatorExpr")
+            if value.mode != mode:
+                raise ValueError("entry mode does not match operation mode")
+            add_term(acc, self._code(key), value)
         self.terms = acc
 
     @classmethod
@@ -104,58 +109,77 @@ class MultiOp(SparseSum):
                 f"nonzero={len(self.terms)}>")
 
 
-_Operand = namedtuple("_Operand", "dim degree mode rows by_out")
+_Operand = namedtuple("_Operand", "dim degree mode groups")
 
 
 def _operand(op: MultiOp) -> _Operand:
-    """``op`` flattened once per public call, read off its stored entry codes: its ``(code,
-    word, exp, re, im)`` rows, and those rows by output index ``code % dim`` in ``(word, exp,
-    real, pairs)`` groups of ``(inputs code, re, im)`` pairs, the inputs code ``code // dim``."""
-    dim, rows, groups = op.dim, [], {}
+    """``op`` flattened once per public call, read off its stored entry codes: its terms in
+    ``(word, exp, real, pairs)`` groups, one per word and exponent, of ``(code, re, im)``
+    pairs, ``real`` when no pair has an imaginary part."""
+    by_word: dict = {}
     for code, value in op.terms.items():
-        by_word = groups.setdefault(code % dim, {})
         for (word, exp), g in value.terms.items():
-            rows.append((code, word, exp, g.re, g.im))
-            by_word.setdefault((word, exp), []).append((code // dim, g.re, g.im))
-    return _Operand(dim, op.degree, op.mode, rows, {
-        at: [(word, exp, not any(im for _, _, im in pairs), pairs)
-             for (word, exp), pairs in by_word.items()]
-        for at, by_word in groups.items()})
+            by_word.setdefault((word, exp), []).append((code, g.re, g.im))
+    return _Operand(op.dim, op.degree, op.mode, [
+        (word, exp, not any(im for _, _, im in pairs), pairs)
+        for (word, exp), pairs in by_word.items()])
 
 
-def _mul_rows_into(acc: dict, xs, ys: dict, mode: str) -> None:
-    """The join kernel of composition: each xs row ``(at, base, word, exp, re, im)`` times
-    each group ``(word, exp, real, pairs)`` of ``ys[at]``, whose ``(off, re, im)`` pairs share
-    a word and an exponent, is added into the raw sum ``acc``, ``{(word, exp): (re_sums,
-    im_sums)}`` of ``{code: part}``, at code ``base + off``.  Word and exponent are built once
-    per group, a real row against a real group adds to ``re_sums`` alone, and zero parts stay
-    until ``_wrap``.  A pair of words takes its joined word's ``_normal_form``: one row is
-    the word, and more rows, times the xs row, come back here against the group.
-    ``_ZERO_EXP`` itself skips the exponent add."""
-    for at, base, w1, e1, r1, i1 in xs:
-        for w2, e2, real, pairs in ys.get(at, ()):
-            exp = e1 if e2 is _ZERO_EXP else e2 if e1 is _ZERO_EXP else add_exponents(e1, e2)
-            if not (w1 and w2):
-                word = w1 or w2
-            elif len(rows := _normal_form(w1 + w2, mode)) == 1:
-                word = rows[0][0]
-            else:
-                _mul_rows_into(acc, [(0, base, w, add_exponents(exp, e), nr * r1 - ni * i1,
-                                      nr * i1 + ni * r1) for w, e, nr, ni in rows],
-                               {0: (((), _ZERO_EXP, real, pairs),)}, mode)
-                continue
-            if (sums := acc.get(term := (word, exp))) is None:
-                sums = acc[term] = ({}, {})
-            res, ims = sums
-            if real and not i1:
-                for off, r2, _ in pairs:
-                    code = base + off
-                    res[code] = res.get(code, 0) + r1 * r2
-            else:
-                for off, r2, i2 in pairs:
-                    code = base + off
-                    res[code] = res.get(code, 0) + r1 * r2 - i1 * i2
-                    ims[code] = ims.get(code, 0) + r1 * i2 + i1 * r2
+def _by_slot(op: _Operand, low: int, wide: int, sign: int) -> dict:
+    """``op``'s groups split by the digit ``at = code // low % dim`` of their codes, as
+    ``{at: [(word, exp, real, pairs)]}``: a pair's code loses that digit, its higher digits
+    move up to ``wide``, its ``low`` ones stay, and its parts take ``sign``."""
+    dim, high, slots = op.dim, low * op.dim, {}
+    for word, exp, real, pairs in op.groups:
+        split: dict = {}
+        for code, re, im in pairs:
+            split.setdefault(code // low % dim, []).append(
+                (code // high * wide + code % low, sign * re, sign * im))
+        for at, parts in split.items():
+            slots.setdefault(at, []).append((word, exp, real, parts))
+    return slots
+
+
+def _mul_rows_into(acc: dict, xs: dict, ys: dict, mode: str) -> None:
+    """The join kernel of composition: for each digit ``at`` both sides split on, each group
+    ``(word, exp, real, pairs)`` of ``xs[at]`` times each of ``ys[at]`` is added into the raw
+    sum ``acc``, ``{(word, exp): (re_sums, im_sums)}`` of ``{code: part}``: each pair ``(c1,
+    re, im)`` of the one times each ``(c2, re, im)`` of the other, at code ``c1 + c2``.  Word,
+    exponent and sums are found once per pair of groups, two real groups add to ``re_sums``
+    alone, and zero parts stay until ``_wrap``.  A pair of words takes its joined word's
+    ``_normal_form``: one row is the word, and more rows each scale the xs group's pairs and
+    come back here against the ys group.  ``_ZERO_EXP`` itself skips the exponent add."""
+    for at, x_groups in xs.items():
+        y_groups = ys.get(at, ())
+        for w1, e1, real1, pairs1 in x_groups:
+            for w2, e2, real2, pairs2 in y_groups:
+                exp = e1 if e2 is _ZERO_EXP else e2 if e1 is _ZERO_EXP else add_exponents(e1, e2)
+                if not (w1 and w2):
+                    word = w1 or w2
+                elif len(rows := _normal_form(w1 + w2, mode)) == 1:
+                    word = rows[0][0]
+                else:
+                    _mul_rows_into(acc, {0: [(w, add_exponents(exp, e), real1 and not ni,
+                                              [(c1, nr * r1 - ni * i1, nr * i1 + ni * r1)
+                                               for c1, r1, i1 in pairs1])
+                                             for w, e, nr, ni in rows]},
+                                   {0: (((), _ZERO_EXP, real2, pairs2),)}, mode)
+                    continue
+                if (sums := acc.get(term := (word, exp))) is None:
+                    sums = acc[term] = ({}, {})
+                res, ims = sums
+                res_get, ims_get = res.get, ims.get
+                if real1 and real2:
+                    for c1, r1, _ in pairs1:
+                        for c2, r2, _ in pairs2:
+                            code = c1 + c2
+                            res[code] = res_get(code, 0) + r1 * r2
+                else:
+                    for c1, r1, i1 in pairs1:
+                        for c2, r2, i2 in pairs2:
+                            code = c1 + c2
+                            res[code] = res_get(code, 0) + r1 * r2 - i1 * i2
+                            ims[code] = ims_get(code, 0) + r1 * i2 + i1 * r2
 
 
 def _wrap(acc: dict) -> dict:
@@ -172,18 +196,14 @@ def _wrap(acc: dict) -> dict:
 
 def _compose_into(acc: dict, f: _Operand, pos: int, g: _Operand, negate: bool) -> None:
     """Add f o_pos g, negated when ``negate``, into the raw sum ``acc`` by entry code: one
-    kernel call joins f's rows, at their key's slot ``pos``, to g's groups by output index.
-    The ``low`` digits after the slot stay, f's head moves up past g's inputs, and g's
-    inputs move up past the low digits: ``base = head * dim^|g inputs| * low + tail``,
-    ``off = inputs * low``."""
+    kernel call joins f's groups, split by the digit at slot ``pos``, to g's, split by output
+    index.  The ``low`` digits after the slot stay, f's head moves up past g's inputs, and
+    g's inputs move up past the low digits: a composite code is f's part ``head *
+    dim^|g inputs| * low + tail`` plus g's part ``inputs * low``, which carries the sign."""
     sign = -1 if negate ^ ((pos * (g.degree - 1)) % 2 == 1) else 1
-    dim, low = f.dim, f.dim ** (f.degree - pos)
-    high, wide = low * dim, low * dim ** g.degree
-    _mul_rows_into(acc, [(code // low % dim, code // high * wide + code % low, word, exp, re, im)
-                         for code, word, exp, re, im in f.rows], {
-        at: [(word, exp, real, [(inputs * low, sign * re, sign * im) for inputs, re, im in pairs])
-             for word, exp, real, pairs in groups]
-        for at, groups in g.by_out.items()}, f.mode)
+    low = f.dim ** (f.degree - pos)
+    _mul_rows_into(acc, _by_slot(f, low, low * f.dim ** g.degree, 1), _by_slot(g, 1, low, sign),
+                   f.mode)
 
 
 def _total_into(acc: dict, f: _Operand, g: _Operand, negate: bool) -> None:

@@ -20,7 +20,9 @@ expression changed, and must fail a named tier-1 test.  An imaginary row taken
 down the real-only path also passes every suite: no suite check depends on the
 -i hbar of a p q contraction.  So does a wrong decode in
 ``MultiOp.sorted_entries``, since the suites look entries up by code; a key
-coded least significant digit first in ``MultiOp._code`` fails a suite.  Parser
+coded least significant digit first in ``MultiOp._code`` fails a suite.  A graded
+sign read off the wrong operand, or f's low digits moved up past g's inputs, fails
+the pinned quantum parallel defect and the operad laws of composition.  Parser
 mutants recompile one function of the text route the same way and must fail a
 named tier-1 test, and normal-ordering mutants the Schrodinger-representation
 witness, which sees the flipped phase; a product that joins its words in
@@ -160,12 +162,25 @@ CODE_MUTANTS = {
 KERNEL_MUTANTS = {
     # g's inputs land one power of dim too high in the composite's code
     "slot-shift-off-by-one-power": (
-        operad, "_compose_into", _rewrite("(inputs * low,", "(inputs * high,"),
+        operad, "_compose_into",
+        _rewrite("_by_slot(g, 1, low, sign)", "_by_slot(g, 1, low * f.dim, sign)"),
         test_operad.test_degree_one_composition_is_matrix_product, "matrix-lax.entry.12"),
-    # an imaginary row against a real group drops its imaginary part: a composite's
+    # the graded sign of f o_pos g read off f's reduced degree, not g's; it also fails
+    # both composition laws, whose failing draws take about a minute to shrink
+    "sign-from-the-left-degree": (
+        operad, "_compose_into", _rewrite("(pos * (g.degree - 1))", "(pos * (f.degree - 1))"),
+        test_operad.test_a_quantum_parallel_defect_is_the_contraction_of_its_entries,
+        "operadic-lax.II.311"),
+    # f's digits after the slot moved up past g's inputs, where g's inputs also land;
+    # it also fails both composition laws
+    "low-digits-above-the-inputs": (
+        operad, "_by_slot", _rewrite("code % low,", "code % low * (wide // low),"),
+        test_operad.test_a_quantum_parallel_defect_is_the_contraction_of_its_entries,
+        "matrix-lax.entry.12"),
+    # an imaginary group against a real one drops its imaginary parts: a composite's
     # p q loses its -i hbar, which no suite checks
     "real-path-for-an-imaginary-row": (
-        operad, "_mul_rows_into", _rewrite("if real and not i1:", "if real:"),
+        operad, "_mul_rows_into", _rewrite("if real1 and real2:", "if real2:"),
         test_operad.test_a_quantum_composition_contracts_its_p_q_junction, None),
     # the last index decoded as the most significant: every suite passes, since the
     # suites look entries up by code and decode a key only to name a failing one

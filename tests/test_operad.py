@@ -492,11 +492,11 @@ def bracket_by_entry_products(f, g):
 
 
 @st.composite
-def jacobi_triples(draw, mode):
+def jacobi_triples(draw, mode, max_entries=3):
     """Three operations of dimension 2-3, or the repeated triples (f, f, g) and
     (f, f, f); [f, f] cancels to zero for an even f."""
     dim = draw(st.integers(2, 3))
-    f, g, h = (draw(product_ops(mode, dim, 1, 3)) for _ in range(3))
+    f, g, h = (draw(product_ops(mode, dim, 1, max_entries)) for _ in range(3))
     return draw(st.sampled_from(((f, g, h), (f, f, g), (f, f, f))))
 
 
@@ -514,6 +514,50 @@ def test_jacobi_defect_is_the_signed_cyclic_sum_of_public_brackets(mode, data):
             term = -term
         want = term if want is None else want + term
     assert jacobi_defect(f, g, h) == want
+
+
+@pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_partial_composition_is_sequentially_associative(mode, data):
+    # (f o_i g) o_(i+j) h = f o_i (g o_j h): both sides carry the sign
+    # (-1)^(i|g| + (i+j)|h|), and the entry products associate in both modes
+    f, g, h = data.draw(jacobi_triples(mode, max_entries=6))
+    for i in range(f.degree):
+        fg = partial_compose(f, i, g)
+        for j in range(g.degree):
+            assert partial_compose(fg, i + j, h) == partial_compose(f, i, partial_compose(g, j, h))
+
+
+def parallel_defect(f, i, j, g, h):
+    """(f o_j g) o_i h - (-1)^(|g||h|) (f o_i h) o_(j+|h|) g for slots i < j of f."""
+    left = partial_compose(partial_compose(f, j, g), i, h)
+    right = partial_compose(partial_compose(f, i, h), j + h.reduced_degree, g)
+    return left + right if (g.reduced_degree * h.reduced_degree) % 2 else left - right
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_partial_composition_is_parallel_commutative_classically(data):
+    # g and h fill two slots of f; the entries multiply as f g h on the left side
+    # and f h g on the right, which only a commutative product ignores
+    f, g, h = data.draw(jacobi_triples(CLASSICAL, max_entries=6))
+    for j in range(f.degree):
+        for i in range(j):
+            assert parallel_defect(f, i, j, g, h).is_zero
+
+
+def test_a_quantum_parallel_defect_is_the_contraction_of_its_entries():
+    # g puts p and h puts q into the two slots of f: the left side's entry is
+    # p q = q p - i hbar and the right side's q p, so the defect is -i hbar
+    ph, qh = (OperatorExpr.generator(QUANTUM, gen) for gen in (P, Q))
+    f = MultiOp(2, 2, QUANTUM, {(0, 1, 1): OperatorExpr.scalar(QUANTUM, 1)})
+    g = MultiOp(2, 1, QUANTUM, {(1, 1): ph})
+    h = MultiOp(2, 1, QUANTUM, {(0, 0): qh})
+    defect = parallel_defect(f, 0, 1, g, h)
+    assert defect == MultiOp(2, 2, QUANTUM, {(0, 1, 1): ph * qh - qh * ph})
+    assert defect.entries == {(0, 1, 1): OperatorExpr.scalar(
+        QUANTUM, ScalarPoly.monomial(GaussRat(0, -1), {"hbar": 1}))}
 
 
 @pytest.fixture
@@ -560,7 +604,7 @@ def test_the_zero_jacobi_defect_wraps_only_its_inner_brackets(raw_sums, name):
 
 @pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
 def test_each_composition_makes_one_kernel_call(monkeypatch, mode):
-    """``_compose_into`` joins all of f's rows to g's in one call of the kernel;
+    """``_compose_into`` joins all of f's groups to g's in one call of the kernel;
     only a quantum p q junction calls it again, from inside, by its name in operad."""
     calls = SimpleNamespace(kernel=0, compose=0, junction=0, depth=0)
     kernel, compose = operad._mul_rows_into, operad._compose_into
@@ -569,10 +613,11 @@ def test_each_composition_makes_one_kernel_call(monkeypatch, mode):
         if calls.depth:
             calls.junction += 1
         else:
-            # f's rows and g's pairs carry int codes, not tuple keys
-            assert all(type(base) is int for _, base, *_ in xs)
-            assert all(type(off) is int for groups in ys.values() for *_, pairs in groups
-                       for off, _, _ in pairs)
+            # both sides are split by an int digit, and their pairs carry int codes,
+            # not tuple keys
+            assert all(type(at) is int for side in (xs, ys) for at in side)
+            assert all(type(code) is int for side in (xs, ys) for groups in side.values()
+                       for *_, pairs in groups for code, _, _ in pairs)
             calls.kernel += 1
         calls.depth += 1
         kernel(acc, xs, ys, mode)
@@ -694,11 +739,19 @@ _BINARY = MultiOp(2, 2, QUANTUM, {(0, 1, 0): OperatorExpr.generator(QUANTUM, Q),
      re.escape("entry key 1 does not match degree 2")),
     (lambda: antisymmetric_binary(3, CLASSICAL, {(1, 2, 3, 4): _ONE}), ValueError,
      re.escape("entry key (1, 2, 3, 4) does not match degree 2")),
+    # an item of the pairs form is named before it is unpacked, and entries that are
+    # neither a dict nor an iterable are named by their type
+    (lambda: MultiOp(2, 1, CLASSICAL, [((0, 0), _ONE, 3)]), ValueError,
+     re.escape("entry ((0, 0), <OperatorExpr classical 1>, 3) is not a (key, value) pair")),
+    (lambda: MultiOp(2, 1, CLASSICAL, 5), TypeError,
+     "entries is int, not a dict or an iterable"),
+    (lambda: MultiOp(2, 1, CLASSICAL, [(0, 0)]), ValueError,
+     re.escape("entry (0, 0) is not a (key, value) pair")),
 ], ids=("dim", "degree", "key-length", "key-range", "float-index", "bool-index", "entry-mode",
         "float-dim", "bool-dim", "float-degree", "bool-degree", "float-slot", "bool-slot",
         "antisymmetric-bool-index", "antisymmetric-int-value", "antisymmetric-str-value",
         "int-key", "antisymmetric-short-key", "antisymmetric-int-key",
-        "antisymmetric-long-key"))
+        "antisymmetric-long-key", "long-pair", "int-entries", "key-without-value"))
 def test_multiop_rejects_a_malformed_operation(build, error, match):
     with pytest.raises(error, match=match):
         build()

@@ -363,10 +363,11 @@ def rows(terms):
 
 def join_into(acc, xs, ys, mode):
     """Add xs*ys, two lists of ``(word, exp, re, im)`` rows, into ``acc`` through
-    the composition join kernel: one join index, base and offset 0, and a one-pair
-    group per ys row, so every product lands at code 0."""
-    _mul_rows_into(acc, [(0, 0, *row) for row in xs],
-                   {0: [(word, exp, not im, ((0, re, im),)) for word, exp, re, im in ys]}, mode)
+    the composition join kernel: one join digit, and a one-pair group at code 0 per
+    row on each side, so every product lands at code 0."""
+    def groups(rows):
+        return {0: [(word, exp, not im, ((0, re, im),)) for word, exp, re, im in rows]}
+    _mul_rows_into(acc, groups(xs), groups(ys), mode)
 
 
 def mul_rows(acc, x, y, negate, sign_on_left=True):
@@ -553,21 +554,21 @@ def test_the_join_kernel_adds_at_base_plus_offset_and_the_wrap_drops_zeros(mode)
     ys = {0: [by_p, by_am, by_one]}
 
     def join(acc, at, exp, re, im, ys):
-        # one x row (re + i im) q s^exp at slot ``at`` with base 7
-        _mul_rows_into(acc, [(at, 7, (Q,), exp, re, im)], ys, mode)
+        # one x group of the one pair (re + i im) q s^exp at digit ``at`` and code 7
+        _mul_rows_into(acc, {at: [((Q,), exp, not im, ((7, re, im),))]}, ys, mode)
 
     acc: dict = {}
     join(acc, 1, one, 1, 0, ys)  # no group at slot 1
     assert acc == {}
     for exp in (one, s):
         join(acc, 0, exp, 1, 0, ys)
-    # q p has no p q junction, so it is joined as it is in both modes; a real row
-    # against a real group leaves the imaginary sums empty
+    # q p has no p q junction, so it is joined as it is in both modes; two real
+    # groups leave the imaginary sums empty
     want = {((Q, P), one): ({57: 3, 67: 1}, {}), ((Q, P), s): ({57: 3, 67: 1}, {}),
             ((Q, AM), s): ({57: 1}, {57: -1}), ((Q, AM), s2): ({57: 1}, {57: -1}),
             ((Q,), one): ({67: 2}, {}), ((Q,), s): ({67: 2}, {})}
     assert acc == want
-    # an imaginary row takes the complex path against a real group too
+    # an imaginary group takes the complex path against a real one too
     join(acc, 0, s, 0, 1, {0: [by_one]})
     want[(Q,), s] = ({67: 2}, {67: 2})
     assert acc == want
@@ -588,6 +589,10 @@ def test_the_join_kernel_adds_at_base_plus_offset_and_the_wrap_drops_zeros(mode)
     join(acc, 0, one, -1, 0, {0: [by_p, by_one]})
     join(acc, 0, s, -1, -1, {0: [by_one]})
     assert _wrap(acc) == {}
+    # a group of two pairs times a group of two adds each of the four part products
+    acc = {}
+    _mul_rows_into(acc, {0: [((Q,), one, True, ((7, 2, 0), (8, 5, 0)))]}, {0: [by_p]}, mode)
+    assert acc == {((Q, P), one): ({57: 6, 67: 2, 58: 15, 68: 5}, {})}
 
 
 @pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
