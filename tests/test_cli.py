@@ -223,10 +223,12 @@ def test_cli_import_skips_dataclasses_and_inspect():
 VERIFY_ALL_JSON_SHA256 = "13367951390e22cb42b2229c849016135883b6891102dadf71d7ce5bcc176843"
 
 
-def test_verify_all_json_is_byte_identical():
+@pytest.mark.parametrize("hash_seed", ("0", "1"))
+def test_verify_all_json_is_byte_identical(hash_seed):
+    # the composite's wrap iterates set unions, whose order the hash seed sets
     proc = subprocess.run(
         [sys.executable, "-m", "oplax", "verify", "all", "--format", "json"],
-        capture_output=True, timeout=120,
+        capture_output=True, timeout=120, env={**os.environ, "PYTHONHASHSEED": hash_seed},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["summary"] == {"total": 373, "passed": 373, "failed": 0}
@@ -262,6 +264,25 @@ def test_compute_jacobi_is_byte_identical(capsys):
                 assert code == 0
                 text += out
     assert hashlib.sha256(text.encode()).hexdigest() == COMPUTE_JACOBI_SHA256
+
+
+#: sha256 of single `compute jacobi` runs: VI_a's symbolic operator as text, which
+#: the sweep above covers only inside its concatenation, and type V's on the basis
+#: vectors at hbar = 0, which no other digest covers
+COMPUTE_JACOBI_SINGLE_SHA256 = {
+    ("--type", "VI_a", "--symbolic"):
+        "b78d2754fc080f5c6d8205456e5ded700ec3930629a67a91cee10d7432974b09",
+    ("--type", "V", "--x", "1,0,0", "--y", "0,1,0", "--z", "0,0,1", "--format", "json",
+     "--hbar", "0"):
+        "c5c7e7886b1bbff42460a53f403e0d76650f242f4815135570e17a0ca9d0fb54",
+}
+
+
+@pytest.mark.parametrize("args", COMPUTE_JACOBI_SINGLE_SHA256, ids=("VI_a-symbolic", "V-hbar0"))
+def test_a_single_compute_jacobi_run_is_byte_identical(capsys, args):
+    code, out, _ = run_cli(capsys, "compute", "jacobi", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPUTE_JACOBI_SINGLE_SHA256[args]
 
 
 #: sha256 of the family member VII_a's symbolic Jacobi operator in JSON: its weights are

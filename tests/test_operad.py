@@ -456,14 +456,15 @@ def compose_by_entry_products(f, pos, g):
 
 
 @st.composite
-def product_ops(draw, mode, dim=2, min_entries=0, max_entries=6):
+def product_ops(draw, mode, dim=2, min_entries=0, max_entries=6, scalar=False):
     """An operation of degree 1-3 whose entries' words may end in p or start
-    with q, so quantum compositions cross a p q junction."""
+    with q, so quantum compositions cross a p q junction; with ``scalar``, every
+    entry is a scalar."""
     degree = draw(st.integers(1, 3))
-    words = st.tuples(st.sampled_from(((), (Q,))), st.lists(
-        st.sampled_from((Q, P, AP, AM)), max_size=2), st.sampled_from(((), (P,))))
-    terms = st.lists(st.tuples(words.map(lambda w: w[0] + tuple(w[1]) + w[2]),
-                               leibniz_coeffs), min_size=1, max_size=2)
+    words = st.just(()) if scalar else st.tuples(st.sampled_from(((), (Q,))), st.lists(
+        st.sampled_from((Q, P, AP, AM)), max_size=2), st.sampled_from(((), (P,)))).map(
+        lambda w: w[0] + tuple(w[1]) + w[2])
+    terms = st.lists(st.tuples(words, leibniz_coeffs), min_size=1, max_size=2)
     keys = st.tuples(*[st.integers(0, dim - 1)] * (degree + 1))
     entries = draw(st.dictionaries(keys, terms, min_size=min_entries, max_size=max_entries))
     return MultiOp(dim, degree, mode, {key: OperatorExpr(mode, value)
@@ -542,6 +543,19 @@ def test_partial_composition_is_parallel_commutative_classically(data):
     # g and h fill two slots of f; the entries multiply as f g h on the left side
     # and f h g on the right, which only a commutative product ignores
     f, g, h = data.draw(jacobi_triples(CLASSICAL, max_entries=6))
+    for j in range(f.degree):
+        for i in range(j):
+            assert parallel_defect(f, i, j, g, h).is_zero
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_partial_composition_is_parallel_commutative_for_scalar_g_or_h(data):
+    # the two sides multiply f g h and f h g; when g's or h's entries are all
+    # scalars they commute with the rest, so the law holds in quantum mode too
+    f, g, h = data.draw(jacobi_triples(QUANTUM, max_entries=6))
+    scalars = data.draw(product_ops(QUANTUM, f.dim, 1, 6, scalar=True))
+    g, h = data.draw(st.sampled_from(((scalars, h), (g, scalars))))
     for j in range(f.degree):
         for i in range(j):
             assert parallel_defect(f, i, j, g, h).is_zero
