@@ -16,7 +16,7 @@ from .bianchi import (
     family_structure_op,
     initial_structure_op,
 )
-from .operad import MultiOp, _compose_into, _operand, _wrap
+from .operad import MultiOp, partial_compose
 from .oscillator import INV_P0, INV_SQRT_2P0, P0, W, det3
 from .report import Check, first_nonzero_check, flag_check
 from .scalars import GaussRat, ScalarPoly, add_exponents, add_term, symbol
@@ -43,6 +43,8 @@ def rational_vec(values) -> Vec3:
 
 
 def _require_binary3(mu: MultiOp) -> None:
+    if not isinstance(mu, MultiOp):
+        raise TypeError(f"cannot interpret {type(mu).__name__} as an operation")
     if mu.dim != 3 or mu.degree != 2:
         raise ValueError("expected a binary operation on dimension 3")
 
@@ -53,20 +55,16 @@ def jacobi_op(x: Vec3, y: Vec3, z: Vec3, mu: MultiOp) -> tuple:
 
     The composite T = mu o_1 mu has entry (a,b,c,k) = -sum_i mu[(a,i)->k] *
     mu[(b,c)->i], so the sum is -sum S[(a,b,c)->k] x^a y^b z^c with the cyclic
-    symmetrisation S[abc] = T[abc] + T[bca] + T[cab], summed on the parts of T's wrapped
-    entries, whose codes decode modulo 3 here as ``MultiOp`` codes its keys.  S carries no
-    vector components and drops its cancelled parts, so a Lie bracket cancels before they
-    enter; each surviving part, times each term of its weight -x^a y^b z^c, adds to its k.
+    symmetrisation S[abc] = T[abc] + T[bca] + T[cab], summed on the parts of T's
+    ``sorted_entries`` under the key 9a + 3b + c.  S carries no vector components and
+    drops its cancelled parts, so a Lie bracket cancels before they enter; each surviving
+    part, times each term of its weight -x^a y^b z^c, adds to its k.
     """
     _require_binary3(mu)
     x, y, z = map(_vec3, (x, y, z))
-    f = _operand(mu)
-    raw: dict = {}
-    _compose_into(raw, f, 1, f, False)
     sym: dict = {}
-    for code, terms in _wrap(raw).items():
-        a, b, c, k = code // 27 % 3, code // 9 % 3, code // 3 % 3, code % 3
-        for (word, exp), g in terms.items():
+    for (a, b, c, k), value in partial_compose(mu, 1, mu).sorted_entries():
+        for (word, exp), g in value.terms.items():
             for abc in (9 * a + 3 * b + c, 9 * c + 3 * a + b, 9 * b + 3 * c + a):
                 r, i = sym.get(key := (abc, k, word, exp), (0, 0))
                 sym[key] = r + g.re, i + g.im

@@ -217,11 +217,13 @@ def _bracket_into(acc: dict, f: _Operand, g: _Operand, negate: bool) -> None:
 
 
 def _composite(ops: tuple, fill) -> MultiOp:
-    """Check every operation's dimension and mode against the first's, flatten each once,
-    fill one raw sum from their operands and wrap it once into the composite's entries, by
-    code as they stand; an entry whose every part cancelled builds nothing."""
+    """Check that every operand is a ``MultiOp`` of the first's dimension and mode, flatten
+    each once, fill one raw sum from their operands and wrap it once into the composite's
+    entries, by code as they stand; an entry whose every part cancelled builds nothing."""
     f = ops[0]
-    for op in ops[1:]:
+    for op in ops:
+        if not isinstance(op, MultiOp):
+            raise TypeError(f"cannot interpret {type(op).__name__} as an operation")
         if op.dim != f.dim:
             raise ValueError(f"dimension mismatch: {f.dim} vs {op.dim}")
         if op.mode != f.mode:
@@ -240,7 +242,7 @@ def partial_compose(f: MultiOp, pos: int, g: MultiOp) -> MultiOp:
     """
     if type(pos) is not int:
         raise ValueError(f"slot {pos!r} is not an int")
-    if not 0 <= pos < f.degree:
+    if isinstance(f, MultiOp) and not 0 <= pos < f.degree:
         raise ValueError(f"slot {pos} out of range for degree {f.degree}")
     return _composite((f, g), lambda acc, f, g: _compose_into(acc, f, pos, g, False))
 

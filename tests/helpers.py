@@ -122,10 +122,12 @@ def reference_jacobi_defect(f, g, h):
 
 
 def reference_jacobi_op(x, y, z, mu):
-    """The Jacobi operator of mu by public values: T = mu o_1 mu from ``partial_compose``,
-    its cyclic symmetrisation S[abc] = T[abc] + T[bca] + T[cab] summed as operators by
-    index tuple, and each weight -x^a y^b z^c multiplied into every coefficient of S, so
-    no entry code, raw sum or kernel row of ``jacobi_op`` enters the result."""
+    """The Jacobi operator of mu by operator arithmetic: T = mu o_1 mu from
+    ``partial_compose``, its cyclic symmetrisation S[abc] = T[abc] + T[bca] + T[cab]
+    summed as ``OperatorExpr`` values by index tuple, and each weight -x^a y^b z^c
+    multiplied into every coefficient of S.  ``jacobi_op`` shares T with it but sums plain
+    part pairs under an int key and contracts them on flat term maps, so neither of those
+    steps enters the result here."""
     sym: dict = {}
     for (a, b, c, k), entry in partial_compose(mu, 1, mu).entries.items():
         for key in ((a, b, c, k), (c, a, b, k), (b, c, a, k)):

@@ -296,12 +296,15 @@ def test_shape_validation(monkeypatch):
         jacobi_op(E1, E2, E3, wrong_dim)
     with pytest.raises(ValueError):
         jacobi_op(E1, E2, E3, wrong_degree)
+    # a bracket that is no operation is named by its type
+    with pytest.raises(TypeError, match="cannot interpret str as an operation"):
+        jacobi_op(E1, E2, E3, "mu")
     # each vector is checked before any composition: IX, whose S cancels, and VI_a,
     # whose S does not, reject the same vectors
     def no_composition(*args):
         raise AssertionError("composed before the vectors were checked")
 
-    monkeypatch.setattr(jacobi, "_compose_into", no_composition)
+    monkeypatch.setattr(jacobi, "partial_compose", no_composition)
     for mu in (bianchi.quantum_table()["IX"], bianchi.quantum_table()["VI_a"]):
         for vectors in (((), (), ()), (E1, E2, (1, 0)), (E1, (0, 0, 0, 1), E3)):
             with pytest.raises(ValueError, match="expected three components"):

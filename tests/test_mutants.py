@@ -21,8 +21,8 @@ The rows with ``None`` record the suite survivors, faults that every suite
 passes and only tier-1 catches.  Flipping the phase of the commutation relation
 is hbar -> -hbar, which no suite can tell apart; a normal form that drops the
 contraction term or leaves a classical word unsorted passes too.  No suite check
-depends on the -i hbar of a p q contraction in a composite, or sees how a key is
-decoded, since the suites look entries up by code.  No suite forms a total
+depends on the -i hbar of a p q contraction in a composite.  A key's decode is seen:
+the Jacobi checks read mu o_1 mu through ``sorted_entries``.  No suite forms a total
 composition of an operation of degree 3 or more: its only bracket is [M, mu]
 with mu binary.  Nor does any suite parse text or mix modes.
 """
@@ -186,12 +186,12 @@ CODE_MUTANTS = {
     "codes-decoded-in-reverse": (
         MultiOp, "sorted_entries",
         _rewrite("range(self.degree, -1, -1)", "range(self.degree + 1)"),
-        (test_operad.test_composition_index_conventions,), None),
+        (test_operad.test_composition_index_conventions,), "jacobi-classical.IV"),
     # each index decoded from the digit one place higher, so the first reads 0
     "decode-off-by-one-power": (
         MultiOp, "sorted_entries",
         _rewrite("range(self.degree, -1, -1)", "range(self.degree + 1, 0, -1)"),
-        (test_operad.test_composition_index_conventions,), None),
+        (test_operad.test_composition_index_conventions,), "jacobi-classical.VII"),
     # a key coded last index first: composition reads its output index as its first input
     "code-built-least-significant-first": (
         MultiOp, "_code", _rewrite("for idx in key:", "for idx in reversed(key):"),

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import itertools
+import pathlib
 import random
 import re
 from fractions import Fraction
@@ -392,6 +393,23 @@ def test_operad_imports_from_weyl_only_the_operator_the_mode_check_and_the_norma
         {"OperatorExpr", "_check_mode", "_normal_form"}
 
 
+def test_only_operad_knows_its_private_names_and_jacobi_composes_through_the_public_one():
+    # the entry codes and the raw sums stay inside operad: jacobi reads mu o_1 mu by key.
+    # A module's names from operad are those it imports and those it reads as operad.name
+    imported = {}
+    for path in pathlib.Path(operad.__file__).parent.glob("*.py"):
+        if path.stem != "operad":
+            nodes = list(ast.walk(ast.parse(path.read_text())))
+            imported[path.stem] = {
+                alias.name for node in nodes if isinstance(node, ast.ImportFrom)
+                and node.module in ("operad", "oplax.operad") for alias in node.names} | {
+                node.attr for node in nodes if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "operad"}
+    assert {stem: sorted(name for name in names if name.startswith("_"))
+            for stem, names in imported.items()} == dict.fromkeys(imported, [])
+    assert imported["jacobi"] == {"MultiOp", "partial_compose"}
+
+
 def test_multiop_validates_its_mode_and_entry_values():
     with pytest.raises(ValueError, match="unknown mode"):
         MultiOp(3, 2, "bogus")
@@ -761,11 +779,21 @@ _BINARY = MultiOp(2, 2, QUANTUM, {(0, 1, 0): OperatorExpr.generator(QUANTUM, Q),
      "entries is int, not a dict or an iterable"),
     (lambda: MultiOp(2, 1, CLASSICAL, [(0, 0)]), ValueError,
      re.escape("entry (0, 0) is not a (key, value) pair")),
+    # an operand that is no operation is named by its type in every public composition
+    (lambda: bracket(_BINARY, 5), TypeError, "cannot interpret int as an operation"),
+    (lambda: partial_compose(_BINARY, 0, None), TypeError,
+     "cannot interpret NoneType as an operation"),
+    (lambda: partial_compose(None, 0, _BINARY), TypeError,
+     "cannot interpret NoneType as an operation"),
+    (lambda: total_compose(2.0, _BINARY), TypeError, "cannot interpret float as an operation"),
+    (lambda: jacobi_defect(_BINARY, _BINARY, "x"), TypeError,
+     "cannot interpret str as an operation"),
 ], ids=("dim", "degree", "key-length", "key-range", "float-index", "bool-index", "entry-mode",
         "float-dim", "bool-dim", "float-degree", "bool-degree", "float-slot", "bool-slot",
         "antisymmetric-bool-index", "antisymmetric-int-value", "antisymmetric-str-value",
         "int-key", "antisymmetric-short-key", "antisymmetric-int-key",
-        "antisymmetric-long-key", "long-pair", "int-entries", "key-without-value"))
+        "antisymmetric-long-key", "long-pair", "int-entries", "key-without-value",
+        "int-operand", "none-operand", "none-left-operand", "float-operand", "str-operand"))
 def test_multiop_rejects_a_malformed_operation(build, error, match):
     with pytest.raises(error, match=match):
         build()
