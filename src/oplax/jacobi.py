@@ -75,7 +75,7 @@ def jacobi_op(x: Vec3, y: Vec3, z: Vec3, mu: MultiOp) -> tuple:
             if (weight := weights.get(abc)) is None:
                 weight = weights[abc] = (x[abc // 9] * y[abc // 3 % 3] * z[abc % 3]).terms
             part = GaussRat(-re, -im)
-            for e, g in weight.items():
+            for (_, e), g in weight.items():
                 add_term(components[k], (word, add_exponents(exp, e)), part * g)
     return tuple(OperatorExpr._make(mu.mode, terms) for terms in components)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .scalars import _ZERO_EXP, GaussRat, SparseSum, add_exponents, add_term
+from .scalars import _ZERO_EXP, GaussRat, SparseSum, _pairs, add_exponents, add_term
 from .weyl import OperatorExpr, _check_mode, _normal_form
 
 
@@ -38,15 +38,7 @@ class MultiOp(SparseSum):
         self.degree = degree
         self.mode = mode
         acc: dict = {}
-        items = entries.items() if isinstance(entries, dict) else entries or ()
-        if not hasattr(items, "__iter__"):
-            raise TypeError(f"entries is {type(entries).__name__}, not a dict or an iterable")
-        for item in items:
-            # a dict's items are pairs; an item of the pairs form is checked before unpacking
-            if not isinstance(entries, dict) and not (
-                    isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], tuple)):
-                raise ValueError(f"entry {item!r} is not a (key, value) pair")
-            key, value = item
+        for key, value in _pairs(entries, "entries", "entry"):
             if not isinstance(key, tuple) or len(key) != degree + 1:
                 raise ValueError(f"entry key {key} does not match degree {degree}")
             if not {int}.issuperset(map(type, key)):

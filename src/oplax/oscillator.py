@@ -37,11 +37,11 @@ def hamiltonian() -> OperatorExpr:
 
 
 def _monomial(value) -> tuple:
-    """A monomial scalar as its one ``(exp, GaussRat)`` term; 0 has a zero coefficient."""
-    return next(iter(ScalarPoly._coerce(value).terms.items()), (_ZERO_EXP, GR_ZERO))
+    """A monomial scalar's one ``(((), exp), GaussRat)`` term; 0 has a zero coefficient."""
+    return next(iter(ScalarPoly._coerce(value).terms.items()), (((), _ZERO_EXP), GR_ZERO))
 
 
-#: images of the generators under d/dt, each a ``(word, exp, GaussRat)`` term
+#: images of the generators under d/dt, each a word with a monomial's ``((), exp)`` and GaussRat
 _DDT_IMAGES = {
     Q: ((P,), *_monomial(1)),
     P: ((Q,), *_monomial(-(W * W))),
@@ -49,7 +49,7 @@ _DDT_IMAGES = {
     AM: ((AP,), *_monomial(W * Fraction(1, 2))),
 }
 
-#: values of the generators at the start state, each an ``(exp, GaussRat)`` term
+#: values of the generators at the start state, each a monomial's ``((), exp)`` and GaussRat
 _START_VALUES = {Q: _monomial(0), P: _monomial(P0), AP: _monomial(S), AM: _monomial(0)}
 
 
@@ -61,7 +61,7 @@ def ddt(expr: OperatorExpr) -> OperatorExpr:
     acc: dict = {}
     for (word, exp), coeff in expr.terms.items():
         for j, gen in enumerate(word):
-            image, e, g = _DDT_IMAGES[gen]
+            image, (_, e), g = _DDT_IMAGES[gen]
             _normalize_into(acc, word[:j] + image + word[j + 1:], add_exponents(exp, e),
                             coeff * g, CLASSICAL)
     return OperatorExpr._make(CLASSICAL, acc)
@@ -215,7 +215,7 @@ def at_initial(expr: OperatorExpr) -> OperatorExpr:
     acc: dict = {}
     for (word, exp), coeff in expr.terms.items():
         for gen in word:
-            value_exp, value = _START_VALUES[gen]
+            (_, value_exp), value = _START_VALUES[gen]
             exp, coeff = add_exponents(exp, value_exp), coeff * value
         add_term(acc, ((), exp), coeff)
     return OperatorExpr._make(CLASSICAL, acc)

@@ -9,7 +9,7 @@ radical or float ever enters.
 
 Values are immutable after construction and kept canonical: no zero
 coefficients are stored, and two polynomials are equal exactly when their term
-maps coincide.
+maps coincide, keyed ``((), exp)`` as an operator's terms on the empty word.
 """
 
 from __future__ import annotations
@@ -34,14 +34,6 @@ def _symbol_index(name) -> int:
     if name not in SYMBOL_INDEX:
         raise ValueError(f"unknown symbol {name!r}")
     return SYMBOL_INDEX[name]
-
-
-def _bound_values(bindings: dict) -> dict:
-    """``subst`` bindings as ``{symbol index: Fraction}``: a name outside SYMBOLS raises
-    ValueError, a value that is not an ``int`` or a ``Fraction`` TypeError."""
-    if not {int, Fraction}.issuperset(map(type, bindings.values())):
-        raise TypeError("only an int or a Fraction may be substituted for a symbol")
-    return {_symbol_index(name): Fraction(value) for name, value in bindings.items()}
 
 
 def _exact(value):
@@ -178,6 +170,20 @@ def add_exponents(e1: tuple, e2: tuple) -> tuple:
     return tuple(map(operator.add, e1, e2))
 
 
+def _pairs(terms, name: str, noun: str):
+    """The ``(key, value)`` items of a SparseSum constructor's ``terms``, a dict or an
+    iterable whose items are each checked to be a pair with a tuple key before unpacking."""
+    if isinstance(terms, dict):
+        yield from terms.items()
+        return
+    if not hasattr(terms := terms or (), "__iter__"):
+        raise TypeError(f"{name} is {type(terms).__name__}, not a dict or an iterable")
+    for item in terms:
+        if not (isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], tuple)):
+            raise ValueError(f"{noun} {item!r} is not a (key, value) pair")
+        yield item
+
+
 class SparseSum:
     """A sum stored as ``terms``, a dict of nonzero values: the additive group,
     the equality and the value map shared by ScalarPoly, OperatorExpr and MultiOp.
@@ -250,28 +256,17 @@ def _check_exponents(exp: tuple) -> None:
             raise ValueError(f"negative exponent of {SYMBOLS[idx]} is not allowed")
 
 
-def _bind(exp: tuple, coeff: GaussRat, values: dict) -> tuple:
-    """One term with the ``{symbol index: Fraction}`` values substituted: its exponent
-    without the bound symbols and its coefficient; 0 under a negative power raises."""
-    for idx, value in values.items():
-        if exp[idx] < 0 and not value:
-            raise ValueError(f"{SYMBOLS[idx]}^{exp[idx]} is bound to 0")
-        coeff = coeff * value ** exp[idx]
-    return tuple(0 if idx in values else e for idx, e in enumerate(exp)), coeff
-
-
 class ScalarPoly(SparseSum):
-    """Sparse Laurent-in-``s`` polynomial with Gaussian-rational coefficients."""
+    """Sparse Laurent-in-``s`` polynomial with Gaussian-rational coefficients, stored as an
+    operator on the empty word, ``{((), exp): GaussRat}``; built from ``(exp, coeff)`` pairs."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         acc: dict = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for exp, coeff in items:
-                _check_exponents(exp := tuple(exp))
-                add_term(acc, exp, GaussRat._coerce(coeff))
+        for exp, coeff in _pairs(terms, "terms", "term"):
+            _check_exponents(exp := tuple(exp))
+            add_term(acc, ((), exp), GaussRat._coerce(coeff))
         self.terms = acc
 
     @classmethod
@@ -292,10 +287,12 @@ class ScalarPoly(SparseSum):
     @classmethod
     def const(cls, value) -> "ScalarPoly":
         coeff = GaussRat._coerce(value)
-        return cls._make({_ZERO_EXP: coeff} if coeff else {})
+        return cls._make({((), _ZERO_EXP): coeff} if coeff else {})
 
     @classmethod
     def monomial(cls, coeff, powers: dict) -> "ScalarPoly":
+        if not isinstance(powers, dict):
+            raise TypeError(f"powers is {type(powers).__name__}, not a dict")
         if not {int}.issuperset(map(type, powers.values())):
             raise ValueError(f"an exponent in {powers!r} is not an int")
         exp = [0] * NSYMBOLS
@@ -303,7 +300,7 @@ class ScalarPoly(SparseSum):
             exp[_symbol_index(name)] += e
         _check_exponents(exp := tuple(exp))
         coeff = GaussRat._coerce(coeff)
-        return cls._make({exp: coeff} if coeff else {})
+        return cls._make({((), exp): coeff} if coeff else {})
 
     @staticmethod
     def _coerce(value) -> "ScalarPoly":
@@ -317,31 +314,40 @@ class ScalarPoly(SparseSum):
             if isinstance(other, SparseSum) or (other := _coerced(ScalarPoly.const, other)) is None:
                 return NotImplemented
         acc: dict = {}
-        for e1, g1 in self.terms.items():
-            for e2, g2 in other.terms.items():
-                add_term(acc, add_exponents(e1, e2), g1 * g2)
+        for (_, e1), g1 in self.terms.items():
+            for (_, e2), g2 in other.terms.items():
+                add_term(acc, ((), add_exponents(e1, e2)), g1 * g2)
         return ScalarPoly._make(acc)
 
     __rmul__ = __mul__
 
     def has_symbol(self, name: str) -> bool:
         idx = _symbol_index(name)
-        return any(exp[idx] != 0 for exp in self.terms)
+        return any(exp[idx] for _, exp in self.terms)
 
-    def subst(self, bindings: dict) -> "ScalarPoly":
-        """Substitute rational constants, each an ``int`` or a ``Fraction``, for symbols,
-        exactly; binding 0 to a symbol that carries a negative power raises ValueError."""
-        values = _bound_values(bindings)
+    def subst(self, bindings: dict):
+        """Substitute rational constants, each an ``int`` or a ``Fraction``, for symbols, exactly,
+        also as ``OperatorExpr.subst_params``.  The bindings are checked first, so the zero sum
+        rejects what any other does; 0 under a negative power raises ValueError."""
+        if not isinstance(bindings, dict):
+            raise TypeError(f"bindings is {type(bindings).__name__}, not a dict")
+        if not {int, Fraction}.issuperset(map(type, bindings.values())):
+            raise TypeError("only an int or a Fraction may be substituted for a symbol")
+        values = {_symbol_index(name): Fraction(value) for name, value in bindings.items()}
         acc: dict = {}
-        for exp, coeff in self.terms.items():
-            add_term(acc, *_bind(exp, coeff, values))
-        return ScalarPoly._make(acc)
+        for (word, exp), coeff in self.terms.items():
+            for i, value in values.items():
+                if exp[i] < 0 and not value:
+                    raise ValueError(f"{SYMBOLS[i]}^{exp[i]} is bound to 0")
+                coeff = coeff * value ** exp[i]
+            add_term(acc, (word, tuple(0 if i in values else e for i, e in enumerate(exp))), coeff)
+        return self._like(acc)
 
     # -- rendering ---------------------------------------------------------
 
     def render(self) -> str:
         # canonical order: lexicographic by exponent vector, each key once
-        return render_sum(render_term(coeff, exp) for exp, coeff in sorted(self.terms.items()))
+        return render_sum(render_term(coeff, exp) for (_, exp), coeff in sorted(self.terms.items()))
 
     def __str__(self):
         return self.render()
@@ -473,6 +479,8 @@ def parse_terms(text: str, words=()) -> list:
     order.  One ``findall`` gives the groups of every token, which one loop
     reads.  Malformed text raises ValueError.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"text is {type(text).__name__}, not a str")
     words = tuple(words)
     pattern = _token_pattern(words)
     body = text.rstrip(_SPACE)
@@ -530,6 +538,6 @@ def parse_terms(text: str, words=()) -> list:
 def parse_scalar(text: str) -> ScalarPoly:
     """Parse the canonical scalar rendering back into a ScalarPoly."""
     acc: dict = {}
-    for _, exp, coeff in parse_terms(text):
-        add_term(acc, exp, coeff)
+    for word, exp, coeff in parse_terms(text):
+        add_term(acc, (word, exp), coeff)
     return ScalarPoly._make(acc)

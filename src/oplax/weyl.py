@@ -19,9 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import (_ZERO_EXP, GR_ONE, SYMBOL_INDEX, GaussRat, ScalarPoly, SparseSum, _bind,
-                      _bound_values, _check_exponents, _coerced, _symbol_index, add_exponents,
-                      add_term, parse_terms, render_sum, render_term)
+from .scalars import (_ZERO_EXP, GR_ONE, SYMBOL_INDEX, GaussRat, ScalarPoly, SparseSum,
+                      _check_exponents, _coerced, _pairs, add_exponents, add_term, parse_terms,
+                      render_sum, render_term)
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -94,17 +94,15 @@ class OperatorExpr(SparseSum):
         _check_mode(mode)
         self.mode = mode
         acc: dict = {}
-        if terms:
-            for word, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                word, exp = tuple(word), _ZERO_EXP
-                coeff = ScalarPoly._coerce(coeff).terms
-                if len(word) == 2 and type(word[0]) is tuple:  # a (word, exp) key
-                    _check_exponents(exp := tuple(word[1]))
-                    word = word[0]
-                if not (_LETTERS.issuperset(word) and {int}.issuperset(map(type, word))):
-                    raise ValueError(f"unknown generator in word {word!r}")
-                for e, g in coeff.items():
-                    _normalize_into(acc, word, add_exponents(exp, e), g, mode)
+        for word, coeff in _pairs(terms, "terms", "term"):
+            word, exp = tuple(word), _ZERO_EXP
+            if len(word) == 2 and type(word[0]) is tuple:  # a (word, exp) key
+                _check_exponents(exp := tuple(word[1]))
+                word = word[0]
+            if not (_LETTERS.issuperset(word) and {int}.issuperset(map(type, word))):
+                raise ValueError(f"unknown generator in word {word!r}")
+            for (_, e), g in ScalarPoly._coerce(coeff).terms.items():
+                _normalize_into(acc, word, add_exponents(exp, e), g, mode)
         self.terms = acc
 
     @classmethod
@@ -122,13 +120,12 @@ class OperatorExpr(SparseSum):
 
     @classmethod
     def zero(cls, mode: str) -> "OperatorExpr":
-        _check_mode(mode)
-        return cls._make(mode, {})
+        return cls.scalar(mode, 0)
 
     @classmethod
     def scalar(cls, mode: str, value) -> "OperatorExpr":
         _check_mode(mode)
-        return cls._make(mode, {((), exp): g for exp, g in ScalarPoly._coerce(value).terms.items()})
+        return cls._make(mode, ScalarPoly._coerce(value).terms)
 
     @classmethod
     def generator(cls, mode: str, gen: int) -> "OperatorExpr":
@@ -160,21 +157,9 @@ class OperatorExpr(SparseSum):
         # other is no operator: a scalar, which commutes, or a value __mul__ hands back
         return self.__mul__(other)
 
-    def has_symbol(self, name: str) -> bool:
-        idx = _symbol_index(name)
-        return any(exp[idx] for _, exp in self.terms)
-
-    # -- substitutions -----------------------------------------------------
-
-    def subst_params(self, bindings: dict) -> "OperatorExpr":
-        """``ScalarPoly.subst`` of rational constants in every coefficient; the names and
-        values are checked once, first, so the zero expression rejects what any other does."""
-        values = _bound_values(bindings)
-        acc: dict = {}
-        for (word, exp), coeff in self.terms.items():
-            exp, coeff = _bind(exp, coeff, values)
-            add_term(acc, (word, exp), coeff)
-        return self._like(acc)
+    # the scalars' own: a scalar's terms are keyed as an operator's
+    has_symbol = ScalarPoly.has_symbol
+    subst_params = ScalarPoly.subst
 
     def to_quantum(self) -> "OperatorExpr":
         """Reinterpret a classical expression with hatted generators.

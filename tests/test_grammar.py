@@ -9,8 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oplax.scalars import (_ZERO_EXP, GR_I, GR_ONE, GR_ZERO, NSYMBOLS, SYMBOL_INDEX, SYMBOLS, GaussRat,
-                           ScalarPoly, _check_exponents, _token_pattern, add_term, parse_scalar,
-                           parse_terms, symbol)
+                           ScalarPoly, _token_pattern, parse_scalar, parse_terms, symbol)
 from oplax.weyl import (AP, CLASSICAL, GENERATOR_NAMES, P, Q, QUANTUM, OperatorExpr,
                         parse_operator)
 
@@ -124,7 +123,7 @@ def test_scalar_rejects(text):
 
 def test_operator_terms_use_the_mode_names():
     # (word, exponent, coefficient) triples, the word in reading order
-    (w_exp,) = symbol("w").terms
+    [((), w_exp)] = symbol("w").terms
     assert parse_terms("2 w * ph qh - Ah+", ("qh", "ph", "Ah+", "Ah-")) == [
         ((P, Q), w_exp, GaussRat(2)),
         ((AP,), _ZERO_EXP, GaussRat(-1)),
@@ -205,11 +204,8 @@ def oracle_gauss(tokens: list, pos: int, text: str) -> tuple:
 
 
 def oracle_term(coeff: GaussRat, exp: list, sign: int) -> ScalarPoly:
-    exp = tuple(exp)
-    _check_exponents(exp)
-    if sign < 0:
-        coeff = -coeff
-    return ScalarPoly._make({exp: coeff} if coeff else {})
+    # the public constructor checks the exponents and drops a zero coefficient
+    return ScalarPoly([(tuple(exp), -coeff if sign < 0 else coeff)])
 
 
 #: the token kinds that open a factor, the only ones a "*" may precede
@@ -256,11 +252,10 @@ def oracle_terms(text: str, words=()) -> list:
 
 
 def oracle_scalar(text: str) -> ScalarPoly:
-    acc: dict = {}
+    total = ScalarPoly()
     for _, term in oracle_terms(text):
-        for exp, coeff in term.terms.items():
-            add_term(acc, exp, coeff)
-    return ScalarPoly._make(acc)
+        total = total + term
+    return total
 
 
 #: (oplax's parser, the oracle) for scalar text and each operator mode

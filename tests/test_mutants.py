@@ -24,7 +24,8 @@ contraction term or leaves a classical word unsorted passes too.  No suite check
 depends on the -i hbar of a p q contraction in a composite.  A key's decode is seen:
 the Jacobi checks read mu o_1 mu through ``sorted_entries``.  No suite forms a total
 composition of an operation of degree 3 or more: its only bracket is [M, mu]
-with mu binary.  Nor does any suite parse text or mix modes.
+with mu binary.  Nor does any suite parse text or mix modes, and with hbar
+symbolic none substitutes a value for a symbol.
 """
 
 import functools
@@ -205,6 +206,14 @@ CODE_MUTANTS = {
     "jacobi-drops-the-imaginary-part": (
         jacobi, "jacobi_op", _rewrite("g.im", "0"),
         (test_jacobi.test_the_i_hbar_of_a_p_q_junction_reaches_the_jacobi_operator,), None),
+    # the one substitution, ScalarPoly.subst and OperatorExpr.subst_params: a bound symbol
+    # keeps its exponent, so only a binding to 0 or 1 gives the right value
+    "bound-symbol-keeps-its-exponent": (
+        ScalarPoly, "subst",
+        _rewrite("tuple(0 if i in values else e for i, e in enumerate(exp))", "exp"),
+        (test_scalars.test_subst_examples, functools.partial(
+            test_weyl.test_an_expression_rejects_an_unknown_symbol_or_a_non_rational_value,
+            expr=test_weyl.SUBST_EXPRS[1])), None),
     # the text route.  "(1+2*i)" is read as a malformed coefficient
     "times-i-lookahead-dropped": (
         scalars, "_parse_gauss",
@@ -252,16 +261,21 @@ assert all(tests or first for *_, tests, first in CODE_MUTANTS.values()), \
 
 def _mutate(monkeypatch, home, name, make) -> None:
     """Set ``name`` to ``make(original)`` in every loaded oplax module that holds it; a
-    class ``home`` takes it under each of its names there, as ``__rmul__`` for ``__mul__``."""
+    class ``home``'s function is set under each name an oplax class holds it by, as
+    ``__rmul__`` for ``__mul__`` or ``OperatorExpr.subst_params`` for ``ScalarPoly.subst``."""
     original = getattr(home, name)
     mutant = make(original)
+    modules = [module for key, module in list(sys.modules.items())
+               if key == "oplax" or key.startswith("oplax.")]
     if isinstance(home, type):
-        for alias in [key for key, value in vars(home).items() if value is original]:
-            monkeypatch.setattr(home, alias, mutant)
+        classes = {value for module in modules for value in vars(module).values()
+                   if isinstance(value, type)}
+        assert home in classes
+        for cls in classes:
+            for alias in [key for key, value in vars(cls).items() if value is original]:
+                monkeypatch.setattr(cls, alias, mutant)
         return
-    holders = [module for key, module in list(sys.modules.items())
-               if (key == "oplax" or key.startswith("oplax."))
-               and getattr(module, name, None) is original]
+    holders = [module for module in modules if getattr(module, name, None) is original]
     assert home in holders
     for module in holders:
         monkeypatch.setattr(module, name, mutant)

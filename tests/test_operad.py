@@ -424,7 +424,7 @@ leibniz_coeffs = st.builds(
     st.sampled_from((0, 0, 1, Fraction(-1, 2))),
     st.fixed_dictionaries({"w": st.integers(0, 1), "s": st.integers(-1, 1)}))
 leibniz_entries = st.lists(
-    st.tuples(st.lists(st.sampled_from((Q, P, AP, AM)), max_size=2), leibniz_coeffs),
+    st.tuples(st.lists(st.sampled_from((Q, P, AP, AM)), max_size=2).map(tuple), leibniz_coeffs),
     min_size=1, max_size=2).map(lambda terms: OperatorExpr(CLASSICAL, terms))
 
 

@@ -227,7 +227,7 @@ def classical_exprs(draw):
         coeff = ScalarPoly.monomial(GaussRat(draw(parts), draw(parts)),
                                     {"s": draw(st.integers(-3, 2)), "w": draw(st.integers(0, 2)),
                                      "x1": draw(st.integers(0, 1))})
-        terms.append((draw(st.lists(st.sampled_from(GENERATORS), max_size=4)), coeff))
+        terms.append((tuple(draw(st.lists(st.sampled_from(GENERATORS), max_size=4))), coeff))
     return OperatorExpr(CLASSICAL, terms)
 
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -239,8 +240,17 @@ def test_render_is_deterministic_and_sorted():
     (lambda: ScalarPoly({(Fraction(1, 2),) + _ZERO_EXP[1:]: 1}), ValueError, "not an int"),
     (lambda: ScalarPoly([((True,) + _ZERO_EXP[1:], 1)]), ValueError, "not an int"),
     (lambda: ScalarPoly({("1",) + _ZERO_EXP[1:]: 1}), ValueError, "not an int"),
+    # an argument of the wrong kind, or a pairs-form item that is no pair, is named
+    (lambda: ScalarPoly.monomial(1, None), TypeError, "powers is NoneType, not a dict"),
+    (lambda: W.subst(None), TypeError, "bindings is NoneType, not a dict"),
+    (lambda: parse_scalar(None), TypeError, "text is NoneType, not a str"),
+    (lambda: ScalarPoly(5), TypeError, "terms is int, not a dict or an iterable"),
+    (lambda: ScalarPoly([(_ZERO_EXP, 1, 2)]), ValueError,
+     re.escape(f"term ({_ZERO_EXP}, 1, 2) is not a (key, value) pair")),
+    (lambda: ScalarPoly([(0, 1)]), ValueError, re.escape("term (0, 1) is not a (key, value) pair")),
 ], ids=("exponent-length", "monomial-float", "monomial-fraction", "monomial-bool", "monomial-str",
-        "vector-float", "vector-fraction", "vector-bool", "vector-str"))
+        "vector-float", "vector-fraction", "vector-bool", "vector-str", "monomial-none-powers",
+        "subst-none", "parse-none", "int-terms", "long-pair", "exponent-without-coefficient"))
 def test_a_malformed_exponent_is_rejected(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -176,7 +176,8 @@ def test_a_shape_mismatch_compares_false_and_raises_on_addition(dim, degree, mod
 
 
 @pytest.mark.parametrize("make, key, one", [
-    (ScalarPoly, next(iter(ScalarPoly.const(1).terms)), 1),
+    # ScalarPoly(...) takes exponent keys, and stores them under the empty word
+    (ScalarPoly, next(iter(ScalarPoly.const(1).terms))[1], 1),
     (lambda terms: OperatorExpr(CLASSICAL, terms), (Q,), 1),
     (lambda terms: MultiOp(1, 1, CLASSICAL, terms), (0, 0),
      OperatorExpr.scalar(CLASSICAL, 1)),

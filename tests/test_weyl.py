@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from oplax import operad
 from oplax.operad import _mul_rows_into, _wrap
-from oplax.scalars import NSYMBOLS, _ZERO_EXP, GaussRat, ScalarPoly, add_term, parse_scalar, symbol
+from oplax.scalars import (NSYMBOLS, SYMBOLS, _ZERO_EXP, GaussRat, ScalarPoly, add_term,
+                           parse_scalar, symbol)
 from oplax.weyl import (
     AM,
     AP,
@@ -109,6 +111,9 @@ def test_an_expression_rejects_an_unknown_symbol_or_a_non_rational_value(expr):
         for bindings in ({"hbar": value}, {"q": value}, {"s": 1, "w": value}):
             with pytest.raises(TypeError, match="only an int or a Fraction"):
                 expr.subst_params(bindings)
+    for bindings in (None, [("hbar", 0)]):
+        with pytest.raises(TypeError, match=f"bindings is {type(bindings).__name__}, not a dict"):
+            expr.subst_params(bindings)
     # p q = q p - i hbar: the nonzero expression carries hbar, and no s
     assert expr.has_symbol("hbar") == bool(expr) and not expr.has_symbol("s")
     assert expr.subst_params({"s": 2, "hbar": 0}) == expr.subst_params({"hbar": 0})
@@ -296,13 +301,13 @@ def test_product_kernel_matches_the_constructor(mode, data):
 
 
 def old_route_terms(t1, t2, negate):
-    """The product of two {exp: GaussRat} maps one GaussRat.__mul__ and one
-    add_term at a time, with the exponents added here."""
+    """The product of two scalars' {((), exp): GaussRat} maps one GaussRat.__mul__
+    and one add_term at a time, with the exponents added here."""
     acc: dict = {}
-    for e1, g1 in t1.items():
-        for e2, g2 in t2.items():
+    for ((), e1), g1 in t1.items():
+        for ((), e2), g2 in t2.items():
             g = g1 * g2
-            add_term(acc, tuple(a + b for a, b in zip(e1, e2)), -g if negate else g)
+            add_term(acc, ((), tuple(a + b for a, b in zip(e1, e2))), -g if negate else g)
     return acc
 
 
@@ -352,7 +357,7 @@ def differential_exprs(draw, mode):
                 GaussRat(draw(kernel_parts), draw(kernel_parts)),
                 {"s": draw(st.integers(-2, 1)), "hbar": draw(st.integers(0, 1)),
                  "w": draw(st.integers(0, 1))})
-        terms.append((draw(st.lists(st.sampled_from((Q, P, AP, AM)), max_size=3)), coeff))
+        terms.append((tuple(draw(st.lists(st.sampled_from((Q, P, AP, AM)), max_size=3))), coeff))
     return OperatorExpr(mode, terms)
 
 
@@ -544,8 +549,7 @@ def test_a_cancelled_word_leaves_at_the_wrap(mode):
 
 @pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
 def test_the_join_kernel_adds_at_base_plus_offset_and_the_wrap_drops_zeros(mode):
-    one, s = _ZERO_EXP, next(iter(symbol("s").terms))
-    s2 = next(iter((symbol("s") * symbol("s")).terms))
+    one, [((), s)], [((), s2)] = _ZERO_EXP, symbol("s").terms, (symbol("s") * symbol("s")).terms
     # a real group of p at offsets 50 and 60, a complex one of A- s at 50, and
     # a real one of the empty word at 60
     by_p = ((P,), one, True, ((50, 3, 0), (60, 1, 0)))
@@ -599,7 +603,7 @@ def test_the_join_kernel_adds_at_base_plus_offset_and_the_wrap_drops_zeros(mode)
 def test_an_equal_zero_exponent_gives_the_same_product_as_zero_exp_itself(mode):
     # the kernel skips the exponent add when a side is the _ZERO_EXP object; a
     # zero vector that is only equal to it must take the add and land on the same key
-    (parsed,) = parse_scalar("2").terms
+    [((), parsed)] = parse_scalar("2").terms
     zeros = (tuple([0] * NSYMBOLS), parsed)
     for zero in zeros:
         assert zero == _ZERO_EXP and zero is not _ZERO_EXP
@@ -687,6 +691,21 @@ def test_a_word_with_an_unknown_generator_is_rejected(mode, word):
 
 
 @pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
+@pytest.mark.parametrize("call, error, match", [
+    (lambda mode: OperatorExpr(mode, 5), TypeError, "terms is int, not a dict or an iterable"),
+    (lambda mode: OperatorExpr(mode, [(0, 1)]), ValueError,
+     re.escape("term (0, 1) is not a (key, value) pair")),
+    (lambda mode: OperatorExpr(mode, [((Q,), 1, 2)]), ValueError,
+     re.escape("term ((0,), 1, 2) is not a (key, value) pair")),
+    (lambda mode: parse_operator(5, mode), TypeError, "text is int, not a str"),
+], ids=("int-terms", "int-word", "long-pair", "int-text"))
+def test_an_operator_argument_of_the_wrong_kind_is_named(mode, call, error, match):
+    # the constructor checks a pairs-form item as MultiOp(...) does, before unpacking it
+    with pytest.raises(error, match=match):
+        call(mode)
+
+
+@pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_the_constructor_takes_the_keys_that_terms_holds(mode, data):
@@ -702,10 +721,39 @@ def test_the_constructor_takes_the_keys_that_terms_holds(mode, data):
     assert OperatorExpr(mode, mixed) == w * e + OperatorExpr(mode, [((P, Q), 1)])
 
 
+#: bindings for the substitution: s may meet its negative powers at 0, which both types reject
+substitutions = st.dictionaries(st.sampled_from(("hbar", "s", "w", "beta")),
+                                st.sampled_from((0, 1, -2, Fraction(1, 2))), max_size=3)
+
+
+@pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
+@settings(max_examples=80, deadline=None)
+@given(scalar=kernel_scalars(), bindings=substitutions)
+def test_a_scalar_is_an_operator_of_the_empty_word(mode, scalar, bindings):
+    # one term layout: an operator takes a scalar's terms as they stand, and its
+    # constructor reads them as (word, exp) keys
+    op = OperatorExpr.scalar(mode, scalar)
+    assert op.terms == scalar.terms
+    assert OperatorExpr(mode, scalar.terms) == op
+    # one substitution and one symbol test, bound on both types
+    assert OperatorExpr.subst_params is ScalarPoly.subst
+    assert OperatorExpr.has_symbol is ScalarPoly.has_symbol
+
+    def substituted(subst):
+        try:
+            return subst(bindings).terms
+        except ValueError as error:
+            return str(error)
+
+    assert substituted(op.subst_params) == substituted(scalar.subst)
+    for name in SYMBOLS:
+        assert op.has_symbol(name) == scalar.has_symbol(name)
+
+
 def test_a_term_key_with_imaginary_parts_and_s_to_a_negative_power():
     s_inv2 = ScalarPoly.monomial(GaussRat(1, 2), {"s": -2})
     e = OperatorExpr(QUANTUM, [((P, Q), s_inv2)])
-    (s_exp,) = s_inv2.terms
+    [((), s_exp)] = s_inv2.terms
     assert e.terms[(Q, P), s_exp] == GaussRat(1, 2)
     assert OperatorExpr(QUANTUM, e.terms) == e
     assert OperatorExpr(QUANTUM, [(((P, Q), s_exp), GaussRat(1, 2))]) == e
