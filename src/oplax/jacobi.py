@@ -1,5 +1,5 @@
-"""The Jacobi operator of the quantized bracket on the three-dimensional
-algebras, and its closed form for the four-parameter family.
+"""The Jacobi operator of a binary operation on any dimension, and its closed
+form for the four-parameter family of the quantized three-dimensional algebras.
 
 Vectors have commuting scalar components; the bracket contracts them against
 the structure operators.  In a nested bracket the outer structure operator
@@ -16,72 +16,52 @@ from .bianchi import (
     family_structure_op,
     initial_structure_op,
 )
-from .operad import MultiOp, partial_compose
+from .operad import MultiOp, cyclic_sum, partial_compose
 from .oscillator import INV_P0, INV_SQRT_2P0, P0, W, det3
 from .report import Check, first_nonzero_check, flag_check
 from .scalars import GaussRat, ScalarPoly, add_exponents, add_term, symbol
 from .weyl import QUANTUM, OperatorExpr, commutator, generators
 
-Vec3 = tuple  # three ScalarPoly components
 
-
-def symbolic_vec(prefix: str) -> Vec3:
+def symbolic_vec(prefix: str) -> tuple:
     if prefix not in ("x", "y", "z"):
         raise ValueError("symbolic vectors use the x, y or z component symbols")
     return tuple(symbol(f"{prefix}{j}") for j in (1, 2, 3))
 
 
-def _vec3(values) -> Vec3:
+def _vec(values, dim: int) -> tuple:
     values = tuple(map(ScalarPoly._coerce, values))
-    if len(values) != 3:
-        raise ValueError("expected three components")
+    if len(values) != dim:
+        raise ValueError(f"expected {dim} components on dimension {dim}, got {len(values)}")
     return values
 
 
-def rational_vec(values) -> Vec3:
-    return _vec3(map(GaussRat, values))
+def rational_vec(values) -> tuple:
+    return _vec(map(GaussRat, values), 3)
 
 
-def _require_binary3(mu: MultiOp) -> None:
+def jacobi_op(x: tuple, y: tuple, z: tuple, mu: MultiOp) -> tuple:
+    """Cyclic sum [x,[y,z]] + [y,[z,x]] + [z,[x,y]] of the bracket mu on any dimension, as
+    its ``mu.dim`` operator components -sum S[(a,b,c)->k] x^a y^b z^c, with S the
+    ``cyclic_sum`` of T = mu o_1 mu, T[(a,b,c)->k] = -sum_i mu[(a,i)->k] mu[(b,c)->i].
+    S holds no vector component, so a Lie bracket cancels before any weight enters."""
     if not isinstance(mu, MultiOp):
         raise TypeError(f"cannot interpret {type(mu).__name__} as an operation")
-    if mu.dim != 3 or mu.degree != 2:
-        raise ValueError("expected a binary operation on dimension 3")
-
-
-def jacobi_op(x: Vec3, y: Vec3, z: Vec3, mu: MultiOp) -> tuple:
-    """Cyclic sum [x,[y,z]] + [y,[z,x]] + [z,[x,y]] for the given bracket, as
-    its three operator components (all higher ones vanish).
-
-    The composite T = mu o_1 mu has entry (a,b,c,k) = -sum_i mu[(a,i)->k] *
-    mu[(b,c)->i], so the sum is -sum S[(a,b,c)->k] x^a y^b z^c with the cyclic
-    symmetrisation S[abc] = T[abc] + T[bca] + T[cab], summed on the parts of T's
-    ``sorted_entries`` under the key 9a + 3b + c.  S carries no vector components and
-    drops its cancelled parts, so a Lie bracket cancels before they enter; each surviving
-    part, times each term of its weight -x^a y^b z^c, adds to its k.
-    """
-    _require_binary3(mu)
-    x, y, z = map(_vec3, (x, y, z))
-    sym: dict = {}
-    for (a, b, c, k), value in partial_compose(mu, 1, mu).sorted_entries():
-        for (word, exp), g in value.terms.items():
-            for abc in (9 * a + 3 * b + c, 9 * c + 3 * a + b, 9 * b + 3 * c + a):
-                r, i = sym.get(key := (abc, k, word, exp), (0, 0))
-                sym[key] = r + g.re, i + g.im
+    if mu.degree != 2:
+        raise ValueError(f"expected a binary operation, not one of degree {mu.degree}")
+    x, y, z = (_vec(v, mu.dim) for v in (x, y, z))
     weights: dict = {}
-    components = ({}, {}, {})
-    for (abc, k, word, exp), (re, im) in sym.items():
-        if re or im:
-            if (weight := weights.get(abc)) is None:
-                weight = weights[abc] = (x[abc // 9] * y[abc // 3 % 3] * z[abc % 3]).terms
-            part = GaussRat(-re, -im)
-            for (_, e), g in weight.items():
-                add_term(components[k], (word, add_exponents(exp, e)), part * g)
+    components = [{} for _ in range(mu.dim)]
+    for (a, b, c, k), value in cyclic_sum(partial_compose(mu, 1, mu)).sorted_entries():
+        if (weight := weights.get((a, b, c))) is None:
+            weight = weights[a, b, c] = (-(x[a] * y[b] * z[c])).terms
+        for (word, exp), g in value.terms.items():
+            for (_, e), w in weight.items():
+                add_term(components[k], (word, add_exponents(exp, e)), g * w)
     return tuple(OperatorExpr._make(mu.mode, terms) for terms in components)
 
 
-def closed_form_jacobi(x: Vec3, y: Vec3, z: Vec3,
-                       params: FamilyParams) -> tuple:
+def closed_form_jacobi(x: tuple, y: tuple, z: tuple, params: FamilyParams) -> tuple:
     """The family's Jacobi operator in closed form.
 
     The first two components are multiples of the operators

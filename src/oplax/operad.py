@@ -1,6 +1,6 @@
 """Multilinear operations on a finite-dimensional space, with their operad
 structure: partial compositions, total composition, the graded commutator
-(Gerstenhaber bracket), and the graded Jacobi defect.
+(Gerstenhaber bracket), the graded Jacobi defect, and the cyclic sum over inputs.
 
 An operation of degree n on a d-dimensional space is stored sparsely by its
 structure constants: entry (i1, ..., in, k) is the coefficient of basis vector
@@ -259,6 +259,21 @@ def jacobi_defect(f: MultiOp, g: MultiOp, h: MultiOp) -> MultiOp:
             _bracket_into(acc, x, _operand(bracket(y, z)),
                           ((x.degree - 1) * z.reduced_degree) % 2 == 1)
     return _composite((f, g, h), fill)
+
+
+def cyclic_sum(op: MultiOp) -> MultiOp:
+    """Sum of op over the cyclic rotations of its inputs, on entry codes alone: a rotation
+    moves the leading digit of a code's inputs to their end, past which k stays."""
+    if not isinstance(op, MultiOp):
+        raise TypeError(f"cannot interpret {type(op).__name__} as an operation")
+    dim, top = op.dim, op.dim ** (op.degree - 1)
+    acc: dict = {}
+    for code, value in op.terms.items():
+        inputs, k = divmod(code, dim)
+        for _ in range(op.degree):
+            add_term(acc, inputs * dim + k, value)
+            inputs = inputs % top * dim + inputs // top
+    return op._like(acc)
 
 
 def antisymmetric_binary(dim: int, mode: str, pair_entries: dict) -> MultiOp:

@@ -258,13 +258,17 @@ def _check_exponents(exp: tuple) -> None:
 
 class ScalarPoly(SparseSum):
     """Sparse Laurent-in-``s`` polynomial with Gaussian-rational coefficients, stored as an
-    operator on the empty word, ``{((), exp): GaussRat}``; built from ``(exp, coeff)`` pairs."""
+    operator on the empty word, ``{((), exp): GaussRat}``; built from pairs keyed ``exp`` or
+    ``((), exp)``, so ``ScalarPoly(p.terms) == p``."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         acc: dict = {}
-        for exp, coeff in _pairs(terms, "terms", "term"):
+        for key, coeff in _pairs(terms, "terms", "term"):
+            word, exp = key if len(key) == 2 and type(key[0]) is tuple else ((), key)
+            if word:
+                raise ValueError(f"term key {key!r} has a word, which a scalar cannot have")
             _check_exponents(exp := tuple(exp))
             add_term(acc, ((), exp), GaussRat._coerce(coeff))
         self.terms = acc

@@ -120,7 +120,8 @@ class OperatorExpr(SparseSum):
 
     @classmethod
     def zero(cls, mode: str) -> "OperatorExpr":
-        return cls.scalar(mode, 0)
+        _check_mode(mode)
+        return cls._make(mode, {})
 
     @classmethod
     def scalar(cls, mode: str, value) -> "OperatorExpr":

@@ -121,18 +121,30 @@ def reference_jacobi_defect(f, g, h):
     return _reference_op(f, f.degree + g.degree + h.degree - 2, terms)
 
 
+def reference_cyclic_sum(op):
+    """The sum of op over the cyclic rotations of its inputs, by decoded key: each entry
+    (i1, ..., in, k) goes to (i_r+1, ..., in, i1, ..., i_r, k) for each r, and each key's
+    terms are summed by one constructor call."""
+    terms: dict = {}
+    for key, entry in op.entries.items():
+        inputs = key[:-1]
+        for r in range(op.degree):
+            terms.setdefault(inputs[r:] + inputs[:r] + key[-1:], []).extend(entry.terms.items())
+    return _reference_op(op, op.degree, terms)
+
+
 def reference_jacobi_op(x, y, z, mu):
-    """The Jacobi operator of mu by operator arithmetic: T = mu o_1 mu from
-    ``partial_compose``, its cyclic symmetrisation S[abc] = T[abc] + T[bca] + T[cab]
+    """The Jacobi operator of mu, on any dimension, by operator arithmetic: T = mu o_1 mu
+    from ``partial_compose``, its cyclic symmetrisation S[abc] = T[abc] + T[bca] + T[cab]
     summed as ``OperatorExpr`` values by index tuple, and each weight -x^a y^b z^c
-    multiplied into every coefficient of S.  ``jacobi_op`` shares T with it but sums plain
-    part pairs under an int key and contracts them on flat term maps, so neither of those
-    steps enters the result here."""
+    multiplied into every coefficient of S.  ``jacobi_op`` shares T with it but symmetrises
+    on entry codes with ``operad.cyclic_sum`` and contracts on flat term maps, so neither of
+    those steps enters the result here."""
     sym: dict = {}
     for (a, b, c, k), entry in partial_compose(mu, 1, mu).entries.items():
         for key in ((a, b, c, k), (c, a, b, k), (b, c, a, k)):
             add_term(sym, key, entry)
-    total = ([], [], [])
+    total = [[] for _ in range(mu.dim)]
     for (a, b, c, k), entry in sym.items():
         weight = -(x[a] * y[b] * z[c])
         total[k].extend((key, weight * coeff) for key, coeff in entry.terms.items())

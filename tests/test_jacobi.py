@@ -21,7 +21,7 @@ from oplax.oscillator import INV_2P0, INV_SQRT_2P0, P0
 from oplax.scalars import GaussRat, ScalarPoly, symbol
 from oplax.weyl import AM, AP, CLASSICAL, P, Q, QUANTUM, OperatorExpr, commutator
 
-from helpers import assert_no_zero_survives_the_wrap, reference_jacobi_op
+from helpers import assert_no_zero_survives_the_wrap, is_antisymmetric, reference_jacobi_op
 
 E1, E2, E3 = rational_vec([1, 0, 0]), rational_vec([0, 1, 0]), rational_vec([0, 0, 1])
 X, Y, Z = symbolic_vec("x"), symbolic_vec("y"), symbolic_vec("z")
@@ -132,17 +132,17 @@ jacobi_words = st.tuples(
 
 
 @st.composite
-def binary_ops(draw, mode):
-    """A binary operation on dimension 3 with up to six operator entries, drawn as
-    they come or, as the tables are, antisymmetric."""
-    keys = st.tuples(*[st.integers(0, 2)] * 3)
+def binary_ops(draw, mode, dim=3):
+    """A binary operation on ``dim`` with up to six operator entries, drawn as they come
+    or, as the tables are, antisymmetric."""
+    keys = st.tuples(*[st.integers(0, dim - 1)] * 3)
     terms = st.lists(st.tuples(jacobi_words, jacobi_coeffs), min_size=1, max_size=2)
     entries = {key: OperatorExpr(mode, value)
                for key, value in draw(st.dictionaries(keys, terms, max_size=6)).items()}
     if draw(st.booleans()):
-        return antisymmetric_binary(3, mode, {(i + 1, j + 1, k + 1): value
-                                              for (i, j, k), value in entries.items() if i < j})
-    return MultiOp(3, 2, mode, entries)
+        return antisymmetric_binary(dim, mode, {(i + 1, j + 1, k + 1): value
+                                                for (i, j, k), value in entries.items() if i < j})
+    return MultiOp(dim, 2, mode, entries)
 
 
 #: symbolic, rational, or with Gaussian-rational monomial components in w and s^-1
@@ -160,6 +160,23 @@ def test_jacobi_op_agrees_with_the_composite_route(mode, data):
     assert got == reference_jacobi_op(x, y, z, mu)
     assert all(component.mode == mode for component in got)
     assert_no_zero_survives_the_wrap({k: c.terms for k, c in enumerate(got) if c})
+
+
+@pytest.mark.parametrize("mode", (CLASSICAL, QUANTUM))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_jacobi_op_agrees_with_the_composite_route_on_any_dimension(mode, data):
+    dim = data.draw(st.integers(2, 4))
+    mu = data.draw(binary_ops(mode, dim))
+    components = st.one_of(st.integers(-2, 2).map(ScalarPoly.const), jacobi_coeffs)
+    x, y, z = (data.draw(st.tuples(*[components] * dim)) for _ in range(3))
+    got = jacobi_op(x, y, z, mu)
+    assert len(got) == dim and got == reference_jacobi_op(x, y, z, mu)
+    assert all(component.mode == mode for component in got)
+    # J is alternating for an antisymmetric bracket, and on dimension 2 no alternating
+    # trilinear form is nonzero
+    if dim == 2 and is_antisymmetric(mu):
+        assert all(component.is_zero for component in got)
 
 
 def test_the_i_hbar_of_a_p_q_junction_reaches_the_jacobi_operator():
@@ -290,27 +307,30 @@ def test_rational_vec_takes_exact_rationals_only():
 
 
 def test_shape_validation(monkeypatch):
-    wrong_dim = MultiOp(2, 2, QUANTUM, {})
     wrong_degree = MultiOp(3, 1, QUANTUM, {})
-    with pytest.raises(ValueError):
-        jacobi_op(E1, E2, E3, wrong_dim)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected a binary operation, not one of degree 1"):
         jacobi_op(E1, E2, E3, wrong_degree)
     # a bracket that is no operation is named by its type
     with pytest.raises(TypeError, match="cannot interpret str as an operation"):
         jacobi_op(E1, E2, E3, "mu")
-    # each vector is checked before any composition: IX, whose S cancels, and VI_a,
-    # whose S does not, reject the same vectors
+    # each vector is checked before any composition: IX, whose S cancels, VI_a, whose S
+    # does not, and a bracket on dimension 2, which takes any dimension but wants
+    # vectors of its own, reject the same vectors by the dimension
     def no_composition(*args):
         raise AssertionError("composed before the vectors were checked")
 
     monkeypatch.setattr(jacobi, "partial_compose", no_composition)
+    monkeypatch.setattr(jacobi, "cyclic_sum", no_composition)
     for mu in (bianchi.quantum_table()["IX"], bianchi.quantum_table()["VI_a"]):
         for vectors in (((), (), ()), (E1, E2, (1, 0)), (E1, (0, 0, 0, 1), E3)):
-            with pytest.raises(ValueError, match="expected three components"):
+            with pytest.raises(ValueError, match="expected 3 components on dimension 3"):
                 jacobi_op(*vectors, mu)
         with pytest.raises(TypeError, match="cannot interpret str"):
             jacobi_op(E1, ("1", "0", "0"), E3, mu)
+    ph = OperatorExpr.generator(QUANTUM, P)
+    for mu in (MultiOp(2, 2, QUANTUM, {}), antisymmetric_binary(2, QUANTUM, {(1, 2, 1): ph})):
+        with pytest.raises(ValueError, match="expected 2 components on dimension 2, got 3"):
+            jacobi_op(E1, E2, E3, mu)
     monkeypatch.undo()
     # int, Fraction and GaussRat components are scalars like rational_vec's
     mu = bianchi.quantum_table()["VI_a"]

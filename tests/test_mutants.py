@@ -22,7 +22,8 @@ passes and only tier-1 catches.  Flipping the phase of the commutation relation
 is hbar -> -hbar, which no suite can tell apart; a normal form that drops the
 contraction term or leaves a classical word unsorted passes too.  No suite check
 depends on the -i hbar of a p q contraction in a composite.  A key's decode is seen:
-the Jacobi checks read mu o_1 mu through ``sorted_entries``.  No suite forms a total
+the closed-form check reads the cyclic sum S of mu o_1 mu through ``sorted_entries``;
+on a Lie row S cancels on its codes, before any decode.  No suite forms a total
 composition of an operation of degree 3 or more: its only bracket is [M, mu]
 with mu binary.  Nor does any suite parse text or mix modes, and with hbar
 symbolic none substitutes a value for a symbol.
@@ -187,12 +188,12 @@ CODE_MUTANTS = {
     "codes-decoded-in-reverse": (
         MultiOp, "sorted_entries",
         _rewrite("range(self.degree, -1, -1)", "range(self.degree + 1)"),
-        (test_operad.test_composition_index_conventions,), "jacobi-classical.IV"),
+        (test_operad.test_composition_index_conventions,), "theorem-9-1.J1"),
     # each index decoded from the digit one place higher, so the first reads 0
     "decode-off-by-one-power": (
         MultiOp, "sorted_entries",
         _rewrite("range(self.degree, -1, -1)", "range(self.degree + 1, 0, -1)"),
-        (test_operad.test_composition_index_conventions,), "jacobi-classical.VII"),
+        (test_operad.test_composition_index_conventions,), "theorem-9-1.J1"),
     # a key coded last index first: composition reads its output index as its first input
     "code-built-least-significant-first": (
         MultiOp, "_code", _rewrite("for idx in key:", "for idx in reversed(key):"),
@@ -201,11 +202,17 @@ CODE_MUTANTS = {
     "scalar-product-drops-the-right-exponent": (
         ScalarPoly, "__mul__", _rewrite("add_exponents(e1, e2)", "e1"),
         (test_scalars.test_laurent_cancellation,), "matrix-lax.det-energy"),
-    # the symmetrisation reads each wrapped coefficient's real part alone: every -i hbar
-    # of a table's mu o_1 mu cancels in S
+    # the contraction reads each coefficient of S by its real part alone: every -i hbar
+    # of a table's S is lost
     "jacobi-drops-the-imaginary-part": (
-        jacobi, "jacobi_op", _rewrite("g.im", "0"),
+        jacobi, "jacobi_op", _rewrite("g * w", "GaussRat(g.re) * w"),
         (test_jacobi.test_the_i_hbar_of_a_p_q_junction_reaches_the_jacobi_operator,), None),
+    # the cyclic sum leaves out its last rotation: S[abc] misses T[bca]
+    "cyclic-sum-skips-a-rotation": (
+        operad, "cyclic_sum", _rewrite("range(op.degree)", "range(op.degree - 1)"),
+        (functools.partial(test_operad.test_cyclic_sum_matches_the_tuple_keyed_reference,
+                           kind="constant", dim=3),
+         test_jacobi.test_jacobi_op_type_v_on_basis_vectors), "jacobi-classical.VII"),
     # the one substitution, ScalarPoly.subst and OperatorExpr.subst_params: a bound symbol
     # keeps its exponent, so only a binding to 0 or 1 gives the right value
     "bound-symbol-keeps-its-exponent": (

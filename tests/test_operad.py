@@ -16,6 +16,7 @@ from oplax.operad import (
     MultiOp,
     antisymmetric_binary,
     bracket,
+    cyclic_sum,
     jacobi_defect,
     partial_compose,
     total_compose,
@@ -30,6 +31,7 @@ from helpers import (
     constructor_product,
     is_antisymmetric,
     reference_bracket,
+    reference_cyclic_sum,
     reference_jacobi_defect,
     reference_partial_compose,
     reference_total_compose,
@@ -407,7 +409,7 @@ def test_only_operad_knows_its_private_names_and_jacobi_composes_through_the_pub
                 and isinstance(node.value, ast.Name) and node.value.id == "operad"}
     assert {stem: sorted(name for name in names if name.startswith("_"))
             for stem, names in imported.items()} == dict.fromkeys(imported, [])
-    assert imported["jacobi"] == {"MultiOp", "partial_compose"}
+    assert imported["jacobi"] == {"MultiOp", "cyclic_sum", "partial_compose"}
 
 
 def test_multiop_validates_its_mode_and_entry_values():
@@ -788,12 +790,14 @@ _BINARY = MultiOp(2, 2, QUANTUM, {(0, 1, 0): OperatorExpr.generator(QUANTUM, Q),
     (lambda: total_compose(2.0, _BINARY), TypeError, "cannot interpret float as an operation"),
     (lambda: jacobi_defect(_BINARY, _BINARY, "x"), TypeError,
      "cannot interpret str as an operation"),
+    (lambda: cyclic_sum([_BINARY]), TypeError, "cannot interpret list as an operation"),
 ], ids=("dim", "degree", "key-length", "key-range", "float-index", "bool-index", "entry-mode",
         "float-dim", "bool-dim", "float-degree", "bool-degree", "float-slot", "bool-slot",
         "antisymmetric-bool-index", "antisymmetric-int-value", "antisymmetric-str-value",
         "int-key", "antisymmetric-short-key", "antisymmetric-int-key",
         "antisymmetric-long-key", "long-pair", "int-entries", "key-without-value",
-        "int-operand", "none-operand", "none-left-operand", "float-operand", "str-operand"))
+        "int-operand", "none-operand", "none-left-operand", "float-operand", "str-operand",
+        "list-operand"))
 def test_multiop_rejects_a_malformed_operation(build, error, match):
     with pytest.raises(error, match=match):
         build()
@@ -829,6 +833,23 @@ def reference_ops(draw, kind, dim):
             lambda terms: OperatorExpr(mode, terms))
     keys = st.tuples(*[st.integers(0, dim - 1)] * (degree + 1))
     return MultiOp(dim, degree, mode, draw(st.dictionaries(keys, values, max_size=5)))
+
+
+@pytest.mark.parametrize("kind", ("constant", "quantum"))
+@pytest.mark.parametrize("dim", (2, 3))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cyclic_sum_matches_the_tuple_keyed_reference(kind, dim, data):
+    # called through the module, so a patched cyclic_sum is seen
+    op = data.draw(reference_ops(kind, dim))
+    got = operad.cyclic_sum(op)
+    assert (got.dim, got.degree, got.mode) == (op.dim, op.degree, op.mode)
+    assert got.entries == reference_cyclic_sum(op).entries
+    # a rotation of op's inputs has the same cyclic sum, so op less it sums to nothing
+    rotated = MultiOp(dim, op.degree, op.mode, {key[1:-1] + key[:1] + key[-1:]: value
+                                                for key, value in op.entries.items()})
+    assert operad.cyclic_sum(rotated) == got
+    assert operad.cyclic_sum(op - rotated).terms == {}
 
 
 @pytest.mark.parametrize("kind", ("constant", "symbolic", "quantum"))

@@ -212,6 +212,16 @@ def test_render_parse_round_trip(x):
     assert parse_scalar(x.render()) == x
 
 
+@settings(max_examples=100, deadline=None)
+@given(scalar_polys())
+def test_the_constructor_takes_the_keys_that_terms_holds(x):
+    assert ScalarPoly(x.terms) == x
+    assert ScalarPoly(list(x.terms.items())) == x
+    # the two key forms mix in one call
+    mixed = [(exp, g) for (_, exp), g in x.terms.items()] + [(((), _ZERO_EXP), 1)]
+    assert ScalarPoly(mixed) == x + 1
+
+
 def test_render_is_deterministic_and_sorted():
     x = ScalarPoly.const(Fraction(1, 2)) + ScalarPoly.monomial(1, {"s": -2}) * W
     assert x.render() == "1/2 + w*s^-2"
@@ -248,9 +258,17 @@ def test_render_is_deterministic_and_sorted():
     (lambda: ScalarPoly([(_ZERO_EXP, 1, 2)]), ValueError,
      re.escape(f"term ({_ZERO_EXP}, 1, 2) is not a (key, value) pair")),
     (lambda: ScalarPoly([(0, 1)]), ValueError, re.escape("term (0, 1) is not a (key, value) pair")),
+    # a scalar's key names the empty word, so a key with a word is named
+    (lambda: ScalarPoly({((0,), _ZERO_EXP): 1}), ValueError,
+     re.escape(f"term key ((0,), {_ZERO_EXP}) has a word")),
+    (lambda: ScalarPoly([((("w",), _ZERO_EXP), 1)]), ValueError,
+     re.escape(f"term key (('w',), {_ZERO_EXP}) has a word")),
+    (lambda: ScalarPoly({((), (1, 0)): 1}), ValueError,
+     f"exponent vector must have length {NSYMBOLS}"),
 ], ids=("exponent-length", "monomial-float", "monomial-fraction", "monomial-bool", "monomial-str",
         "vector-float", "vector-fraction", "vector-bool", "vector-str", "monomial-none-powers",
-        "subst-none", "parse-none", "int-terms", "long-pair", "exponent-without-coefficient"))
+        "subst-none", "parse-none", "int-terms", "long-pair", "exponent-without-coefficient",
+        "key-with-a-word", "pair-key-with-a-word", "key-exponent-length"))
 def test_a_malformed_exponent_is_rejected(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oplax import operad
-from oplax.operad import _mul_rows_into, _wrap
+from oplax.operad import MultiOp, _mul_rows_into, _wrap
 from oplax.scalars import (NSYMBOLS, SYMBOLS, _ZERO_EXP, GaussRat, ScalarPoly, add_term,
                            parse_scalar, symbol)
 from oplax.weyl import (
@@ -125,6 +125,21 @@ def test_mode_mismatch_rejected():
         qexpr(P) * cexpr(Q)
     with pytest.raises(ValueError):
         qexpr(P) + cexpr(Q)
+
+
+def test_the_zero_of_a_mode_is_the_empty_sum_and_checks_its_mode(monkeypatch):
+    for mode in (CLASSICAL, QUANTUM):
+        assert OperatorExpr.zero(mode) == OperatorExpr.scalar(mode, 0)
+    # it builds no scalar: MultiOp.entry returns it for every key that holds no entry
+    def no_scalar(value):
+        raise AssertionError("built a scalar")
+
+    monkeypatch.setattr(ScalarPoly, "_coerce", staticmethod(no_scalar))
+    for mode in (CLASSICAL, QUANTUM):
+        assert OperatorExpr.zero(mode).terms == {} and OperatorExpr.zero(mode).mode == mode
+        assert MultiOp(2, 1, mode).entry((0,), 1).terms == {}
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        OperatorExpr.zero("bogus")
 
 
 def test_mixed_operations_do_not_render_the_operator(monkeypatch):
