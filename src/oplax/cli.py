@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -138,8 +139,12 @@ def _run_compute(args) -> tuple[int, str]:
 
 def run(argv) -> int:
     parser = build_parser()
+    argv = list(argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse may take "-1/2,0,0" for a flag
+        if argv[i - 1] in ("--x", "--y", "--z") and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
@@ -158,6 +163,3 @@ def run(argv) -> int:
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
 
-
-if __name__ == "__main__":
-    main()

@@ -218,6 +218,22 @@ def test_cli_import_skips_dataclasses_and_inspect():
     assert proc.stdout.split() == []
 
 
+def test_the_package_binds_only_its_modules():
+    # the modules are the API (oplax.operad.MultiOp); the package re-exports nothing
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, types, oplax; "
+         "names = lambda: {name: value.__name__ if isinstance(value, types.ModuleType) "
+         "else None for name, value in vars(oplax).items() if not name.startswith('_')}; "
+         "bare = names(); import oplax.cli; print(json.dumps([bare, names()]))"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    bare, loaded = json.loads(proc.stdout)
+    assert bare == {}
+    assert loaded == {name: f"oplax.{name}" for name in (
+        "bianchi", "cli", "jacobi", "operad", "oscillator", "report", "scalars", "weyl")}
+
+
 #: sha256 of ``oplax verify all --format json`` stdout; any byte change in the
 #: report (a check id, a rendering, the order) changes it
 VERIFY_ALL_JSON_SHA256 = "13367951390e22cb42b2229c849016135883b6891102dadf71d7ce5bcc176843"
@@ -308,6 +324,36 @@ def test_compute_jacobi_on_fraction_vectors_is_byte_identical(capsys):
                            "--y", "0,5/7,1", "--z", "2,1,1", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == COMPUTE_JACOBI_FRACTIONS_SHA256
+
+
+#: the III_a1 vectors above
+III_A1_VECTORS = {"--x": "1/3,2,-1", "--y": "0,5/7,1", "--z": "2,1,1"}
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--x", "-1/3,2,-1"), ("--y", "-.5,5/7,1"), ("--z", "-2,1,1"),
+], ids=("x", "y", "z"))
+def test_a_leading_minus_is_part_of_the_vector_in_either_spelling(capsys, flag, value):
+    # argparse takes "-1/3,2,-1" after --x for a flag unless the CLI joins the two
+    vectors = {**III_A1_VECTORS, flag: value}
+    apart = [arg for pair in vectors.items() for arg in pair]
+    joined = [f"{name}={text}" for name, text in vectors.items()]
+    runs = [run_cli(capsys, "compute", "jacobi", "--type", "III_a1", *args, "--format", "json")
+            for args in (apart, joined)]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][2] == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("--x", "--y", "0,1,0", "--z", "0,0,1"),
+    ("--x", "-h", "--y", "0,1,0", "--z", "0,0,1"),
+    ("--y", "0,1,0", "--z", "0,0,1", "--x"),
+], ids=("long-flag-next", "short-flag-next", "nothing-next"))
+def test_a_vector_flag_without_its_value_is_a_usage_error(capsys, args):
+    code, out, err = run_cli(capsys, "compute", "jacobi", "--type", "V", *args)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.count("error:") == 1
+    assert err.endswith("error: argument --x: expected one argument\n")
 
 
 #: sha256 of the built-in table document; its classification constants are
